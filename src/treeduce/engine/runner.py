@@ -2,12 +2,15 @@
 
 The workload is I/O, zlib, and numpy kernels, all of which release the
 GIL, so threads behave like cores here. Each task writes its own part
-file keyed by task_id; re-running a task overwrites its previous output,
-which makes the single retry safe.
+file keyed by task_id. An attempt writes to ``part-NNNNN.trf.tmp`` and
+renames it into place only once the writer has closed, and a failed
+attempt deletes its temp file, so no attempt leaves a truncated part and
+the single retry is safe.
 """
 
 from __future__ import annotations
 
+import os
 import queue
 import threading
 import time
@@ -141,11 +144,17 @@ class _Runner:
                 out_columns[name] = exprlang.evaluate(expr, selected, n_entries=n_out)
 
             part_path = self.out_dir / f"part-{task.task_id:05d}.trf"
-            with TreeFileWriter(part_path) as writer:
-                writer.begin_tree(task.tree, out_schema)
-                if n_out:
-                    writer.extend(out_columns)
-                writer.end_tree()
+            tmp_path = part_path.with_name(part_path.name + ".tmp")
+            try:
+                with TreeFileWriter(tmp_path) as writer:
+                    writer.begin_tree(task.tree, out_schema)
+                    if n_out:
+                        writer.extend(out_columns)
+                    writer.end_tree()
+                os.replace(tmp_path, part_path)
+            except BaseException:
+                tmp_path.unlink(missing_ok=True)
+                raise
             decompress_s = reader.stats.decompress_time_s
         finally:
             source.close()

@@ -11,6 +11,9 @@ Layout (all integers big-endian):
 Flat basket payload: n_entries elements, big-endian.
 Jagged basket payload: (n_entries + 1) u64 basket-local element offsets
 (first is 0), then the flattened elements, big-endian.
+
+Codec 2 (shuffle) stores a basket payload regrouped into byte planes
+(plane k holds byte k of every element) and deflated at level 1.
 """
 
 from __future__ import annotations
@@ -35,6 +38,9 @@ _BASKET_ENTRY = struct.Struct(">QIQIIB")
 
 # Compression must pay for itself; equal-size output keeps the raw bytes.
 _DEFLATE_LEVEL = 6
+# On the demo job's part-file baskets, shuffled level 6 stores only 1.4%
+# fewer bytes than level 1 and takes 1.8x as long.
+_SHUFFLE_LEVEL = 1
 
 DEFAULT_BASKET_ENTRIES = 8192
 
@@ -55,6 +61,7 @@ class Shape(IntEnum):
 class Codec(IntEnum):
     NONE = 0
     DEFLATE = 1
+    SHUFFLE = 2
 
 
 _DTYPE_BE = {
@@ -183,19 +190,71 @@ class ReadStats:
 # records
 
 
-def compress_record(raw: bytes, codec: Codec) -> tuple[Codec, bytes]:
-    """Encode a payload, falling back to NONE when compression does not shrink it."""
+# Byte-plane layout of a payload for SHUFFLE: (offset-table bytes, element
+# width). The offset table is u64, so its planes are 8 wide. (0, 1) is a
+# payload without structure, for which shuffling is the identity.
+Planes = tuple[int, int]
+_NO_PLANES: Planes = (0, 1)
+
+
+def _basket_planes(dtype: Dtype, shape: Shape, n_entries: int) -> Planes:
+    head = (n_entries + 1) * 8 if shape is Shape.JAGGED else 0
+    return head, itemsize(dtype)
+
+
+def _segments(size: int, planes: Planes):
+    head, width = planes
+    return ((0, head, 8), (head, size, width))
+
+
+def _shuffle(raw: bytes, planes: Planes) -> np.ndarray:
+    """Plane k of each segment holds byte k of every element in it."""
+    src = np.frombuffer(raw, dtype=np.uint8)
+    out = np.empty_like(src)
+    for lo, hi, w in _segments(len(src), planes):
+        out[lo:hi].reshape(w, -1)[...] = src[lo:hi].reshape(-1, w).T
+    return out
+
+
+def _unshuffle(buf: bytes, planes: Planes) -> bytes:
+    head, width = planes
+    if head > len(buf) or (len(buf) - head) % width:
+        raise CorruptFileError(
+            f"shuffled payload of {len(buf)} bytes does not split into a "
+            f"{head}-byte offset table and {width}-byte elements"
+        )
+    src = np.frombuffer(buf, dtype=np.uint8)
+    out = np.empty_like(src)
+    for lo, hi, w in _segments(len(src), planes):
+        out[lo:hi].reshape(-1, w)[...] = src[lo:hi].reshape(w, -1).T
+    return out.tobytes()
+
+
+def compress_record(
+    raw: bytes, codec: Codec, planes: Planes = _NO_PLANES
+) -> tuple[Codec, bytes]:
+    """Encode a payload, falling back to NONE when compression does not shrink it.
+
+    ``planes`` gives the payload's byte-plane layout for SHUFFLE. The NONE
+    fallback always stores ``raw`` as given, never shuffled.
+    """
     if codec is Codec.DEFLATE:
         packed = zlib.compress(raw, _DEFLATE_LEVEL)
-        if len(packed) < len(raw):
-            return Codec.DEFLATE, packed
+    elif codec is Codec.SHUFFLE:
+        packed = zlib.compress(_shuffle(raw, planes), _SHUFFLE_LEVEL)
+    else:
+        return Codec.NONE, raw
+    if len(packed) < len(raw):
+        return codec, packed
     return Codec.NONE, raw
 
 
-def decompress_record(stored: bytes, codec: Codec, raw_len: int) -> bytes:
+def decompress_record(
+    stored: bytes, codec: Codec, raw_len: int, planes: Planes = _NO_PLANES
+) -> bytes:
     if codec is Codec.NONE:
         raw = stored
-    elif codec is Codec.DEFLATE:
+    elif codec in (Codec.DEFLATE, Codec.SHUFFLE):
         try:
             raw = zlib.decompress(stored)
         except zlib.error as exc:
@@ -204,6 +263,8 @@ def decompress_record(stored: bytes, codec: Codec, raw_len: int) -> bytes:
         raise CorruptFileError(f"unknown codec {codec}")
     if len(raw) != raw_len:
         raise CorruptFileError(f"payload length {len(raw)} != declared raw_len {raw_len}")
+    if codec is Codec.SHUFFLE:
+        raw = _unshuffle(raw, planes)
     return raw
 
 
@@ -216,11 +277,9 @@ def _parse_record(buf: bytes) -> bytes:
     if len(buf) < 5:
         raise CorruptFileError(f"record truncated: {len(buf)} bytes")
     codec_byte, raw_len = struct.unpack_from(">BI", buf, 0)
-    try:
-        codec = Codec(codec_byte)
-    except ValueError:
-        raise CorruptFileError(f"unknown codec byte {codec_byte}") from None
-    return decompress_record(buf[5:], codec, raw_len)
+    if codec_byte not in (Codec.NONE, Codec.DEFLATE):  # SHUFFLE is for baskets only
+        raise CorruptFileError(f"codec byte {codec_byte} not allowed in a record")
+    return decompress_record(buf[5:], Codec(codec_byte), raw_len)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +442,7 @@ class TreeFileWriter:
         self,
         path: str | Path,
         *,
-        codec: Codec = Codec.DEFLATE,
+        codec: Codec = Codec.SHUFFLE,
         basket_entries: int = DEFAULT_BASKET_ENTRIES,
     ):
         if basket_entries < 1:
@@ -459,7 +518,8 @@ class TreeFileWriter:
             rest = buffered.slice(n, buffered.n_entries)
             self._pending[name] = [rest] if rest.n_entries else []
             raw = encode_basket(head, meta.dtype, meta.shape)
-            codec, stored = compress_record(raw, self._codec)
+            planes = _basket_planes(meta.dtype, meta.shape, n)
+            codec, stored = compress_record(raw, self._codec, planes)
             first_entry = tree.n_entries - self._pending_entries
             meta.baskets.append(
                 BasketIndexEntry(first_entry, n, self._pos, len(stored), len(raw), codec)
@@ -535,7 +595,7 @@ def write_tree(
     name: str,
     branches: dict,
     *,
-    codec: Codec = Codec.DEFLATE,
+    codec: Codec = Codec.SHUFFLE,
     basket_entries: int = DEFAULT_BASKET_ENTRIES,
 ) -> None:
     """One-shot writer for a single tree.
@@ -743,7 +803,8 @@ class TreeFileReader:
         import time
 
         t0 = time.perf_counter()
-        raw = decompress_record(stored, basket.codec, basket.raw_len)
+        planes = _basket_planes(meta.dtype, meta.shape, basket.n_entries)
+        raw = decompress_record(stored, basket.codec, basket.raw_len, planes)
         chunk = decode_basket(raw, meta.dtype, meta.shape, basket.n_entries)
         self.stats.decompress_time_s += time.perf_counter() - t0
         self.stats.baskets_read += 1
@@ -790,7 +851,7 @@ def concat_files(
     inputs: Iterable[str | Path],
     output: str | Path,
     *,
-    codec: Codec = Codec.DEFLATE,
+    codec: Codec = Codec.SHUFFLE,
     basket_entries: int = DEFAULT_BASKET_ENTRIES,
 ) -> int:
     """Merge single-tree files with identical schemas into one file.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import socket
 import socketserver
 import struct
 import threading
@@ -31,6 +32,9 @@ class _Handler(socketserver.BaseRequestHandler):
         handles: dict[int, tuple[int, int]] = {}  # handle -> (fd, file_len)
         next_handle = 1
         try:
+            # responses are small and the client waits for each one, so
+            # Nagle's algorithm would hold them until the client's delayed ACK
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             while True:
                 try:
                     opcode, payload = P.recv_frame(sock)
@@ -126,11 +130,11 @@ class _Handler(socketserver.BaseRequestHandler):
 
     def _respond(self, sock, status: int, payload: bytes) -> None:
         bucket: TokenBucket | None = self.server.bucket  # type: ignore[attr-defined]
-        sock.sendall(struct.pack(">IB", 1 + len(payload), status))
+        header = struct.pack(">IB", 1 + len(payload), status)
         if bucket is None or not payload:
-            if payload:
-                sock.sendall(payload)
+            sock.sendall(header + payload)
             return
+        sock.sendall(header)
         # only data bytes count against the cap; headers are negligible
         view = memoryview(payload)
         step = bucket.chunk_size

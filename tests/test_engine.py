@@ -6,6 +6,7 @@ import csv
 import json
 import threading
 from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from reference_interp import (
     float_columns,
     reduce_events,
 )
-from treeduce.bench.generate import DEMO_SKIM, DEMO_TREE
+from treeduce.bench.generate import DEMO_SKIM, DEMO_TREE, GenSpec, generate
 from treeduce.engine import (
     METRICS_CSV_HEADER,
     EngineConfig,
@@ -28,9 +29,18 @@ from treeduce.engine import (
     plan,
     run,
 )
+from treeduce.engine import runner
 from treeduce.engine.planner import required_columns, tasks_from_counts
 from treeduce.exprlang import parse
-from treeduce.treefile import ColumnChunk, ColumnChunk as Chunk, open_file, write_tree
+from treeduce.treefile import (
+    Codec,
+    ColumnChunk,
+    ColumnChunk as Chunk,
+    TreeFileWriter,
+    concat_files,
+    open_file,
+    write_tree,
+)
 
 KEEP = ["MET", "Muon_pt"]
 DERIVED = [("leading_pt", "max(Muon_pt)"), ("ht", "sum(Muon_pt)")]
@@ -345,6 +355,75 @@ def test_persistent_faults_raise_task_failure(demo_dataset, tmp_path):
     with pytest.raises(TaskFailure) as exc:
         run(job, EngineConfig(cores_per_executor=2), fault_hook=fault_hook)
     assert [task_id for task_id, _ in exc.value.failures] == [1, 3]
+
+
+def _crashing_writer(crash):
+    """A writer that raises after its baskets, before its directory, when ``crash(file_name)``."""
+
+    class CrashingWriter(TreeFileWriter):
+        def __init__(self, path, **kwargs):
+            super().__init__(path, **kwargs)
+            self.name = Path(path).name
+
+        def end_tree(self):
+            super().end_tree()
+            if crash(self.name):
+                raise OSError(f"simulated crash while writing {self.name}")
+
+    return CrashingWriter
+
+
+def test_failed_attempt_leaves_no_partial_part(demo_dataset, demo_expected, tmp_path, monkeypatch):
+    data_dir, _, manifest = demo_dataset
+    crashed = set()
+
+    def crash_first_attempt(name):
+        first = name not in crashed  # each name is written by one thread at a time
+        crashed.add(name)
+        return first
+
+    monkeypatch.setattr(runner, "TreeFileWriter", _crashing_writer(crash_first_attempt))
+    out = tmp_path / "out"
+    result = run(demo_reduction(data_dir, manifest, out), EngineConfig(cores_per_executor=2))
+    assert_outputs_match_reference(result, demo_expected)
+    assert crashed == {f"part-{e.task_id:05d}.trf.tmp" for e in result.manifest.entries}
+    assert not list(out.glob("*.tmp"))
+    for entry in result.manifest.entries:
+        with open_file(entry.path) as reader:
+            reader.validate(deep=True)
+
+
+def test_task_failing_twice_leaves_no_part(demo_dataset, tmp_path, monkeypatch):
+    data_dir, _, manifest = demo_dataset
+    crash_task_1 = _crashing_writer(lambda name: name.startswith("part-00001."))
+    monkeypatch.setattr(runner, "TreeFileWriter", crash_task_1)
+    out = tmp_path / "out"
+    with pytest.raises(TaskFailure) as exc:
+        run(demo_reduction(data_dir, manifest, out), EngineConfig(cores_per_executor=2))
+    assert [task_id for task_id, _ in exc.value.failures] == [1]
+    assert not (out / "part-00001.trf").exists()
+    assert not list(out.glob("*.tmp"))
+    assert (out / "part-00000.trf").exists()
+
+
+# --- output size -------------------------------------------------------------------------
+
+
+def test_part_files_use_shuffle_and_beat_deflate(tmp_path):
+    data_dir = tmp_path / "data"
+    manifest = generate(GenSpec(seed=5, n_events=32768, n_files=1), data_dir)
+    job = demo_reduction(data_dir, manifest, tmp_path / "out", partition_entries=16384)
+    result = run(job, EngineConfig(cores_per_executor=2))
+    part_bytes = deflate_bytes = 0
+    for entry in result.manifest.entries:
+        with open_file(entry.path) as reader:
+            for branch in reader.tree(DEMO_TREE).branches.values():
+                assert {b.codec for b in branch.baskets} <= {Codec.SHUFFLE, Codec.NONE}
+        rewritten = tmp_path / f"deflate-{entry.task_id}.trf"
+        concat_files([entry.path], rewritten, codec=Codec.DEFLATE)
+        part_bytes += Path(entry.path).stat().st_size
+        deflate_bytes += rewritten.stat().st_size
+    assert part_bytes <= 0.9 * deflate_bytes
 
 
 # --- metrics ---------------------------------------------------------------------------

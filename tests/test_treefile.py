@@ -86,6 +86,41 @@ class DirWalker:
         return trees
 
 
+def unshuffle_by_hand(buf: bytes, head: int, width: int) -> bytes:
+    """Undo codec 2's regrouping: in each segment, plane k holds byte k of every element."""
+    out = b""
+    for segment, w in ((buf[:head], 8), (buf[head:], width)):
+        n = len(segment) // w
+        assert n * w == len(segment)
+        planes = [segment[k * n : (k + 1) * n] for k in range(w)]
+        out += bytes(planes[k][i] for i in range(n) for k in range(w))
+    return out
+
+
+def pack_name(name: str) -> bytes:
+    raw = name.encode("utf-8")
+    return struct.pack(">H", len(raw)) + raw
+
+
+def hand_built_file(
+    dtype: int, shape: int, n_entries: int, codec: int, stored: bytes, raw_len: int, dir_codec: int = 0
+) -> bytes:
+    """A one-tree, one-branch, one-basket file packed without the library.
+
+    A nonzero ``dir_codec`` stores the directory record deflated under that codec byte.
+    """
+    basket = struct.pack(">QIQIIB", 0, n_entries, 32, len(stored), raw_len, codec)
+    directory = (
+        struct.pack(">I", 1) + pack_name("t") + struct.pack(">QI", n_entries, 1)
+        + pack_name("v") + struct.pack(">BBI", dtype, shape, 1) + basket
+    )
+    packed = zlib.compress(directory) if dir_codec else directory
+    record = struct.pack(">BI", dir_codec, len(directory)) + packed
+    dir_offset = 32 + len(stored)
+    header = struct.pack(">4sIQQQ", b"TRF1", 1, dir_offset, len(record), dir_offset + len(record))
+    return header + stored + record
+
+
 def small_file_bytes(tmp_path, codec=Codec.NONE) -> bytes:
     path = tmp_path / "small.trf"
     write_tree(
@@ -159,6 +194,75 @@ def test_deflate_basket_decompresses_to_plain_payload(tmp_path):
     assert payload == values.astype(">i8").tobytes()
 
 
+SHUFFLE_FLAT = [0.5 * i for i in range(64)]
+SHUFFLE_JAG = [[i, -i] if i % 3 else [] for i in range(64)]
+
+
+def test_shuffle_basket_payload_exact_bytes(tmp_path):
+    path = tmp_path / "shuffle.trf"
+    write_tree(str(path), "t", {"flat": np.array(SHUFFLE_FLAT), "jag": SHUFFLE_JAG})  # default codec
+    raw = path.read_bytes()
+    _, _, dir_offset, dir_len, _ = struct.unpack(">4sIQQQ", raw[:32])
+    _, branches = DirWalker(parse_record(raw[dir_offset : dir_offset + dir_len])).walk()["t"]
+
+    def shuffled_payload(name):
+        ((first_entry, n, offset, stored_len, raw_len, codec),) = branches[name][2]
+        assert (first_entry, codec) == (0, 2)
+        stored = raw[offset : offset + stored_len]
+        assert stored[:2] == b"\x78\x01"  # zlib header of level 1
+        payload = zlib.decompress(stored)
+        assert len(payload) == raw_len
+        return n, payload
+
+    assert branches["flat"][:2] == (4, 0)  # f64, flat: one segment of 8-byte elements
+    n, payload = shuffled_payload("flat")
+    expected = struct.pack(">64d", *SHUFFLE_FLAT)
+    assert n == 64
+    assert payload[:64] == bytes(expected[8 * i] for i in range(64))  # plane 0: sign/exponent bytes
+    assert unshuffle_by_hand(payload, 0, 8) == expected
+
+    assert branches["jag"][:2] == (2, 1)  # i64, jagged: offset table, then values
+    n, payload = shuffled_payload("jag")
+    offsets = np.concatenate([[0], np.cumsum([len(row) for row in SHUFFLE_JAG])]).tolist()
+    values = [x for row in SHUFFLE_JAG for x in row]
+    table = struct.pack(f">{n + 1}Q", *offsets)
+    assert unshuffle_by_hand(payload, len(table), 8) == table + struct.pack(f">{len(values)}q", *values)
+
+
+def test_shuffle_payload_of_partial_elements_is_corrupt():
+    # 7 bytes cannot be regrouped into the planes of one f64
+    raw = hand_built_file(4, 0, 1, 2, zlib.compress(bytes(7), 1), 7)
+    with pytest.raises(CorruptFileError, match="does not split"):
+        open_bytes(raw).read_column("t", "v")
+    # a whole 16-byte offset table, then 5 bytes that are no i64
+    raw = hand_built_file(2, 1, 1, 2, zlib.compress(bytes(21), 1), 21)
+    with pytest.raises(CorruptFileError, match="does not split"):
+        open_bytes(raw).read_column("t", "v")
+    # an offset table longer than the payload
+    raw = hand_built_file(2, 1, 3, 2, zlib.compress(bytes(16), 1), 16)
+    with pytest.raises(CorruptFileError, match="does not split"):
+        open_bytes(raw).read_column("t", "v")
+
+
+def test_shuffle_codec_is_refused_for_the_directory_record():
+    stored = struct.pack(">2d", 1.0, 2.0)
+    deflated = open_bytes(hand_built_file(4, 0, 2, 0, stored, 16, dir_codec=1))
+    assert deflated.read_column("t", "v").values.tolist() == [1.0, 2.0]
+    with pytest.raises(CorruptFileError, match="not allowed in a record"):
+        open_bytes(hand_built_file(4, 0, 2, 0, stored, 16, dir_codec=2))
+
+
+def test_shuffle_falls_back_to_unshuffled_raw_when_not_smaller(tmp_path):
+    path = tmp_path / "noise.trf"
+    values = np.random.default_rng(3).integers(-(2**62), 2**62, 64, dtype=np.int64)
+    write_tree(str(path), "t", {"v": values}, codec=Codec.SHUFFLE)
+    with open_file(str(path)) as reader:
+        (basket,) = reader.tree("t").branches["v"].baskets
+    assert basket.codec == Codec.NONE
+    stored = path.read_bytes()[basket.offset : basket.offset + basket.stored_len]
+    assert stored == struct.pack(">64q", *values.tolist())
+
+
 def test_deflate_falls_back_to_none_when_not_smaller():
     rng = np.random.default_rng(3)
     values = rng.integers(-(2**62), 2**62, 64, dtype=np.int64)
@@ -181,7 +285,7 @@ ALL_DTYPES = {
 }
 
 
-@pytest.mark.parametrize("codec", [Codec.NONE, Codec.DEFLATE])
+@pytest.mark.parametrize("codec", [Codec.NONE, Codec.DEFLATE, Codec.SHUFFLE])
 def test_round_trip_every_dtype(tmp_path, codec):
     path = tmp_path / "all.trf"
     write_tree(str(path), "t", ALL_DTYPES, codec=codec)
@@ -334,21 +438,28 @@ def test_writer_requires_lockstep_branches(tmp_path):
 # --- corruption and truncation ------------------------------------------
 
 
-def test_every_truncation_is_detected(tmp_path):
-    raw = small_file_bytes(tmp_path, codec=Codec.DEFLATE)
+def shuffle_file_bytes(tmp_path) -> bytes:
+    """A small file whose every basket is stored with codec 2."""
+    path = tmp_path / "small-shuffle.trf"
+    write_tree(
+        str(path), "t",
+        {"jag": SHUFFLE_JAG[:12], "flat": np.array(SHUFFLE_FLAT[:12])},
+        codec=Codec.SHUFFLE,
+    )
+    raw = path.read_bytes()
+    with open_bytes(raw) as reader:
+        codecs = {b.codec for m in reader.tree("t").branches.values() for b in m.baskets}
+    assert codecs == {Codec.SHUFFLE}
+    return raw
+
+
+def assert_every_truncation_detected(raw: bytes) -> None:
     for cut in range(len(raw)):
         with pytest.raises(TreeFileError):
             open_bytes(raw[:cut])
 
 
-def test_trailing_garbage_is_detected(tmp_path):
-    raw = small_file_bytes(tmp_path)
-    with pytest.raises(CorruptFileError):
-        open_bytes(raw + b"junk")
-
-
-def test_single_byte_flips_never_crash(tmp_path):
-    raw = bytearray(small_file_bytes(tmp_path, codec=Codec.DEFLATE))
+def assert_byte_flips_never_crash(raw: bytes) -> None:
     for pos in range(len(raw)):
         mutated = bytearray(raw)
         mutated[pos] ^= 0xFF
@@ -359,6 +470,28 @@ def test_single_byte_flips_never_crash(tmp_path):
                     reader.read_column(tname, bname)
         except TreeFileError:
             pass  # structured failure is the contract; crashes are not
+
+
+def test_every_truncation_is_detected(tmp_path):
+    assert_every_truncation_detected(small_file_bytes(tmp_path, codec=Codec.DEFLATE))
+
+
+def test_every_truncation_of_a_shuffle_file_is_detected(tmp_path):
+    assert_every_truncation_detected(shuffle_file_bytes(tmp_path))
+
+
+def test_trailing_garbage_is_detected(tmp_path):
+    raw = small_file_bytes(tmp_path)
+    with pytest.raises(CorruptFileError):
+        open_bytes(raw + b"junk")
+
+
+def test_single_byte_flips_never_crash(tmp_path):
+    assert_byte_flips_never_crash(small_file_bytes(tmp_path, codec=Codec.DEFLATE))
+
+
+def test_single_byte_flips_in_a_shuffle_file_never_crash(tmp_path):
+    assert_byte_flips_never_crash(shuffle_file_bytes(tmp_path))
 
 
 def test_header_magic_and_version_checked():
@@ -416,7 +549,7 @@ def tree_contents(draw):
         else:
             branches[name] = ColumnChunk(values=draw(_values_strategy(dtype, n)))
     basket_entries = draw(st.sampled_from([1, 2, 7, DEFAULT_BASKET_ENTRIES]))
-    codec = draw(st.sampled_from([Codec.NONE, Codec.DEFLATE]))
+    codec = draw(st.sampled_from([Codec.NONE, Codec.DEFLATE, Codec.SHUFFLE]))
     return branches, basket_entries, codec
 
 

@@ -134,6 +134,20 @@ def test_bad_handle_paths(served_file):
         conn.close()
 
 
+def test_small_responses_are_not_delayed(served_file):
+    # a response held back by Nagle's algorithm waits for the client's
+    # delayed ACK, about 44 ms per RPC, so 50 of them would take ~2.2 s
+    conn = XrdConnection(served_file)
+    try:
+        handle, _ = conn.open("data.bin")
+        t0 = time.perf_counter()
+        for _ in range(50):
+            assert conn.stat(handle) == len(CONTENT)
+        assert time.perf_counter() - t0 < 1.0
+    finally:
+        conn.close()
+
+
 def test_two_handles_on_one_connection(tmp_path, serve_dir):
     (tmp_path / "a.bin").write_bytes(b"aaaa")
     (tmp_path / "b.bin").write_bytes(b"bbbbbbbb")
