@@ -261,6 +261,7 @@ def _run_readahead(spec: ExperimentSpec, result: ReadaheadResult) -> None:
                 cores_per_executor=spec.cores_per_executor,
                 read_ahead=read_ahead,
                 sample_interval=spec.sample_interval,
+                planned_reads=False,  # the window under test, not planned reads
             )
 
             def job_for_rep(rep: int, _ra=read_ahead) -> JobSpec:

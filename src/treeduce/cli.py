@@ -97,7 +97,7 @@ def _cmd_reduce(args) -> int:
 def _cmd_hist(args) -> int:
     job = engine.load_job_file(args.job)
     agg = histagg.parse_hist_spec(args.spec)
-    skim, _ = engine.planner.parse_job_exprs(job)
+    skim = engine.planner.parse_job_exprs(job).skim
 
     schema = None
     needed = agg.columns_needed()
@@ -227,7 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--job", required=True)
     p.add_argument("--executors", type=int, default=1)
     p.add_argument("--cores", type=int, default=1)
-    p.add_argument("--read-ahead", default="64Ki")
+    p.add_argument("--read-ahead", default="64Ki",
+                   help="read-ahead window for reading input directories while planning")
     p.add_argument("--out", default=None, help="override the job's output directory")
     p.set_defaults(func=_cmd_reduce)
 

@@ -53,10 +53,21 @@ class JobSpec:
 
 @dataclass
 class EngineConfig:
+    """Worker pool shape and read strategy.
+
+    With ``planned_reads`` (the default) each task fetches exactly the
+    baskets it needs, with one vectored read per task, and reuses the
+    directory the planner read. ``read_ahead`` then sizes only the
+    planner's window. ``planned_reads=False`` makes each task reopen its
+    input and read basket by basket through the ``read_ahead`` window;
+    the read-ahead experiment uses it to measure that window.
+    """
+
     executors: int = 1
     cores_per_executor: int = 1
     read_ahead: int = 65536
     sample_interval: float = 0.05
+    planned_reads: bool = True
 
     def __post_init__(self):
         if self.executors < 1 or self.cores_per_executor < 1:

@@ -3,13 +3,20 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .. import exprlang
 from ..sources import open_source
-from ..treefile import Dtype, Shape, open_file
+from ..treefile import Directory, Dtype, Shape, open_file
 from .job import EngineConfig, EngineError, JobSpec
 
 Schema = dict[str, tuple[Dtype, Shape]]
+
+_KIND_DTYPE = {
+    exprlang.Kind.I64: Dtype.I64,
+    exprlang.Kind.F64: Dtype.F64,
+    exprlang.Kind.BOOL: Dtype.BOOL,
+}
 
 
 @dataclass(frozen=True)
@@ -26,54 +33,63 @@ class Task:
         return self.entry_stop - self.entry_start
 
 
-def parse_job_exprs(job: JobSpec):
+class JobExprs(NamedTuple):
+    """A job's parsed expressions and the input columns they and ``keep`` need."""
+
+    skim: exprlang.Expr | None
+    derived: list[tuple[str, exprlang.Expr]]
+    columns: tuple[str, ...]
+
+
+def parse_job_exprs(job: JobSpec) -> JobExprs:
     """Parse skim and derived expression texts once, for planner and runner."""
     try:
         skim = exprlang.parse(job.skim) if job.skim else None
         derived = [(name, exprlang.parse(text)) for name, text in job.derived]
     except exprlang.ParseError as exc:
         raise EngineError(f"bad expression in job: {exc}") from exc
-    return skim, derived
-
-
-def required_columns(job: JobSpec) -> tuple[str, ...]:
-    skim, derived = parse_job_exprs(job)
     names = set(job.keep_columns)
     if skim is not None:
         names |= exprlang.column_refs(skim)
     for _, expr in derived:
         names |= exprlang.column_refs(expr)
-    return tuple(sorted(names))
+    return JobExprs(skim, derived, tuple(sorted(names)))
 
 
-def check_job(job: JobSpec, schema: Schema) -> None:
-    """Typecheck the job's expressions; skim must be a scalar bool, derived scalars."""
-    skim, derived = parse_job_exprs(job)
+def check_job(job: JobSpec, schema: Schema, exprs: JobExprs) -> dict[str, Dtype]:
+    """Typecheck the job's expressions; skim must be a scalar bool, derived scalars.
+
+    Returns the dtype of each derived column.
+    """
+    derived_dtypes = {}
     try:
-        if skim is not None:
-            result = exprlang.typecheck(skim, schema)
+        if exprs.skim is not None:
+            result = exprlang.typecheck(exprs.skim, schema)
             if result.jagged or result.kind is not exprlang.Kind.BOOL:
                 raise EngineError(f"skim must be a scalar bool, got {result}")
-        for name, expr in derived:
+        for name, expr in exprs.derived:
             result = exprlang.typecheck(expr, schema)
             if result.jagged:
                 raise EngineError(f"derived column {name!r} is per-event jagged, not scalar")
+            derived_dtypes[name] = _KIND_DTYPE[result.kind]
     except exprlang.ExprTypeError as exc:
         raise EngineError(f"job does not typecheck: {exc}") from exc
     for name in job.keep_columns:
         if name not in schema:
             raise EngineError(f"kept column {name!r} not in tree schema")
+    return derived_dtypes
 
 
-def probe_inputs(job: JobSpec, engine: EngineConfig) -> tuple[Schema, list[int]]:
-    """Read each input's directory; reject schema drift on required columns.
+def probe_inputs(
+    job: JobSpec, engine: EngineConfig, columns: tuple[str, ...]
+) -> tuple[Schema, list[Directory]]:
+    """Read each input's directory; reject schema drift on ``columns``.
 
-    Returns the required-column schema of the first input and per-file
-    entry counts.
+    Returns the schema of ``columns`` in the first input and each input's
+    parsed directory, which tasks reuse instead of reading it again.
     """
-    needed = required_columns(job)
     schema: Schema | None = None
-    entry_counts: list[int] = []
+    directories: list[Directory] = []
     for path in job.inputs:
         source = open_source(path, read_ahead=engine.read_ahead)
         try:
@@ -83,7 +99,7 @@ def probe_inputs(job: JobSpec, engine: EngineConfig) -> tuple[Schema, list[int]]
                     raise EngineError(f"{path}: no tree named {job.tree!r}")
                 tree = reader.tree(job.tree)
                 this = {}
-                for name in needed:
+                for name in columns:
                     if name not in tree.branches:
                         raise EngineError(f"{path}: required column {name!r} missing")
                     meta = tree.branches[name]
@@ -92,18 +108,19 @@ def probe_inputs(job: JobSpec, engine: EngineConfig) -> tuple[Schema, list[int]]
                     schema = this
                 elif this != schema:
                     raise EngineError(f"{path}: schema differs from first input on required columns")
-                entry_counts.append(tree.n_entries)
+                directories.append((reader.header, reader.trees))
             finally:
                 reader.close()
         finally:
             source.close()
     if schema is None:
         schema = {}
-    return schema, entry_counts
+    return schema, directories
 
 
-def tasks_from_counts(job: JobSpec, entry_counts: list[int]) -> list[Task]:
-    columns = required_columns(job)
+def tasks_from_counts(
+    job: JobSpec, entry_counts: list[int], columns: tuple[str, ...]
+) -> list[Task]:
     tasks: list[Task] = []
     task_id = 0
     for path, n_entries in zip(job.inputs, entry_counts):
@@ -114,8 +131,13 @@ def tasks_from_counts(job: JobSpec, entry_counts: list[int]) -> list[Task]:
     return tasks
 
 
+def entry_counts(job: JobSpec, directories: list[Directory]) -> list[int]:
+    return [trees[job.tree].n_entries for _, trees in directories]
+
+
 def plan(job: JobSpec, engine: EngineConfig) -> list[Task]:
     """Per file, ceil(n_entries / partition_entries) tasks in file-then-entry order."""
-    schema, entry_counts = probe_inputs(job, engine)
-    check_job(job, schema)
-    return tasks_from_counts(job, entry_counts)
+    exprs = parse_job_exprs(job)
+    schema, directories = probe_inputs(job, engine, exprs.columns)
+    check_job(job, schema, exprs)
+    return tasks_from_counts(job, entry_counts(job, directories), exprs.columns)

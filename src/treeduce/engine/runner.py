@@ -5,7 +5,12 @@ GIL, so threads behave like cores here. Each task writes its own part
 file keyed by task_id. An attempt writes to ``part-NNNNN.trf.tmp`` and
 renames it into place only once the writer has closed, and a failed
 attempt deletes its temp file, so no attempt leaves a truncated part and
-the single retry is safe.
+the single retry is safe. Errors that would recur, such as a corrupt input
+or an expression error, fail the task without a retry.
+
+By default a task reuses the directory the planner read from its input
+and fetches the baskets it needs with one vectored read
+(``EngineConfig.planned_reads``).
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import numpy as np
 from .. import exprlang
 from ..iostats import IoStats
 from ..sources import open_source
-from ..treefile import Dtype, Shape, TreeFileWriter, open_file
+from ..treefile import Dtype, Shape, TreeFileError, TreeFileReader, TreeFileWriter, open_file
 from .job import EngineConfig, EngineError, JobSpec
 from .metrics import (
     Manifest,
@@ -33,19 +38,24 @@ from .metrics import (
     write_metrics_csv,
     write_metrics_jsonl,
 )
-from .planner import Task, check_job, parse_job_exprs, probe_inputs, tasks_from_counts
+from .planner import (
+    Task,
+    check_job,
+    entry_counts,
+    parse_job_exprs,
+    probe_inputs,
+    tasks_from_counts,
+)
 
-_KIND_DTYPE = {
-    exprlang.Kind.I64: Dtype.I64,
-    exprlang.Kind.F64: Dtype.F64,
-    exprlang.Kind.BOOL: Dtype.BOOL,
-}
+# Errors a second attempt would meet again: bad expressions or data, a
+# corrupt or changed input. Anything else, such as an OSError, is retried once.
+_DETERMINISTIC = (exprlang.EvalError, TreeFileError, EngineError)
 
 
 class TaskFailure(EngineError):
     def __init__(self, failures: list[tuple[int, str]]):
         ids = [task_id for task_id, _ in failures]
-        super().__init__(f"{len(failures)} tasks failed after retry: {ids}")
+        super().__init__(f"{len(failures)} tasks failed: {ids}")
         self.failures = failures
 
 
@@ -98,15 +108,12 @@ class _Runner:
         self.engine = engine
         self.fault_hook = fault_hook
         self.out_dir = Path(job.output)
-        self.skim, self.derived = parse_job_exprs(job)
-        self.schema, self.entry_counts = probe_inputs(job, engine)
-        if job.inputs:
-            check_job(job, self.schema)
-        self.derived_dtypes = {
-            name: _KIND_DTYPE[exprlang.typecheck(expr, self.schema).kind]
-            for name, expr in self.derived
-        }
-        self.tasks = tasks_from_counts(job, self.entry_counts)
+        exprs = parse_job_exprs(job)
+        self.skim, self.derived = exprs.skim, exprs.derived
+        self.schema, directories = probe_inputs(job, engine, exprs.columns)
+        self.derived_dtypes = check_job(job, self.schema, exprs)
+        self.directories = dict(zip(job.inputs, directories))
+        self.tasks = tasks_from_counts(job, entry_counts(job, directories), exprs.columns)
         self.live = _Live()
         self.results_lock = threading.Lock()
         self.task_metrics: list[TaskMetrics] = []
@@ -121,11 +128,18 @@ class _Runner:
         io = _TrackingIoStats(self.live)
         source = open_source(task.input, read_ahead=self.engine.read_ahead, stats=io)
         try:
-            reader = open_file(source)
-            columns = {
-                name: reader.read_column(task.tree, name, task.entry_start, task.entry_stop)
-                for name in task.columns
-            }
+            if self.engine.planned_reads:
+                reader = TreeFileReader(
+                    source, own_source=False, directory=self.directories[task.input]
+                )
+                reader.prefetch(task.tree, task.columns, task.entry_start, task.entry_stop)
+            else:
+                reader = open_file(source)
+            with reader:  # closing frees the prefetched baskets before the skim
+                columns = {
+                    name: reader.read_column(task.tree, name, task.entry_start, task.entry_stop)
+                    for name in task.columns
+                }
             n_in = task.n_entries
             if self.skim is not None:
                 mask = exprlang.evaluate(self.skim, columns, n_entries=n_in).values
@@ -192,7 +206,7 @@ class _Runner:
                             self.io.merge(io)
                         break
                     except Exception as exc:
-                        if attempt >= 2:
+                        if attempt >= 2 or isinstance(exc, _DETERMINISTIC):
                             with self.results_lock:
                                 self.failures.append((task.task_id, repr(exc)))
                             break

@@ -9,7 +9,6 @@ never through shared mutation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 
 @dataclass
@@ -48,10 +47,3 @@ class IoStats:
         self.read_calls += other.read_calls
         self.read_time_s += other.read_time_s
         return self
-
-    @classmethod
-    def merged(cls, stats: Iterable["IoStats"]) -> "IoStats":
-        total = cls()
-        for s in stats:
-            total.merge(s)
-        return total

@@ -5,7 +5,7 @@ from __future__ import annotations
 import os
 import time
 from pathlib import Path
-from typing import Protocol, runtime_checkable
+from typing import Protocol, Sequence, runtime_checkable
 
 from .iostats import IoStats
 
@@ -18,6 +18,10 @@ class ByteSource(Protocol):
     def size(self) -> int: ...
 
     def read_at(self, offset: int, length: int) -> bytes: ...
+
+    def read_ranges(self, ranges: Sequence[tuple[int, int]]) -> list[bytes | memoryview]:
+        """One buffer per (offset, length) range, in order, each short only at end of file."""
+        ...
 
     def close(self) -> None: ...
 
@@ -34,6 +38,9 @@ class BytesSource:
 
     def read_at(self, offset: int, length: int) -> bytes:
         return self._data[offset : offset + length]
+
+    def read_ranges(self, ranges: Sequence[tuple[int, int]]) -> list[bytes]:
+        return [self.read_at(offset, length) for offset, length in ranges]
 
     def close(self) -> None:
         pass
@@ -68,6 +75,9 @@ class FileSource:
             self.stats.record_fetch(len(data), dt)
         return data
 
+    def read_ranges(self, ranges: Sequence[tuple[int, int]]) -> list[bytes]:
+        return [self.read_at(offset, length) for offset, length in ranges]
+
     def close(self) -> None:
         if self._fd >= 0:
             os.close(self._fd)
@@ -75,34 +85,6 @@ class FileSource:
 
     def __repr__(self) -> str:
         return f"FileSource({self._path!r})"
-
-
-class CountingSource:
-    """Wrapper that tallies read calls and byte spans of another source.
-
-    Used to assert access-pattern properties (laziness, selectivity)
-    without touching the wrapped implementation.
-    """
-
-    def __init__(self, inner: ByteSource):
-        self.inner = inner
-        self.read_calls = 0
-        self.bytes_read = 0
-        self.reads: list[tuple[int, int]] = []
-
-    @property
-    def size(self) -> int:
-        return self.inner.size
-
-    def read_at(self, offset: int, length: int) -> bytes:
-        data = self.inner.read_at(offset, length)
-        self.read_calls += 1
-        self.bytes_read += len(data)
-        self.reads.append((offset, len(data)))
-        return data
-
-    def close(self) -> None:
-        self.inner.close()
 
 
 def open_source(

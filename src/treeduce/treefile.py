@@ -18,7 +18,9 @@ Codec 2 (shuffle) stores a basket payload regrouped into byte planes
 
 from __future__ import annotations
 
+import bisect
 import struct
+import time
 import zlib
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -177,13 +179,6 @@ class ReadStats:
     bytes_stored: int = 0
     bytes_raw: int = 0
     decompress_time_s: float = 0.0
-
-    def merge(self, other: "ReadStats") -> "ReadStats":
-        self.baskets_read += other.baskets_read
-        self.bytes_stored += other.bytes_stored
-        self.bytes_raw += other.bytes_raw
-        self.decompress_time_s += other.decompress_time_s
-        return self
 
 
 # ---------------------------------------------------------------------------
@@ -696,54 +691,106 @@ def _parse_directory(raw: bytes) -> dict[str, TreeMeta]:
     return trees
 
 
-class TreeFileReader:
-    """Lazy reader: opening parses header + directory only, baskets on demand."""
+# A file's parsed header and directory: what opening a reader reads.
+Directory = tuple[TreeFileHeader, dict[str, TreeMeta]]
 
-    def __init__(self, source: ByteSource, *, own_source: bool = True):
+
+def read_directory(source: ByteSource) -> Directory:
+    """Read and check a file's header, then its directory: two reads."""
+    header = TreeFileHeader.unpack(source.read_at(0, HEADER_LEN))
+    size = source.size
+    if header.file_len != size:
+        raise CorruptFileError(f"header says {header.file_len} bytes but source has {size}")
+    if header.dir_offset + header.dir_len > header.file_len:
+        raise CorruptFileError("directory extends past end of file")
+    if header.dir_offset < HEADER_LEN:
+        raise CorruptFileError("directory overlaps header")
+    dir_record = source.read_at(header.dir_offset, header.dir_len)
+    if len(dir_record) != header.dir_len:
+        raise CorruptFileError("short read on directory")
+    trees = _parse_directory(_parse_record(dir_record))
+    _check_index(header, trees)
+    return header, trees
+
+
+def _check_index(header: TreeFileHeader, trees: dict[str, TreeMeta]) -> None:
+    for tree in trees.values():
+        for meta in tree.branches.values():
+            expect_first = 0
+            for basket in meta.baskets:
+                if basket.first_entry != expect_first:
+                    raise CorruptFileError(
+                        f"branch {meta.name!r}: basket starts at entry "
+                        f"{basket.first_entry}, expected {expect_first}"
+                    )
+                if basket.n_entries == 0:
+                    raise CorruptFileError(f"branch {meta.name!r}: empty basket")
+                if basket.offset < HEADER_LEN or (
+                    basket.offset + basket.stored_len > header.dir_offset
+                ):
+                    raise CorruptFileError(
+                        f"branch {meta.name!r}: basket data outside data region"
+                    )
+                expect_first += basket.n_entries
+            if expect_first != tree.n_entries:
+                raise CorruptFileError(
+                    f"branch {meta.name!r}: baskets cover {expect_first} entries, "
+                    f"tree has {tree.n_entries}"
+                )
+
+
+def _branch(tmeta: TreeMeta, branch: str) -> BranchMeta:
+    if branch not in tmeta.branches:
+        raise SchemaError(f"no branch named {branch!r} in tree {tmeta.name!r}")
+    return tmeta.branches[branch]
+
+
+def _entry_stop(tmeta: TreeMeta, entry_start: int, entry_stop: int | None) -> int:
+    stop = tmeta.n_entries if entry_stop is None else entry_stop
+    if not (0 <= entry_start <= stop <= tmeta.n_entries):
+        raise SchemaError(
+            f"entry range [{entry_start}, {stop}) invalid for {tmeta.n_entries} entries"
+        )
+    return stop
+
+
+def _overlapping(meta: BranchMeta, entry_start: int, entry_stop: int) -> list[BasketIndexEntry]:
+    if entry_start == entry_stop:
+        return []
+    return [
+        b for b in meta.baskets
+        if b.first_entry < entry_stop and b.first_entry + b.n_entries > entry_start
+    ]
+
+
+class TreeFileReader:
+    """Lazy reader: opening parses header + directory only, baskets on demand.
+
+    Given ``directory``, the result of :func:`read_directory` on the same
+    file, the reader reads nothing on opening; it only checks that the
+    file still has the size that directory's header recorded.
+    """
+
+    def __init__(
+        self,
+        source: ByteSource,
+        *,
+        own_source: bool = True,
+        directory: Directory | None = None,
+    ):
         self._source = source
         self._own = own_source
         self.stats = ReadStats()
-        header_raw = source.read_at(0, HEADER_LEN)
-        self.header = TreeFileHeader.unpack(header_raw)
-        size = source.size
-        if self.header.file_len != size:
+        # (offset, bytes) of prefetched ranges, sorted by offset
+        self._prefetched: list[tuple[int, bytes | memoryview]] = []
+        if directory is None:
+            directory = read_directory(source)
+        elif directory[0].file_len != source.size:
             raise CorruptFileError(
-                f"header says {self.header.file_len} bytes but source has {size}"
+                f"file has {source.size} bytes, {directory[0].file_len} when its "
+                "directory was read: it changed since"
             )
-        if self.header.dir_offset + self.header.dir_len > self.header.file_len:
-            raise CorruptFileError("directory extends past end of file")
-        if self.header.dir_offset < HEADER_LEN:
-            raise CorruptFileError("directory overlaps header")
-        dir_record = source.read_at(self.header.dir_offset, self.header.dir_len)
-        if len(dir_record) != self.header.dir_len:
-            raise CorruptFileError("short read on directory")
-        self.trees = _parse_directory(_parse_record(dir_record))
-        self._check_index()
-
-    def _check_index(self) -> None:
-        for tree in self.trees.values():
-            for meta in tree.branches.values():
-                expect_first = 0
-                for basket in meta.baskets:
-                    if basket.first_entry != expect_first:
-                        raise CorruptFileError(
-                            f"branch {meta.name!r}: basket starts at entry "
-                            f"{basket.first_entry}, expected {expect_first}"
-                        )
-                    if basket.n_entries == 0:
-                        raise CorruptFileError(f"branch {meta.name!r}: empty basket")
-                    if basket.offset < HEADER_LEN or (
-                        basket.offset + basket.stored_len > self.header.dir_offset
-                    ):
-                        raise CorruptFileError(
-                            f"branch {meta.name!r}: basket data outside data region"
-                        )
-                    expect_first += basket.n_entries
-                if expect_first != tree.n_entries:
-                    raise CorruptFileError(
-                        f"branch {meta.name!r}: baskets cover {expect_first} entries, "
-                        f"tree has {tree.n_entries}"
-                    )
+        self.header, self.trees = directory
 
     def tree(self, name: str | None = None) -> TreeMeta:
         if name is None:
@@ -769,39 +816,71 @@ class TreeFileReader:
         Only baskets overlapping the range are fetched and decompressed.
         """
         tmeta = self.tree(tree)
-        if branch not in tmeta.branches:
-            raise SchemaError(f"no branch named {branch!r} in tree {tmeta.name!r}")
-        meta = tmeta.branches[branch]
-        stop = tmeta.n_entries if entry_stop is None else entry_stop
-        if not (0 <= entry_start <= stop <= tmeta.n_entries):
-            raise SchemaError(
-                f"entry range [{entry_start}, {stop}) invalid for {tmeta.n_entries} entries"
-            )
-        native = _DTYPE_NATIVE[meta.dtype]
+        meta = _branch(tmeta, branch)
+        stop = _entry_stop(tmeta, entry_start, entry_stop)
         if entry_start == stop:
-            return ColumnChunk.empty(native, jagged=meta.is_jagged)
+            return ColumnChunk.empty(_DTYPE_NATIVE[meta.dtype], jagged=meta.is_jagged)
         pieces: list[ColumnChunk] = []
-        for basket in meta.baskets:
-            b_start, b_stop = basket.first_entry, basket.first_entry + basket.n_entries
-            if b_stop <= entry_start or b_start >= stop:
-                continue
+        for basket in _overlapping(meta, entry_start, stop):
             chunk = self._read_basket(basket, meta)
+            b_start = basket.first_entry
             lo = max(entry_start, b_start) - b_start
-            hi = min(stop, b_stop) - b_start
+            hi = min(stop, b_start + basket.n_entries) - b_start
             if lo != 0 or hi != basket.n_entries:
                 chunk = chunk.slice(lo, hi)
             pieces.append(chunk)
         return ColumnChunk.concatenate(pieces)
 
+    def prefetch(
+        self,
+        tree: str | None,
+        branches: Iterable[str],
+        entry_start: int = 0,
+        entry_stop: int | None = None,
+    ) -> None:
+        """Fetch, in one ``read_ranges`` call, every basket that reading
+        ``branches`` over ``[entry_start, entry_stop)`` needs.
+
+        Baskets that touch in the file are fetched as one range; baskets
+        with unused bytes between them are not. Later :meth:`read_column`
+        calls take these baskets from memory.
+        """
+        tmeta = self.tree(tree)
+        stop = _entry_stop(tmeta, entry_start, entry_stop)
+        spans = sorted(
+            {
+                (basket.offset, basket.stored_len)
+                for name in branches
+                for basket in _overlapping(_branch(tmeta, name), entry_start, stop)
+            }
+        )
+        merged: list[tuple[int, int]] = []
+        for offset, length in spans:
+            if merged and offset <= merged[-1][0] + merged[-1][1]:
+                start, prev = merged[-1]
+                merged[-1] = (start, max(prev, offset + length - start))
+            else:
+                merged.append((offset, length))
+        data = self._source.read_ranges(merged)
+        self._prefetched = [(offset, buf) for (offset, _), buf in zip(merged, data)]
+
+    def _stored_bytes(self, basket: BasketIndexEntry) -> bytes | memoryview:
+        """The basket's stored bytes: from the prefetched ranges if they hold them."""
+        i = bisect.bisect_right(self._prefetched, basket.offset, key=lambda r: r[0]) - 1
+        if i >= 0:
+            start, buf = self._prefetched[i]
+            rel = basket.offset - start
+            if rel + basket.stored_len <= len(buf):
+                return memoryview(buf)[rel : rel + basket.stored_len]
+        return self._source.read_at(basket.offset, basket.stored_len)
+
     def _read_basket(self, basket: BasketIndexEntry, meta: BranchMeta) -> ColumnChunk:
-        stored = self._source.read_at(basket.offset, basket.stored_len)
+        stored = self._stored_bytes(basket)
         if len(stored) != basket.stored_len:
             raise CorruptFileError(
                 f"short read on basket at offset {basket.offset}: "
                 f"got {len(stored)} of {basket.stored_len} bytes"
             )
-        import time
-
         t0 = time.perf_counter()
         planes = _basket_planes(meta.dtype, meta.shape, basket.n_entries)
         raw = decompress_record(stored, basket.codec, basket.raw_len, planes)
@@ -814,7 +893,7 @@ class TreeFileReader:
 
     def validate(self, deep: bool = False) -> None:
         """Re-run structural checks; with ``deep`` decode every basket too."""
-        self._check_index()
+        _check_index(self.header, self.trees)
         if deep:
             for tree in self.trees.values():
                 for meta in tree.branches.values():
@@ -822,6 +901,7 @@ class TreeFileReader:
                         self._read_basket(basket, meta)
 
     def close(self) -> None:
+        self._prefetched = []
         if self._own:
             self._source.close()
 

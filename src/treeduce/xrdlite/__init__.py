@@ -17,6 +17,7 @@ from .protocol import (
     OP_CLOSE,
     OP_OPEN,
     OP_READ,
+    OP_READV,
     OP_STAT,
     ST_BAD_HANDLE,
     ST_MALFORMED,
@@ -42,6 +43,7 @@ __all__ = [
     "MAX_FRAME",
     "OP_OPEN",
     "OP_READ",
+    "OP_READV",
     "OP_STAT",
     "OP_CLOSE",
     "ST_OK",

@@ -5,6 +5,7 @@ from __future__ import annotations
 import socket
 import time
 from dataclasses import dataclass
+from typing import Sequence
 from urllib.parse import urlsplit
 
 from ..iostats import IoStats
@@ -98,6 +99,27 @@ class XrdConnection:
                 break  # end of file
         return b"".join(parts)
 
+    def readv(self, handle: int, ranges: Sequence[tuple[int, int]]) -> list[bytes | memoryview]:
+        """Read every (offset, length) range in full, returning one buffer per range.
+
+        Each range must lie wholly inside the file. The list goes out in as
+        few READV requests as the frame budget allows; a range larger than
+        the budget is split across requests and joined again here.
+        """
+        out: list[list[bytes | memoryview]] = [[] for _ in ranges]
+        for batch in _readv_batches(ranges):
+            payload = self._expect_ok(
+                P.pack_readv_request(handle, [(off, length) for _, off, length in batch])
+            )
+            if len(payload) != sum(length for _, _, length in batch):
+                raise XrdProtocolError(f"READV response payload has {len(payload)} bytes")
+            view = memoryview(payload)
+            pos = 0
+            for index, _, length in batch:
+                out[index].append(view[pos : pos + length])
+                pos += length
+        return [parts[0] if len(parts) == 1 else b"".join(parts) for parts in out]
+
     def stat(self, handle: int) -> int:
         payload = self._expect_ok(P.pack_frame(P.OP_STAT, P.HANDLE.pack(handle)))
         if len(payload) != P.FILE_LEN.size:
@@ -114,12 +136,42 @@ class XrdConnection:
             pass
 
 
+def _readv_batches(ranges: Sequence[tuple[int, int]]) -> list[list[tuple[int, int, int]]]:
+    """Pack ranges, in order, into the fewest READV requests that fit a frame.
+
+    Each request carries at most MAX_FRAME - 1 bytes of ranges and
+    READV_MAX_RANGES ranges. Items are (index into ``ranges``, offset,
+    length); a range that does not fit the room left is cut.
+    """
+    budget = P.MAX_FRAME - 1
+    batches: list[list[tuple[int, int, int]]] = []
+    batch: list[tuple[int, int, int]] = []
+    room = budget
+    for index, (offset, length) in enumerate(ranges):
+        while True:
+            if len(batch) == P.READV_MAX_RANGES or (room == 0 and length > 0):
+                batches.append(batch)
+                batch, room = [], budget
+            piece = min(length, room)
+            batch.append((index, offset, piece))
+            room -= piece
+            offset += piece
+            length -= piece
+            if length == 0:
+                break
+    if batch:
+        batches.append(batch)
+    return batches
+
+
 class RemoteByteSource:
     """Byte source over the wire with prefetch and LRU window caching.
 
     A read served entirely by a cached window costs no wire traffic;
     anything else fetches max(length, read_ahead) bytes anchored at the
     requested offset, clipped to the file end, and caches that window.
+    :meth:`read_ranges` fetches exactly the ranges asked for, with no
+    window.
     """
 
     def __init__(
@@ -164,6 +216,25 @@ class RemoteByteSource:
                 self._windows.pop(0)
         rel_end = min(length, len(data))
         return data[:rel_end]
+
+    def read_ranges(self, ranges: Sequence[tuple[int, int]]) -> list[bytes | memoryview]:
+        """Fetch every range with one vectored read, bypassing the window cache.
+
+        Ranges are clipped to the file end, so a range is short only there,
+        as with :meth:`read_at`.
+        """
+        clipped = []
+        for offset, length in ranges:
+            if length > 0:
+                self.stats.record_request(length)
+            start = min(offset, self._size)
+            clipped.append((start, max(min(length, self._size - start), 0)))
+        if not any(length for _, length in clipped):
+            return [b""] * len(clipped)
+        t0 = time.perf_counter()
+        parts = self._conn.readv(self._handle, clipped)
+        self.stats.record_fetch(sum(len(p) for p in parts), time.perf_counter() - t0)
+        return parts
 
     def close(self) -> None:
         try:

@@ -8,6 +8,14 @@ the first byte is an opcode, for responses a status code.
     READ  request: handle u32 | offset u64 | length u32; response: the bytes
     STAT  request: handle u32; response: file_len u64
     CLOSE request: handle u32; response: empty
+    READV request: handle u32 | n u32 | n x (offset u64 | length u32);
+          response: the n ranges' bytes, concatenated in request order
+
+A READ answers short at end of file and never with more than
+MAX_FRAME - 1 bytes. A READV is all or nothing: it answers RangeError if
+any range is not wholly inside the file or the lengths total more than
+MAX_FRAME - 1, and Malformed (then closes) if the payload is not
+8 + 12n bytes long.
 
 Error responses carry a UTF-8 message as payload.
 """
@@ -21,6 +29,7 @@ OP_OPEN = 1
 OP_READ = 2
 OP_STAT = 3
 OP_CLOSE = 4
+OP_READV = 5
 
 ST_OK = 0
 ST_NOT_FOUND = 1
@@ -45,6 +54,10 @@ READ_PAYLOAD = struct.Struct(">IQI")
 OPEN_RESPONSE = struct.Struct(">IQ")
 HANDLE = struct.Struct(">I")
 FILE_LEN = struct.Struct(">Q")
+READV_HEAD = struct.Struct(">II")
+READV_RANGE = struct.Struct(">QI")
+# the most ranges one READV request frame can carry
+READV_MAX_RANGES = (MAX_FRAME - 1 - READV_HEAD.size) // READV_RANGE.size
 
 
 class FrameError(Exception):
@@ -64,20 +77,27 @@ def pack_read_request(handle: int, offset: int, length: int) -> bytes:
     return pack_frame(OP_READ, READ_PAYLOAD.pack(handle, offset, length))
 
 
-def recv_exact(sock: socket.socket, n: int) -> bytes:
-    """Read exactly n bytes or raise FrameError on early EOF."""
-    parts = []
-    remaining = n
-    while remaining:
-        chunk = sock.recv(min(remaining, 1 << 16))
-        if not chunk:
-            raise FrameError(f"connection closed with {remaining} bytes outstanding")
-        parts.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(parts)
+def pack_readv_request(handle: int, ranges) -> bytes:
+    """READV frame for ``ranges``, a sequence of (offset, length) pairs."""
+    parts = [READV_HEAD.pack(handle, len(ranges))]
+    parts += [READV_RANGE.pack(offset, length) for offset, length in ranges]
+    return pack_frame(OP_READV, b"".join(parts))
 
 
-def recv_frame(sock: socket.socket) -> tuple[int, bytes]:
+def recv_exact(sock: socket.socket, n: int) -> bytearray:
+    """Read exactly n bytes into one buffer or raise FrameError on early EOF."""
+    buf = bytearray(n)
+    view = memoryview(buf)
+    pos = 0
+    while pos < n:
+        got = sock.recv_into(view[pos:])
+        if not got:
+            raise FrameError(f"connection closed with {n - pos} bytes outstanding")
+        pos += got
+    return buf
+
+
+def recv_frame(sock: socket.socket) -> tuple[int, bytes | bytearray]:
     """Receive one frame, returning (first_byte, payload).
 
     Returns (-1, b"") on clean EOF at a frame boundary.
@@ -93,5 +113,6 @@ def recv_frame(sock: socket.socket) -> tuple[int, bytes]:
     (frame_len,) = struct.unpack(">I", head)
     if frame_len < 1 or frame_len > MAX_FRAME:
         raise FrameError(f"frame length {frame_len} outside [1, {MAX_FRAME}]")
-    body = recv_exact(sock, frame_len)
-    return body[0], body[1:]
+    # the payload gets a buffer of its own: slicing it off would copy it
+    first = recv_exact(sock, 1)[0]
+    return first, recv_exact(sock, frame_len - 1)

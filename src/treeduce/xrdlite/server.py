@@ -90,6 +90,36 @@ class _Handler(socketserver.BaseRequestHandler):
                         self._respond(sock, P.ST_SERVER_ERROR, str(exc).encode("utf-8"))
                         continue
                     self._respond(sock, P.ST_OK, data)
+                elif opcode == P.OP_READV:
+                    head = P.READV_HEAD.size
+                    if len(payload) < head:
+                        self._respond(sock, P.ST_MALFORMED, b"short READV payload")
+                        return
+                    handle, n = P.READV_HEAD.unpack_from(payload)
+                    if len(payload) != head + n * P.READV_RANGE.size:
+                        self._respond(sock, P.ST_MALFORMED, b"READV length mismatch")
+                        return
+                    if handle not in handles:
+                        self._respond(sock, P.ST_BAD_HANDLE, b"")
+                        continue
+                    fd, file_len = handles[handle]
+                    ranges = list(P.READV_RANGE.iter_unpack(payload[head:]))
+                    if any(offset + length > file_len for offset, length in ranges):
+                        self._respond(sock, P.ST_RANGE_ERROR, b"range past end of file")
+                        continue
+                    if sum(length for _, length in ranges) > P.MAX_FRAME - 1:
+                        self._respond(sock, P.ST_RANGE_ERROR, b"ranges exceed one frame")
+                        continue
+                    try:
+                        parts = [os.pread(fd, length, offset) for offset, length in ranges]
+                    except OSError as exc:
+                        self._respond(sock, P.ST_SERVER_ERROR, str(exc).encode("utf-8"))
+                        continue
+                    if any(len(part) != length for part, (_, length) in zip(parts, ranges)):
+                        # the file shrank after OPEN measured it
+                        self._respond(sock, P.ST_SERVER_ERROR, b"short read")
+                        continue
+                    self._respond(sock, P.ST_OK, b"".join(parts))
                 elif opcode in (P.OP_STAT, P.OP_CLOSE):
                     if len(payload) != P.HANDLE.size:
                         self._respond(sock, P.ST_MALFORMED, b"bad handle payload")
@@ -120,7 +150,7 @@ class _Handler(socketserver.BaseRequestHandler):
         root: Path = self.server.root  # type: ignore[attr-defined]
         try:
             target = (root / path.lstrip("/")).resolve()
-        except OSError:
+        except (OSError, ValueError):  # ValueError: a NUL byte in the path
             return None
         if not target.is_relative_to(root):
             return None

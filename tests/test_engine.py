@@ -17,6 +17,7 @@ from reference_interp import (
     float_columns,
     reduce_events,
 )
+from treeduce import exprlang
 from treeduce.bench.generate import DEMO_SKIM, DEMO_TREE, GenSpec, generate
 from treeduce.engine import (
     METRICS_CSV_HEADER,
@@ -30,7 +31,7 @@ from treeduce.engine import (
     run,
 )
 from treeduce.engine import runner
-from treeduce.engine.planner import required_columns, tasks_from_counts
+from treeduce.engine.planner import parse_job_exprs, tasks_from_counts
 from treeduce.exprlang import parse
 from treeduce.treefile import (
     Codec,
@@ -171,7 +172,7 @@ def test_job_spec_validation():
 
 def test_tasks_split_each_input_by_ceil_division():
     job = JobSpec(inputs=["a", "b"], tree="t", keep_columns=["x"], partition_entries=4)
-    tasks = tasks_from_counts(job, [10, 8])
+    tasks = tasks_from_counts(job, [10, 8], parse_job_exprs(job).columns)
     spans = [(t.input, t.entry_start, t.entry_stop) for t in tasks]
     assert spans == [
         ("a", 0, 4),
@@ -193,7 +194,7 @@ def test_required_columns_includes_expression_refs():
         skim="nMuon >= 2",
         derived=[("lead", "max(Muon_pt)")],
     )
-    assert required_columns(job) == ("MET", "Muon_pt", "nMuon")
+    assert parse_job_exprs(job).columns == ("MET", "Muon_pt", "nMuon")
 
 
 def test_plan_probes_entry_counts(demo_dataset):
@@ -320,6 +321,58 @@ def test_reduction_over_remote_inputs(demo_dataset, demo_expected, tmp_path, ser
     assert result.io.bytes_fetched >= result.io.bytes_requested
 
 
+def test_planned_remote_reads_fetch_exactly_the_baskets(demo_dataset, tmp_path, serve_dir):
+    data_dir, _, manifest = demo_dataset
+    server = serve_dir(data_dir)
+    urls = manifest.urls(*server.address)
+    runs = {
+        "local": (manifest.file_paths(str(data_dir)), EngineConfig(cores_per_executor=2)),
+        "planned": (urls, EngineConfig(cores_per_executor=2)),
+        "windowed": (urls, EngineConfig(cores_per_executor=2, planned_reads=False)),
+    }
+    parts, results = {}, {}
+    for name, (inputs, config) in runs.items():
+        job = demo_reduction(data_dir, manifest, tmp_path / name, inputs=inputs)
+        results[name] = result = run(job, config)
+        parts[name] = [Path(p).read_bytes() for p in result.manifest.paths()]
+    assert parts["planned"] == parts["local"] == parts["windowed"]
+    planned, windowed = results["planned"].io, results["windowed"].io
+    n_tasks = len(results["planned"].metrics.tasks)
+    assert planned.amplification == 1.0
+    assert planned.fetch_calls <= 2 * n_tasks
+    # tasks no longer re-read the header and directory
+    assert planned.bytes_fetched < windowed.bytes_requested < windowed.bytes_fetched
+
+
+def test_expressions_are_parsed_and_typechecked_once_per_run(
+    demo_dataset, tmp_path, monkeypatch
+):
+    data_dir, _, manifest = demo_dataset
+    calls = {"parse": 0, "typecheck": 0}
+    depth = [0]
+    parse, typecheck = exprlang.parse, exprlang.typecheck
+
+    def counting_parse(text):
+        calls["parse"] += 1
+        return parse(text)
+
+    def counting_typecheck(expr, schema):
+        # typecheck recurses through the module name; count outermost calls
+        calls["typecheck"] += depth[0] == 0
+        depth[0] += 1
+        try:
+            return typecheck(expr, schema)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(exprlang, "parse", counting_parse)
+    monkeypatch.setattr(exprlang, "typecheck", counting_typecheck)
+    job = demo_reduction(data_dir, manifest, tmp_path / "out")
+    run(job, EngineConfig(cores_per_executor=2))
+    n_exprs = 1 + len(DERIVED)
+    assert calls == {"parse": n_exprs, "typecheck": n_exprs}
+
+
 # --- faults ---------------------------------------------------------------------------
 
 
@@ -355,6 +408,52 @@ def test_persistent_faults_raise_task_failure(demo_dataset, tmp_path):
     with pytest.raises(TaskFailure) as exc:
         run(job, EngineConfig(cores_per_executor=2), fault_hook=fault_hook)
     assert [task_id for task_id, _ in exc.value.failures] == [1, 3]
+
+
+def test_deterministic_error_is_not_retried(demo_dataset, tmp_path):
+    data_dir, _, manifest = demo_dataset
+    attempts = []
+    lock = threading.Lock()
+
+    def fault_hook(task, attempt):
+        with lock:
+            attempts.append(attempt)
+
+    out = tmp_path / "out"
+    job = demo_reduction(
+        data_dir, manifest, out, skim=None, derived=[("bad", "nMuon / 0")], partition_entries=4096
+    )
+    with pytest.raises(TaskFailure) as exc:
+        run(job, EngineConfig(cores_per_executor=2), fault_hook=fault_hook)
+    n_tasks = len(plan(job, EngineConfig()))
+    assert sorted(task_id for task_id, _ in exc.value.failures) == list(range(n_tasks))
+    assert all("integer division by zero" in reason for _, reason in exc.value.failures)
+    assert attempts == [1] * n_tasks
+    assert not list(out.glob("part-*"))
+
+
+def test_input_changed_since_planning_fails_without_retry(demo_dataset, tmp_path):
+    data_dir, _, manifest = demo_dataset
+    path = tmp_path / "input.trf"
+    path.write_bytes(Path(manifest.file_paths(str(data_dir))[0]).read_bytes())
+    attempts = []
+    lock = threading.Lock()
+
+    def fault_hook(task, attempt):
+        with lock:
+            if not attempts:
+                with open(path, "ab") as fh:
+                    fh.write(b"appended after planning")
+            attempts.append(attempt)
+
+    out = tmp_path / "out"
+    job = demo_reduction(data_dir, manifest, out, inputs=[str(path)])
+    with pytest.raises(TaskFailure) as exc:
+        run(job, EngineConfig(cores_per_executor=2), fault_hook=fault_hook)
+    assert len(exc.value.failures) == len(attempts)
+    assert all("CorruptFileError" in reason for _, reason in exc.value.failures)
+    assert attempts == [1] * len(attempts)
+    assert not list(out.glob("part-*"))
 
 
 def _crashing_writer(crash):

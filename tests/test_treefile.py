@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_interp import arrays_match
-from treeduce.sources import BytesSource, CountingSource, FileSource
+from treeduce.iostats import IoStats
+from treeduce.sources import ByteSource, BytesSource, FileSource
 from treeduce.treefile import (
     DEFAULT_BASKET_ENTRIES,
     HEADER_LEN,
@@ -24,6 +25,7 @@ from treeduce.treefile import (
     SchemaError,
     Shape,
     TreeFileError,
+    TreeFileReader,
     TreeFileWriter,
     compress_record,
     concat_files,
@@ -31,8 +33,43 @@ from treeduce.treefile import (
     encode_basket,
     open_bytes,
     open_file,
+    read_directory,
     write_tree,
 )
+
+
+class CountingSource:
+    """Wrapper that tallies read calls and byte spans of another source.
+
+    Used to assert access-pattern properties (laziness, selectivity)
+    without touching the wrapped implementation.
+    """
+
+    def __init__(self, inner: ByteSource):
+        self.inner = inner
+        self.read_calls = 0
+        self.bytes_read = 0
+        self.reads: list[tuple[int, int]] = []
+        self.range_calls: list[list[tuple[int, int]]] = []
+
+    @property
+    def size(self) -> int:
+        return self.inner.size
+
+    def read_at(self, offset: int, length: int) -> bytes:
+        data = self.inner.read_at(offset, length)
+        self.read_calls += 1
+        self.bytes_read += len(data)
+        self.reads.append((offset, len(data)))
+        return data
+
+    def read_ranges(self, ranges):
+        self.range_calls.append(list(ranges))
+        return [self.read_at(offset, length) for offset, length in ranges]
+
+    def close(self) -> None:
+        self.inner.close()
+
 
 # --- independent decoders -----------------------------------------------
 
@@ -403,6 +440,48 @@ def test_reads_touch_only_overlapping_baskets(tmp_path):
     reader.close()
 
 
+def test_prefetch_fetches_touching_baskets_as_one_range(tmp_path):
+    path = tmp_path / "lazy.trf"
+    a, b = np.arange(16, dtype=np.int64), np.arange(16, dtype=np.float64)
+    write_tree(str(path), "t", {"a": a, "b": b}, basket_entries=4, codec=Codec.NONE)
+    counting = CountingSource(FileSource(str(path)))
+    directory = read_directory(counting)
+    branches = directory[1]["t"].branches
+    # baskets interleave: a0 b0 a1 b1 ...; [5, 9) needs index 1 and 2 of each
+    a1, a2 = branches["a"].baskets[1:3]
+    b1, b2 = branches["b"].baskets[1:3]
+    assert a1.offset + a1.stored_len == b1.offset and b1.offset + b1.stored_len == a2.offset
+    for names, expect in [
+        (["a"], [(a1.offset, a1.stored_len), (a2.offset, a2.stored_len)]),
+        (["a", "b", "a"], [(a1.offset, b2.offset + b2.stored_len - a1.offset)]),
+        (["b"], []),  # empty entry range below
+    ]:
+        start, stop = (5, 5) if names == ["b"] else (5, 9)
+        counting.reads.clear()
+        counting.range_calls.clear()
+        reader = TreeFileReader(counting, own_source=False, directory=directory)
+        reader.prefetch("t", names, start, stop)
+        assert counting.range_calls == [expect]
+        counting.reads.clear()
+        for name, values in (("a", a), ("b", b)):
+            got = reader.read_column("t", name, start, stop)
+            assert got.values.tobytes() == values[start:stop].tobytes()
+        # only baskets outside the prefetched ranges are read again
+        prefetched = {basket.offset for name in set(names) for basket in branches[name].baskets[1:3]}
+        assert {offset for offset, _ in counting.reads}.isdisjoint(prefetched)
+    with pytest.raises(SchemaError):
+        TreeFileReader(counting, directory=directory).prefetch("t", ["ghost"], 0, 4)
+
+
+def test_reader_on_a_planned_directory_rejects_a_changed_file(tmp_path):
+    raw = small_file_bytes(tmp_path)
+    directory = read_directory(BytesSource(raw))
+    reader = TreeFileReader(BytesSource(raw), directory=directory)
+    assert reader.read_column("t", "jag").to_lists() == [[1, 2], [3], [], [4, 5, 6]]
+    with pytest.raises(CorruptFileError):
+        TreeFileReader(BytesSource(raw + b"appended"), directory=directory)
+
+
 def test_writer_rejects_schema_violations(tmp_path):
     path = tmp_path / "bad.trf"
     with TreeFileWriter(str(path)) as writer:
@@ -634,3 +713,13 @@ def test_bytes_source_and_file_source_agree(tmp_path):
     bsrc = BytesSource(raw)
     assert bsrc.read_at(0, 16) == raw[:16]
     assert bsrc.read_at(len(raw) - 4, 100) == raw[-4:]
+    ranges = [(0, 16), (16, 0), (len(raw) - 4, 100), (len(raw) + 5, 3)]
+    expect = [raw[:16], b"", raw[-4:], b""]
+    stats = IoStats()
+    fsrc = FileSource(str(path), stats=stats)
+    try:
+        assert fsrc.read_ranges(ranges) == expect
+    finally:
+        fsrc.close()
+    assert stats.bytes_fetched == stats.bytes_requested == 20
+    assert bsrc.read_ranges(ranges) == expect

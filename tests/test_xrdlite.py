@@ -52,7 +52,11 @@ def test_frame_bytes_pinned():
     assert P.pack_read_request(7, 1024, 512) == (
         struct.pack(">IB", 17, P.OP_READ) + struct.pack(">IQI", 7, 1024, 512)
     )
-    assert (P.OP_OPEN, P.OP_READ, P.OP_STAT, P.OP_CLOSE) == (1, 2, 3, 4)
+    assert P.pack_readv_request(7, [(1024, 512), (0, 3)]) == (
+        struct.pack(">IB", 1 + 8 + 2 * 12, P.OP_READV)
+        + struct.pack(">IIQIQI", 7, 2, 1024, 512, 0, 3)
+    )
+    assert (P.OP_OPEN, P.OP_READ, P.OP_STAT, P.OP_CLOSE, P.OP_READV) == (1, 2, 3, 4, 5)
     assert P.MAX_FRAME == 1 << 20
 
 
@@ -127,6 +131,7 @@ def test_bad_handle_paths(served_file):
             P.pack_read_request(999, 0, 1),
             P.pack_frame(P.OP_STAT, P.HANDLE.pack(999)),
             P.pack_frame(P.OP_CLOSE, P.HANDLE.pack(999)),
+            P.pack_readv_request(999, [(0, 1)]),
         ]:
             status, _ = conn._request(frame)
             assert status == P.ST_BAD_HANDLE
@@ -185,6 +190,9 @@ def test_malformed_frames_get_status_then_close(served_file):
         P.pack_frame(200, b""),  # unknown opcode
         P.pack_frame(P.OP_READ, b"short"),
         P.pack_frame(P.OP_OPEN, struct.pack(">H", 99) + b"x"),  # length mismatch
+        P.pack_frame(P.OP_READV, b"abc"),  # shorter than handle and count
+        P.pack_frame(P.OP_READV, P.READV_HEAD.pack(1, 2) + P.READV_RANGE.pack(0, 1)),
+        P.pack_frame(P.OP_READV, P.READV_HEAD.pack(1, 0) + b"x"),  # not 8 + 12n
     ]:
         sock = raw_socket(served_file)
         try:
@@ -230,6 +238,170 @@ def test_server_survives_garbage(served_file):
         assert conn.read(handle, 0, 8) == CONTENT[:8]
     finally:
         conn.close()
+
+
+def _valid_frames() -> list[bytes]:
+    """OPEN of the served file, then requests on its handle, 1."""
+    return [
+        P.pack_open_request("data.bin"),
+        P.pack_read_request(1, 100, 50),
+        P.pack_readv_request(1, [(0, 10), (10, 5), (9000, 1240)]),
+        P.pack_frame(P.OP_STAT, P.HANDLE.pack(1)),
+    ]
+
+
+def _drain(sock: socket.socket) -> None:
+    """Read responses until the server hangs up; each must carry a known status."""
+    while True:
+        status, _ = P.recv_frame(sock)
+        if status == -1:
+            return
+        assert status in P.STATUS_NAMES
+
+
+def test_server_survives_truncated_and_mutated_frames(serve_dir, tmp_path, monkeypatch):
+    (tmp_path / "data.bin").write_bytes(CONTENT)
+    server = serve_dir(tmp_path)
+    handler_errors = []
+    monkeypatch.setattr(
+        server._server, "handle_error", lambda request, address: handler_errors.append(address)
+    )
+    rng = np.random.default_rng(23)
+    frames = _valid_frames()
+    for case in range(300):
+        index = int(rng.integers(len(frames)))
+        frame = bytearray(frames[index])
+        if case % 2:
+            frame = frame[: int(rng.integers(1, len(frame)))]
+        else:
+            for pos in rng.integers(0, len(frame), size=int(rng.integers(1, 4))):
+                frame[pos] = int(rng.integers(256))
+        sock = raw_socket(server.address)
+        try:
+            # a valid OPEN first, so mutated requests can hit a live handle
+            sock.sendall(b"".join(frames[:index]) + bytes(frame))
+            sock.shutdown(socket.SHUT_WR)
+            _drain(sock)
+        except socket.timeout:
+            raise  # the server neither answered nor hung up
+        except (P.FrameError, OSError):
+            pass  # the server hung up before reading or answering everything
+        finally:
+            sock.close()
+    assert handler_errors == []
+    conn = XrdConnection(server.address)
+    try:
+        handle, _ = conn.open("data.bin")
+        assert conn.readv(handle, [(3, 4), (100, 0)]) == [CONTENT[3:7], b""]
+    finally:
+        conn.close()
+
+
+def test_open_path_with_nul_byte_is_not_found(served_file):
+    conn = XrdConnection(served_file)
+    try:
+        with pytest.raises(XrdStatusError) as exc:
+            conn.open("data\x00.bin")
+        assert exc.value.status == P.ST_NOT_FOUND
+        handle, _ = conn.open("data.bin")
+        assert conn.read(handle, 0, 4) == CONTENT[:4]
+    finally:
+        conn.close()
+
+
+# --- vectored reads -------------------------------------------------------------
+
+
+def test_readv_matches_the_file(served_file):
+    rng = np.random.default_rng(29)
+    size = len(CONTENT)
+    conn = XrdConnection(served_file)
+    try:
+        handle, _ = conn.open("data.bin")
+        assert conn.readv(handle, []) == []
+        fixed = [(0, 10), (10, 20), (30, 0), (size - 1, 1), (size, 0), (5, 5), (0, size)]
+        cases = [fixed]
+        for _ in range(100):
+            starts = rng.integers(0, size + 1, size=int(rng.integers(1, 12)))
+            cases.append([(int(a), int(rng.integers(0, size - a + 1))) for a in starts])
+        for ranges in cases:
+            got = conn.readv(handle, ranges)
+            assert [bytes(b) for b in got] == [CONTENT[o : o + n] for o, n in ranges]
+    finally:
+        conn.close()
+
+
+def test_readv_splits_at_the_frame_budget(tmp_path, serve_dir):
+    big = np.random.default_rng(31).bytes(P.MAX_FRAME * 2 + 12345)
+    (tmp_path / "big.bin").write_bytes(big)
+    server = serve_dir(tmp_path)
+    conn = XrdConnection(server.address)
+    requests = []
+    expect_ok = conn._expect_ok
+
+    def counting(frame):
+        requests.append(frame[4])
+        return expect_ok(frame)
+
+    conn._expect_ok = counting
+    budget = P.MAX_FRAME - 1
+    cases = [
+        [(i * 100_000, 100_000) for i in range(15)],  # 1.5 MB in ranges under the budget
+        [(7, 2 * P.MAX_FRAME)],  # one range larger than a frame
+        [(0, 3), (10, budget), (5, 0), (P.MAX_FRAME, budget - 3)],  # cut across ranges
+        [(i % 4096, 1) for i in range(P.READV_MAX_RANGES + 5)],  # more ranges than a frame holds
+    ]
+    try:
+        handle, _ = conn.open("big.bin")
+        for ranges in cases:
+            requests.clear()
+            got = conn.readv(handle, ranges)
+            assert [bytes(b) for b in got] == [big[o : o + n] for o, n in ranges]
+            total = sum(n for _, n in ranges)
+            fewest = max(-(-total // budget), -(-len(ranges) // P.READV_MAX_RANGES))
+            assert requests == [P.OP_READV] * fewest
+    finally:
+        conn.close()
+
+
+def test_readv_error_statuses(served_file):
+    size = len(CONTENT)
+    conn = XrdConnection(served_file)
+    try:
+        handle, _ = conn.open("data.bin")
+        full, rest = divmod(P.MAX_FRAME - 1, size)
+        at_budget = [(0, size)] * full + [(0, rest)]
+        assert len(b"".join(conn.readv(handle, at_budget))) == P.MAX_FRAME - 1
+        for ranges in [
+            [(0, 10), (size - 5, 6)],  # ends one byte past the end
+            [(size + 1, 0)],  # starts past the end
+            at_budget + [(0, 1)],  # one byte more than a frame holds
+        ]:
+            status, _ = conn._request(P.pack_readv_request(handle, ranges))
+            assert status == P.ST_RANGE_ERROR
+        status, _ = conn._request(P.pack_readv_request(handle + 1, [(0, 1)]))
+        assert status == P.ST_BAD_HANDLE
+        # status errors leave the connection usable
+        assert conn.readv(handle, [(1, 2)]) == [CONTENT[1:3]]
+    finally:
+        conn.close()
+
+
+def test_remote_read_ranges_bypass_the_window_and_count_bytes(served_file):
+    stats = IoStats()
+    src = open_remote(served_file, read_ahead=4096, stats=stats)
+    try:
+        ranges = [(0, 100), (100, 50), (10000, 1000), (4, 0)]
+        got = src.read_ranges(ranges)
+        assert [bytes(b) for b in got] == [CONTENT[o : o + n] for o, n in ranges]
+        assert (stats.fetch_calls, stats.bytes_fetched) == (1, 100 + 50 + 240)
+        assert stats.bytes_requested == 100 + 50 + 1000
+        assert src.read_ranges([]) == []
+        assert stats.fetch_calls == 1
+        src.read_at(0, 10)  # the vectored read cached no window
+        assert (stats.fetch_calls, stats.bytes_fetched) == (2, 390 + 4096)
+    finally:
+        src.close()
 
 
 # --- token bucket -------------------------------------------------------------
