@@ -6,16 +6,21 @@
     treeduce hist --job job.cfg --spec "bin(40, 0, 200, 'max(Muon_pt)')" --out h.csv
     treeduce bench --experiment size --config bench.cfg --out report/
     treeduce concat --out merged.trf out/part-*.trf
+
+`reduce` and `hist` both run on the engine: the job's inputs are split
+into entry-range tasks that run in parallel on local paths or `xrdl://`
+URLs. `reduce` writes one part file per task; `hist` fills one partial
+histogram per task and merges them in task order into one CSV.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
-from . import bench, engine, exprlang, histagg, treefile
-from .sources import open_source
+from . import bench, engine, histagg, treefile
 from .xrdlite import ServerConfig, XrdServer
 
 _SUFFIXES = {
@@ -76,15 +81,18 @@ def _load_job(args) -> engine.JobSpec:
     return job
 
 
-def _cmd_reduce(args) -> int:
-    job = _load_job(args)
-    config = engine.EngineConfig(
+def _engine_config(args) -> engine.EngineConfig:
+    return engine.EngineConfig(
         executors=args.executors,
         cores_per_executor=args.cores,
         read_ahead=parse_bytes(args.read_ahead),
     )
+
+
+def _cmd_reduce(args) -> int:
+    job = _load_job(args)
     try:
-        result = engine.run(job, config)
+        result = engine.run(job, _engine_config(args))
     except engine.TaskFailure as exc:
         print(str(exc), file=sys.stderr)
         return 1
@@ -97,46 +105,13 @@ def _cmd_reduce(args) -> int:
 def _cmd_hist(args) -> int:
     job = engine.load_job_file(args.job)
     agg = histagg.parse_hist_spec(args.spec)
-    skim = engine.planner.parse_job_exprs(job).skim
-
-    schema = None
-    needed = agg.columns_needed()
-    if skim is not None:
-        needed |= exprlang.column_refs(skim)
-    total = 0
-    for path in job.inputs:
-        source = open_source(path)
-        try:
-            reader = treefile.open_file(source)
-            tree = reader.tree(job.tree)
-            if schema is None:
-                schema = {
-                    name: (meta.dtype, meta.shape)
-                    for name, meta in tree.branches.items()
-                    if name in needed
-                }
-                histagg.typecheck_aggregator(agg, schema)
-                if skim is not None:
-                    result = exprlang.typecheck(skim, schema)
-                    if result.jagged or result.kind is not exprlang.Kind.BOOL:
-                        raise engine.EngineError(f"skim must be a scalar bool, got {result}")
-            for start in range(0, tree.n_entries, job.partition_entries):
-                stop = min(start + job.partition_entries, tree.n_entries)
-                columns = {
-                    name: reader.read_column(job.tree, name, start, stop) for name in needed
-                }
-                n = stop - start
-                if skim is not None:
-                    mask = exprlang.evaluate(skim, columns, n_entries=n).values
-                    columns = {name: c.select(mask) for name, c in columns.items()}
-                    n = int(mask.sum())
-                agg.fill_chunk(columns, n)
-                total += n
-        finally:
-            source.close()
-    csv_text = histagg.render(agg)
-    Path(args.out).write_text(csv_text)
-    print(f"filled {total} events into {args.out}")
+    try:
+        result = engine.fill(job, _engine_config(args), agg)
+    except engine.TaskFailure as exc:
+        print(str(exc), file=sys.stderr)
+        return 1
+    Path(args.out).write_text(histagg.render(result.aggregate))
+    print(f"filled {result.metrics.entries_out} events into {args.out}")
     return 0
 
 
@@ -202,6 +177,13 @@ def _cmd_concat(args) -> int:
     return 0
 
 
+def _add_engine_options(p: argparse.ArgumentParser, *, cores: int) -> None:
+    p.add_argument("--executors", type=int, default=1)
+    p.add_argument("--cores", type=int, default=cores, help=f"cores per executor (default {cores})")
+    p.add_argument("--read-ahead", default="64Ki",
+                   help="read-ahead window for reading input directories while planning")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="treeduce", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -225,15 +207,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", help="run a skim/slim/derive job")
     p.add_argument("--job", required=True)
-    p.add_argument("--executors", type=int, default=1)
-    p.add_argument("--cores", type=int, default=1)
-    p.add_argument("--read-ahead", default="64Ki",
-                   help="read-ahead window for reading input directories while planning")
+    _add_engine_options(p, cores=1)
     p.add_argument("--out", default=None, help="override the job's output directory")
     p.set_defaults(func=_cmd_reduce)
 
-    p = sub.add_parser("hist", help="fill a histogram over a job's inputs")
+    p = sub.add_parser("hist", help="fill a histogram over a job's skimmed inputs")
     p.add_argument("--job", required=True)
+    _add_engine_options(p, cores=len(os.sched_getaffinity(0)))
     p.add_argument("--spec", required=True, help="e.g. \"bin(40, 0, 200, 'max(Muon_pt)')\"")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_hist)

@@ -1,5 +1,6 @@
 """Task-parallel reduction engine: plan entry-range tasks over input files,
-skim/slim/derive on a worker pool, and account for where the time went."""
+skim on a worker pool, then slim/derive into part files (``run``) or fill
+mergeable histograms (``fill``), and account for where the time went."""
 
 from .job import EngineConfig, EngineError, JobSpec, load_job_file
 from .metrics import (
@@ -11,7 +12,7 @@ from .metrics import (
     merge_metrics,
 )
 from .planner import Task, plan
-from .runner import RunResult, TaskFailure, run
+from .runner import FillResult, RunResult, TaskFailure, fill, run
 
 __all__ = [
     "EngineConfig",
@@ -26,7 +27,9 @@ __all__ = [
     "merge_metrics",
     "Task",
     "plan",
+    "FillResult",
     "RunResult",
     "TaskFailure",
+    "fill",
     "run",
 ]

@@ -56,17 +56,26 @@ def parse_job_exprs(job: JobSpec) -> JobExprs:
     return JobExprs(skim, derived, tuple(sorted(names)))
 
 
+def check_skim(skim: exprlang.Expr | None, schema: Schema) -> None:
+    """A skim, if any, must typecheck to a scalar bool."""
+    if skim is None:
+        return
+    try:
+        result = exprlang.typecheck(skim, schema)
+    except exprlang.ExprTypeError as exc:
+        raise EngineError(f"job does not typecheck: {exc}") from exc
+    if result.jagged or result.kind is not exprlang.Kind.BOOL:
+        raise EngineError(f"skim must be a scalar bool, got {result}")
+
+
 def check_job(job: JobSpec, schema: Schema, exprs: JobExprs) -> dict[str, Dtype]:
     """Typecheck the job's expressions; skim must be a scalar bool, derived scalars.
 
     Returns the dtype of each derived column.
     """
+    check_skim(exprs.skim, schema)
     derived_dtypes = {}
     try:
-        if exprs.skim is not None:
-            result = exprlang.typecheck(exprs.skim, schema)
-            if result.jagged or result.kind is not exprlang.Kind.BOOL:
-                raise EngineError(f"skim must be a scalar bool, got {result}")
         for name, expr in exprs.derived:
             result = exprlang.typecheck(expr, schema)
             if result.jagged:

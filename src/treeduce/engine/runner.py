@@ -1,12 +1,23 @@
 """Pull-queue execution of planned tasks on a thread pool.
 
 The workload is I/O, zlib, and numpy kernels, all of which release the
-GIL, so threads behave like cores here. Each task writes its own part
-file keyed by task_id. An attempt writes to ``part-NNNNN.trf.tmp`` and
-renames it into place only once the writer has closed, and a failed
-attempt deletes its temp file, so no attempt leaves a truncated part and
-the single retry is safe. Errors that would recur, such as a corrupt input
-or an expression error, fail the task without a retry.
+GIL, so threads behave like cores here. Planning probes the inputs for
+the sink's ``columns`` and lets the sink ``prepare`` against their schema.
+Every task then reads those columns, applies the job's skim, and hands the
+selected entries of the sink's ``selected`` columns to the sink:
+
+* :class:`PartSink` (``run``, the ``reduce`` command) derives, encodes and
+  writes ``part-NNNNN.trf``. An attempt writes to ``part-NNNNN.trf.tmp``
+  and renames it into place only once the writer has closed, and a failed
+  attempt deletes its temp file, so no attempt leaves a truncated part.
+* :class:`FillSink` (``fill``, the ``hist`` command) fills a fresh copy of
+  an aggregator's structure. The filled partials are merged with
+  ``combine`` in task-id order, so the result does not depend on the
+  worker count.
+
+A sink's work is redone from scratch on every attempt, so the single
+retry is safe. Errors that would recur, such as a corrupt input or an
+expression error, fail the task without a retry.
 
 By default a task reuses the directory the planner read from its input
 and fetches the baskets it needs with one vectored read
@@ -20,14 +31,15 @@ import queue
 import threading
 import time
 from dataclasses import dataclass
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
 
-from .. import exprlang
+from .. import exprlang, histagg
 from ..iostats import IoStats
 from ..sources import open_source
-from ..treefile import Dtype, Shape, TreeFileError, TreeFileReader, TreeFileWriter, open_file
+from ..treefile import Shape, TreeFileError, TreeFileReader, TreeFileWriter, open_file
 from .job import EngineConfig, EngineError, JobSpec
 from .metrics import (
     Manifest,
@@ -39,8 +51,11 @@ from .metrics import (
     write_metrics_jsonl,
 )
 from .planner import (
+    JobExprs,
+    Schema,
     Task,
     check_job,
+    check_skim,
     entry_counts,
     parse_job_exprs,
     probe_inputs,
@@ -65,6 +80,91 @@ class RunResult:
     metrics: WorkloadMetrics
     io: IoStats
     out_dir: str
+
+
+@dataclass
+class FillResult:
+    aggregate: histagg.Aggregator
+    metrics: WorkloadMetrics
+    io: IoStats
+
+
+class PartSink:
+    """Derive, encode and write each task's selected entries to a part file."""
+
+    def __init__(self, job: JobSpec, exprs: JobExprs):
+        self.job = job
+        self.exprs = exprs
+        self.out_dir = Path(job.output)
+        self.columns = exprs.columns
+        needed = set(job.keep_columns)
+        for _, expr in exprs.derived:
+            needed |= exprlang.column_refs(expr)
+        self.selected = tuple(sorted(needed))
+        self.out_schema: Schema = {}
+
+    def prepare(self, schema: Schema) -> None:
+        derived_dtypes = check_job(self.job, schema, self.exprs)
+        self.out_schema = {name: schema[name] for name in self.job.keep_columns}
+        for name, _ in self.exprs.derived:
+            self.out_schema[name] = (derived_dtypes[name], Shape.FLAT)
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+
+    def consume(self, task: Task, columns: dict, n: int) -> ManifestEntry:
+        out_columns = {name: columns[name] for name in self.job.keep_columns}
+        for name, expr in self.exprs.derived:
+            out_columns[name] = exprlang.evaluate(expr, columns, n_entries=n)
+
+        part_path = self.out_dir / f"part-{task.task_id:05d}.trf"
+        tmp_path = part_path.with_name(part_path.name + ".tmp")
+        try:
+            with TreeFileWriter(tmp_path) as writer:
+                writer.begin_tree(task.tree, self.out_schema)
+                if n:
+                    writer.extend(out_columns)
+                writer.end_tree()
+            os.replace(tmp_path, part_path)
+        except BaseException:
+            tmp_path.unlink(missing_ok=True)
+            raise
+        return ManifestEntry(task.task_id, str(part_path), n)
+
+    def finish(self, entries: list[ManifestEntry], metrics: WorkloadMetrics) -> Manifest:
+        manifest = Manifest(entries)
+        manifest.write_jsonl(self.out_dir / "manifest.jsonl")
+        write_metrics_csv(self.out_dir / "metrics.csv", metrics.tasks)
+        write_metrics_jsonl(self.out_dir / "metrics.jsonl", metrics)
+        return manifest
+
+
+class FillSink:
+    """Fill a fresh copy of ``agg``'s structure per task; merge in task-id order.
+
+    Tasks read only the skim's columns and the aggregator's. The job's
+    ``keep`` and derived columns are neither read nor checked, and nothing
+    is written.
+    """
+
+    def __init__(self, agg: histagg.Aggregator, exprs: JobExprs):
+        self.agg = agg
+        self.skim = exprs.skim
+        needed = agg.columns_needed()
+        if exprs.skim is not None:
+            needed |= exprlang.column_refs(exprs.skim)
+        self.columns = tuple(sorted(needed))
+        self.selected = tuple(sorted(agg.columns_needed()))
+
+    def prepare(self, schema: Schema) -> None:
+        histagg.typecheck_aggregator(self.agg, schema)
+        check_skim(self.skim, schema)
+
+    def consume(self, task: Task, columns: dict, n: int) -> histagg.Aggregator:
+        partial = self.agg.copy_structure()
+        partial.fill_chunk(columns, n)
+        return partial
+
+    def finish(self, partials: list, metrics: WorkloadMetrics) -> histagg.Aggregator:
+        return reduce(histagg.combine, partials, self.agg)
 
 
 class _Live:
@@ -103,25 +203,30 @@ class _TrackingIoStats(IoStats):
 
 
 class _Runner:
-    def __init__(self, job: JobSpec, engine: EngineConfig, fault_hook=None):
-        self.job = job
+    def __init__(
+        self,
+        job: JobSpec,
+        engine: EngineConfig,
+        skim: exprlang.Expr | None,
+        sink: PartSink | FillSink,
+        fault_hook=None,
+    ):
         self.engine = engine
+        self.skim = skim
+        self.sink = sink
         self.fault_hook = fault_hook
-        self.out_dir = Path(job.output)
-        exprs = parse_job_exprs(job)
-        self.skim, self.derived = exprs.skim, exprs.derived
-        self.schema, directories = probe_inputs(job, engine, exprs.columns)
-        self.derived_dtypes = check_job(job, self.schema, exprs)
+        schema, directories = probe_inputs(job, engine, sink.columns)
+        sink.prepare(schema)
         self.directories = dict(zip(job.inputs, directories))
-        self.tasks = tasks_from_counts(job, entry_counts(job, directories), exprs.columns)
+        self.tasks = tasks_from_counts(job, entry_counts(job, directories), sink.columns)
         self.live = _Live()
         self.results_lock = threading.Lock()
         self.task_metrics: list[TaskMetrics] = []
-        self.manifest_entries: list[ManifestEntry] = []
+        self.outputs: dict[int, object] = {}
         self.failures: list[tuple[int, str]] = []
         self.io = IoStats()
 
-    def execute_task(self, task: Task, attempt: int) -> tuple[TaskMetrics, ManifestEntry, IoStats]:
+    def execute_task(self, task: Task, attempt: int) -> tuple[TaskMetrics, object, IoStats]:
         t0 = time.perf_counter()
         if self.fault_hook is not None:
             self.fault_hook(task, attempt)
@@ -141,34 +246,15 @@ class _Runner:
                     for name in task.columns
                 }
             n_in = task.n_entries
-            if self.skim is not None:
-                mask = exprlang.evaluate(self.skim, columns, n_entries=n_in).values
+            if self.skim is None:
+                selected = {name: columns[name] for name in self.sink.selected}
+                n_out = n_in
             else:
-                mask = np.ones(n_in, dtype=bool)
-            selected = {name: chunk.select(mask) for name, chunk in columns.items()}
-            n_out = int(np.count_nonzero(mask))
-
-            out_schema: dict[str, tuple[Dtype, Shape]] = {}
-            out_columns = {}
-            for name in self.job.keep_columns:
-                out_schema[name] = self.schema[name]
-                out_columns[name] = selected[name]
-            for name, expr in self.derived:
-                out_schema[name] = (self.derived_dtypes[name], Shape.FLAT)
-                out_columns[name] = exprlang.evaluate(expr, selected, n_entries=n_out)
-
-            part_path = self.out_dir / f"part-{task.task_id:05d}.trf"
-            tmp_path = part_path.with_name(part_path.name + ".tmp")
-            try:
-                with TreeFileWriter(tmp_path) as writer:
-                    writer.begin_tree(task.tree, out_schema)
-                    if n_out:
-                        writer.extend(out_columns)
-                    writer.end_tree()
-                os.replace(tmp_path, part_path)
-            except BaseException:
-                tmp_path.unlink(missing_ok=True)
-                raise
+                mask = exprlang.evaluate(self.skim, columns, n_entries=n_in).values
+                selected = {name: columns[name].select(mask) for name in self.sink.selected}
+                n_out = int(np.count_nonzero(mask))
+            del columns  # the sink runs on the selection alone
+            output = self.sink.consume(task, selected, n_out)
             decompress_s = reader.stats.decompress_time_s
         finally:
             source.close()
@@ -185,8 +271,7 @@ class _Runner:
             entries_out=n_out,
             bytes_fetched=io.bytes_fetched,
         )
-        entry = ManifestEntry(task.task_id, str(part_path), n_out)
-        return tm, entry, io
+        return tm, output, io
 
     def worker(self, task_queue: queue.Queue) -> None:
         while True:
@@ -199,10 +284,10 @@ class _Runner:
                 attempt = 1
                 while True:
                     try:
-                        tm, entry, io = self.execute_task(task, attempt)
+                        tm, output, io = self.execute_task(task, attempt)
                         with self.results_lock:
                             self.task_metrics.append(tm)
-                            self.manifest_entries.append(entry)
+                            self.outputs[task.task_id] = output
                             self.io.merge(io)
                         break
                     except Exception as exc:
@@ -227,8 +312,8 @@ class _Runner:
             if stopped:
                 return
 
-    def run(self) -> RunResult:
-        self.out_dir.mkdir(parents=True, exist_ok=True)
+    def run(self):
+        """Execute every task; returns (the sink's result, metrics)."""
         task_queue: queue.Queue = queue.Queue()
         for task in self.tasks:
             task_queue.put(task)
@@ -259,11 +344,8 @@ class _Runner:
         metrics = merge_metrics(
             self.task_metrics, concurrency, throughput, total_wall, self.engine.worker_count
         )
-        manifest = Manifest(sorted(self.manifest_entries, key=lambda e: e.task_id))
-        manifest.write_jsonl(self.out_dir / "manifest.jsonl")
-        write_metrics_csv(self.out_dir / "metrics.csv", metrics.tasks)
-        write_metrics_jsonl(self.out_dir / "metrics.jsonl", metrics)
-        return RunResult(manifest, metrics, self.io, str(self.out_dir))
+        outputs = [self.outputs[task.task_id] for task in self.tasks]
+        return self.sink.finish(outputs, metrics), metrics
 
 
 def run(job: JobSpec, engine: EngineConfig, *, fault_hook=None) -> RunResult:
@@ -272,4 +354,22 @@ def run(job: JobSpec, engine: EngineConfig, *, fault_hook=None) -> RunResult:
     ``fault_hook(task, attempt)`` runs at the start of every attempt and
     may raise to simulate transient failures.
     """
-    return _Runner(job, engine, fault_hook).run()
+    exprs = parse_job_exprs(job)
+    sink = PartSink(job, exprs)
+    runner = _Runner(job, engine, exprs.skim, sink, fault_hook)
+    manifest, metrics = runner.run()
+    return RunResult(manifest, metrics, runner.io, str(sink.out_dir))
+
+
+def fill(
+    job: JobSpec, engine: EngineConfig, agg: histagg.Aggregator, *, fault_hook=None
+) -> FillResult:
+    """Fill ``agg``'s structure from the job's skimmed inputs, task-parallel.
+
+    Returns ``agg`` combined with every task's partial in task-id order;
+    ``agg`` itself is not changed. ``fault_hook`` is as for :func:`run`.
+    """
+    exprs = parse_job_exprs(job)
+    runner = _Runner(job, engine, exprs.skim, FillSink(agg, exprs), fault_hook)
+    aggregate, metrics = runner.run()
+    return FillResult(aggregate, metrics, runner.io)

@@ -427,19 +427,19 @@ def _fold_sum(val: _Val) -> np.ndarray:
 
 
 def _fold_extremum(val: _Val, op) -> np.ndarray:
-    """Per-event max/min in f64; NaN elements poison the event, empty gives NaN."""
-    counts = np.diff(val.offsets)
-    starts = val.offsets[:-1]
-    values = val.values.astype(np.float64, copy=False)
-    out = np.full(len(counts), np.nan, dtype=np.float64)
-    limit = int(counts.max()) if len(counts) else 0
-    for j in range(limit):
-        sel = counts > j
-        picked = values[starts[sel] + j]
-        if j == 0:
-            out[sel] = picked
-        else:
-            out[sel] = op(out[sel], picked)  # np.maximum/minimum propagate NaN
+    """Per-event max/min in f64; NaN elements poison the event, empty gives NaN.
+
+    Folds in the values' own dtype, then widens: widening to f64 is
+    monotonic, so it commutes with max/min. ``reduceat`` applies ``op`` left
+    to right within each event, so mixed signed zeros resolve as in a scalar
+    loop, and np.maximum/minimum propagate NaN.
+    """
+    offsets = val.offsets
+    out = np.full(len(offsets) - 1, np.nan, dtype=np.float64)
+    nonempty = offsets[1:] != offsets[:-1]
+    starts = offsets[:-1][nonempty]
+    if len(starts):
+        out[nonempty] = op.reduceat(val.values[: offsets[-1]], starts)
     return out
 
 
@@ -488,7 +488,12 @@ def _eval(expr: Expr, columns: dict[str, ColumnChunk], n: int) -> _Val:
         a, b, offsets = _flatten_pair(left, right, expr.offset)
         return _Val(_apply_binary(expr.op, a, b, expr.offset), offsets)
     if isinstance(expr, Call):
-        inner = _eval(expr.arg, columns, n)
+        if expr.func in ("count", "max", "min") and isinstance(expr.arg, ColumnRef):
+            # these folds need no widened copy of the stored values
+            chunk = columns[expr.arg.name]
+            inner = _Val(chunk.values, chunk.offsets)
+        else:
+            inner = _eval(expr.arg, columns, n)
         if expr.func in _AGGREGATES:
             if not inner.jagged:
                 raise EvalError(f"{expr.func} applied to a scalar value")

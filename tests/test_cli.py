@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -16,8 +17,10 @@ from reference_interp import (
 )
 from treeduce.bench.generate import DEMO_TREE, DatasetManifest, GenSpec, generate
 from treeduce.cli import build_parser, main, parse_bytes
+from treeduce.engine import EngineError
 from treeduce.exprlang import parse
-from treeduce.treefile import ColumnChunk, open_file
+from treeduce.histagg import HistError
+from treeduce.treefile import ColumnChunk, open_file, write_tree
 
 
 @pytest.mark.parametrize(
@@ -50,6 +53,9 @@ def test_parser_defaults():
     assert args.host == "127.0.0.1" and args.port == 1094 and args.bandwidth_cap is None
     args = build_parser().parse_args(["reduce", "--job", "j"])
     assert args.executors == 1 and args.cores == 1 and args.read_ahead == "64Ki"
+    args = build_parser().parse_args(["hist", "--job", "j", "--spec", "count", "--out", "h.csv"])
+    assert args.executors == 1 and args.read_ahead == "64Ki"
+    assert args.cores == len(os.sched_getaffinity(0))
     with pytest.raises(SystemExit):
         build_parser().parse_args(["frobnicate"])
     with pytest.raises(SystemExit):
@@ -225,6 +231,73 @@ def test_hist_applies_the_job_skim(cli_dataset, tmp_path, capsys):
     total = sum(float(line.split(",")[2]) for line in lines[1:])
     assert total == float(len(kept))
     assert [float(line.split(",")[2]) for line in lines[1:5]] == bins
+
+
+def test_hist_csv_is_identical_across_cores_and_remote_reads(cli_dataset, tmp_path, capsys, serve_dir):
+    data_dir, manifest = cli_dataset
+    server = serve_dir(data_dir)
+    spec = "bin(8, 0, 100, 'max(Muon_pt)')"
+    # keep and derive name columns that do not exist: hist never reads or checks them
+    extra = "derive.ghost = 'sum(Ghost_pt)'\n"
+    runs = {
+        "cores1": (manifest.file_paths(str(data_dir)), ["--cores", "1"]),
+        "cores3": (manifest.file_paths(str(data_dir)), ["--cores", "3"]),
+        "remote": (manifest.urls(*server.address), ["--cores", "2", "--read-ahead", "4Ki"]),
+    }
+    csvs, reports = {}, {}
+    for name, (inputs, flags) in runs.items():
+        job_path = tmp_path / f"{name}.cfg"
+        job_path.write_text(
+            _job_text(inputs, tmp_path / "unused", keep="Ghost", skim="nMuon >= 1") + extra
+        )
+        out_csv = tmp_path / f"{name}.csv"
+        assert main(["hist", "--job", str(job_path), "--spec", spec, "--out", str(out_csv), *flags]) == 0
+        reports[name] = capsys.readouterr().out
+        csvs[name] = out_csv.read_bytes()
+    assert csvs["cores1"] == csvs["cores3"] == csvs["remote"]
+    kept = 0
+    for path in manifest.file_paths(str(data_dir)):
+        with open_file(path) as reader:
+            kept += int(np.count_nonzero(reader.read_column(DEMO_TREE, "nMuon").values >= 1))
+    assert reports["cores1"] == f"filled {kept} events into {tmp_path / 'cores1.csv'}\n"
+    assert not (tmp_path / "unused").exists()
+
+
+def test_hist_rejects_schema_drift_between_inputs(tmp_path):
+    write_tree(str(tmp_path / "a.trf"), DEMO_TREE, {"MET": np.arange(4, dtype=np.float64)})
+    write_tree(str(tmp_path / "b.trf"), DEMO_TREE, {"MET": np.arange(4, dtype=np.float32)})
+    job_path = tmp_path / "job.cfg"
+    job_path.write_text(_job_text([tmp_path / "a.trf", tmp_path / "b.trf"], tmp_path / "o", keep="MET"))
+    out_csv = tmp_path / "met.csv"
+    with pytest.raises(EngineError, match="schema differs"):
+        main(["hist", "--job", str(job_path), "--spec", "bin(4, 0, 4, 'MET')", "--out", str(out_csv)])
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize(
+    "skim,spec,error",
+    [
+        ("MET", "bin(4, 0, 4, 'MET')", EngineError),  # skim is not a bool
+        ("MET > 1", "bin(4, 0, 4, 'Muon_pt')", HistError),  # quantity is jagged
+    ],
+)
+def test_hist_typechecks_skim_and_quantity(cli_dataset, tmp_path, skim, spec, error):
+    data_dir, manifest = cli_dataset
+    job_path = tmp_path / "job.cfg"
+    job_path.write_text(_job_text(manifest.file_paths(str(data_dir)), tmp_path / "o", skim=skim))
+    with pytest.raises(error):
+        main(["hist", "--job", str(job_path), "--spec", spec, "--out", str(tmp_path / "h.csv")])
+    assert not (tmp_path / "h.csv").exists()
+
+
+def test_hist_task_failure_returns_1(cli_dataset, tmp_path, capsys):
+    data_dir, manifest = cli_dataset
+    job_path = tmp_path / "job.cfg"
+    job_path.write_text(_job_text(manifest.file_paths(str(data_dir)), tmp_path / "o", skim="nMuon / 0 > 1"))
+    out_csv = tmp_path / "met.csv"
+    assert main(["hist", "--job", str(job_path), "--spec", "bin(4, 0, 4, 'MET')", "--out", str(out_csv)]) == 1
+    assert "4 tasks failed" in capsys.readouterr().err
+    assert not out_csv.exists()
 
 
 def test_concat_positional_inputs(cli_dataset, tmp_path, capsys):

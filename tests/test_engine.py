@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 import threading
 from collections import defaultdict
 from pathlib import Path
@@ -17,7 +18,7 @@ from reference_interp import (
     float_columns,
     reduce_events,
 )
-from treeduce import exprlang
+from treeduce import exprlang, histagg
 from treeduce.bench.generate import DEMO_SKIM, DEMO_TREE, GenSpec, generate
 from treeduce.engine import (
     METRICS_CSV_HEADER,
@@ -26,6 +27,7 @@ from treeduce.engine import (
     JobSpec,
     Manifest,
     TaskFailure,
+    fill,
     load_job_file,
     plan,
     run,
@@ -523,6 +525,69 @@ def test_part_files_use_shuffle_and_beat_deflate(tmp_path):
         part_bytes += Path(entry.path).stat().st_size
         deflate_bytes += rewritten.stat().st_size
     assert part_bytes <= 0.9 * deflate_bytes
+
+
+# --- histogram filling ----------------------------------------------------------------
+
+HIST_SPEC = "bin(20, 0, 100, 'max(Muon_pt)')"
+
+
+def test_fill_retries_a_transient_fault_without_double_counting(demo_dataset, tmp_path):
+    data_dir, _, manifest = demo_dataset
+    job = demo_reduction(data_dir, manifest, tmp_path / "out")
+    clean = fill(job, EngineConfig(cores_per_executor=2), histagg.parse_hist_spec(HIST_SPEC))
+    attempts = []
+    lock = threading.Lock()
+
+    def fault_hook(task, attempt):
+        with lock:
+            attempts.append((task.task_id, attempt))
+        if task.task_id == 2 and attempt == 1:
+            raise OSError("simulated transient read failure")
+
+    faulty = fill(
+        job, EngineConfig(cores_per_executor=2), histagg.parse_hist_spec(HIST_SPEC),
+        fault_hook=fault_hook,
+    )
+    assert (2, 1) in attempts and (2, 2) in attempts
+    assert histagg.render(faulty.aggregate) == histagg.render(clean.aggregate)
+    assert faulty.aggregate.entries == clean.metrics.entries_out > 0
+    assert sorted(m.task_id for m in faulty.metrics.tasks) == list(range(len(clean.metrics.tasks)))
+    assert not (tmp_path / "out").exists()
+
+
+def test_fill_merges_every_partial_under_thread_contention(demo_dataset, tmp_path):
+    data_dir, _, manifest = demo_dataset
+    job = demo_reduction(data_dir, manifest, tmp_path / "out", partition_entries=256)
+    serial = fill(job, EngineConfig(), histagg.parse_hist_spec(HIST_SPEC))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        contended = fill(
+            job, EngineConfig(executors=2, cores_per_executor=4), histagg.parse_hist_spec(HIST_SPEC)
+        )
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(contended.metrics.tasks) == len(serial.metrics.tasks) == 48
+    assert contended.aggregate.entries == serial.metrics.entries_out
+    assert histagg.render(contended.aggregate) == histagg.render(serial.aggregate)
+
+
+def test_fill_fetches_exactly_the_skim_and_aggregator_baskets(demo_dataset, tmp_path):
+    data_dir, _, manifest = demo_dataset
+    inputs = manifest.file_paths(str(data_dir))
+    # baskets hold 1024 entries, so 2048-entry tasks read each basket once
+    job = demo_reduction(data_dir, manifest, tmp_path / "out", partition_entries=2048)
+    result = fill(job, EngineConfig(cores_per_executor=2), histagg.parse_hist_spec(HIST_SPEC))
+    needed = exprlang.column_refs(parse(DEMO_SKIM)) | {"Muon_pt"}
+    assert needed == {"nMuon", "Muon_pt"}  # not the job's kept MET
+    stored = 0
+    for path in inputs:
+        with open_file(path) as reader:
+            for name in needed:
+                stored += sum(b.stored_len for b in reader.tree(DEMO_TREE).branches[name].baskets)
+    assert len(result.metrics.tasks) == 6
+    assert result.io.bytes_fetched == stored
 
 
 # --- metrics ---------------------------------------------------------------------------

@@ -224,6 +224,66 @@ def test_aggregates_over_jagged_column():
     assert got[0] == 10.0 and np.isnan(got[1]) and np.isnan(got[2]) and got[3] == 2.0
 
 
+def _loop_extremum(values: np.ndarray, offsets: np.ndarray, op) -> np.ndarray:
+    """The per-slot loop that max/min folds used to run: the reference for the vectorized fold."""
+    counts = np.diff(offsets)
+    starts = offsets[:-1]
+    values = values.astype(np.float64, copy=False)
+    out = np.full(len(counts), np.nan, dtype=np.float64)
+    limit = int(counts.max()) if len(counts) else 0
+    for j in range(limit):
+        sel = counts > j
+        picked = values[starts[sel] + j]
+        if j == 0:
+            out[sel] = picked
+        else:
+            out[sel] = op(out[sel], picked)
+    return out
+
+
+_SPECIAL_FLOATS = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1.5, -2.25]
+
+
+def _random_jagged(rng: np.random.Generator, dtype: np.dtype, all_empty: bool) -> ColumnChunk:
+    n = int(rng.integers(0, 40))
+    counts = np.zeros(n, dtype=np.int64) if all_empty else rng.choice([0, 0, 1, 2, 3, 5, 8], n)
+    offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+    size = int(offsets[-1])
+    if dtype.kind == "f":
+        values = rng.normal(0.0, 50.0, size)
+        special = rng.random(size) < 0.4
+        values[special] = rng.choice(_SPECIAL_FLOATS, int(special.sum()))
+        # some events hold only signed zeros, mixed in one event
+        for i in np.flatnonzero(counts >= 2)[::3]:
+            values[offsets[i] : offsets[i + 1]] = rng.choice([0.0, -0.0], counts[i])
+    else:
+        info = np.iinfo(dtype)
+        values = rng.integers(info.min, info.max, size, dtype=dtype, endpoint=True)
+        if dtype == np.int64:  # near 2**53, where widening to f64 rounds
+            near = rng.random(size) < 0.3
+            values[near] = (1 << 53) + rng.integers(-3, 4, int(near.sum()))
+    return ColumnChunk(values.astype(dtype), offsets)
+
+
+@pytest.mark.parametrize("func", ["max", "min"])
+def test_vectorized_extremum_matches_the_loop_bitwise(func):
+    from treeduce.exprlang import _fold_extremum, _Val
+
+    op = np.maximum if func == "max" else np.minimum
+    dtypes = [np.dtype(t) for t in (np.int32, np.int64, np.float32, np.float64)]
+    rng = np.random.default_rng(20)
+    for case in range(320):
+        dtype = dtypes[case % 4]
+        chunk = _random_jagged(rng, dtype, all_empty=case % 16 < 4)
+        want = _loop_extremum(chunk.values, chunk.offsets, op).view(np.uint64)
+        got = evaluate(parse(f"{func}(x)"), {"x": chunk}, n_entries=chunk.n_entries)
+        assert got.values.dtype == np.float64
+        assert np.array_equal(got.values.view(np.uint64), want), (case, dtype)
+        widened = chunk.values.astype(np.float64 if dtype.kind == "f" else np.int64)
+        folded = _fold_extremum(_Val(widened, chunk.offsets), op)
+        assert np.array_equal(folded.view(np.uint64), want), (case, dtype)
+
+
 def test_jagged_scalar_broadcast():
     cols = {"jd": JAGGED_PT, "d": ColumnChunk(values=np.array([20.0, 0.0, 100.0, 2.5]))}
     out = evaluate(parse("jd > d"), cols)
