@@ -172,7 +172,11 @@ def _cmd_concat(args) -> int:
     if not inputs:
         print("concat: no inputs", file=sys.stderr)
         return 1
-    total = treefile.concat_files(inputs, args.out)
+    try:
+        total = treefile.concat_files(inputs, args.out)
+    except treefile.TreeFileError as exc:
+        print(f"concat: {exc}", file=sys.stderr)
+        return 1
     print(f"wrote {args.out}: {total} entries from {len(inputs)} files")
     return 0
 

@@ -3,14 +3,7 @@ skim on a worker pool, then slim/derive into part files (``run``) or fill
 mergeable histograms (``fill``), and account for where the time went."""
 
 from .job import EngineConfig, EngineError, JobSpec, load_job_file
-from .metrics import (
-    METRICS_CSV_HEADER,
-    Manifest,
-    ManifestEntry,
-    TaskMetrics,
-    WorkloadMetrics,
-    merge_metrics,
-)
+from .metrics import Manifest, ManifestEntry, TaskMetrics, WorkloadMetrics
 from .planner import Task, plan
 from .runner import FillResult, RunResult, TaskFailure, fill, run
 
@@ -19,12 +12,10 @@ __all__ = [
     "EngineError",
     "JobSpec",
     "load_job_file",
-    "METRICS_CSV_HEADER",
     "Manifest",
     "ManifestEntry",
     "TaskMetrics",
     "WorkloadMetrics",
-    "merge_metrics",
     "Task",
     "plan",
     "FillResult",

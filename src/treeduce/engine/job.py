@@ -61,6 +61,8 @@ class EngineConfig:
     planner's window. ``planned_reads=False`` makes each task reopen its
     input and read basket by basket through the ``read_ahead`` window;
     the read-ahead experiment uses it to measure that window.
+    ``sample_interval`` is the step, in seconds, of the run's concurrency
+    and throughput timeline.
     """
 
     executors: int = 1

@@ -1,12 +1,10 @@
-"""Per-task and whole-job metrics, with CSV / JSON-lines / table output."""
+"""Per-task and whole-job metrics, with JSON-lines and table output."""
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-
-METRICS_CSV_HEADER = "task_id,wall_s,cpu_s,read_s,decompress_s,entries_in,entries_out,bytes_fetched"
 
 
 @dataclass
@@ -19,12 +17,6 @@ class TaskMetrics:
     entries_in: int
     entries_out: int
     bytes_fetched: int
-
-    def csv_row(self) -> str:
-        return (
-            f"{self.task_id},{self.wall_s:.6f},{self.cpu_s:.6f},{self.read_s:.6f},"
-            f"{self.decompress_s:.6f},{self.entries_in},{self.entries_out},{self.bytes_fetched}"
-        )
 
 
 @dataclass
@@ -98,28 +90,6 @@ class WorkloadMetrics:
             f"{self.bytes_fetched} bytes fetched"
         )
         return "\n".join(lines)
-
-
-def merge_metrics(
-    tasks: list[TaskMetrics],
-    concurrency: list[tuple[float, int]],
-    throughput: list[tuple[float, float]],
-    total_wall_s: float,
-    worker_count: int,
-) -> WorkloadMetrics:
-    return WorkloadMetrics(
-        total_wall_s=total_wall_s,
-        worker_count=worker_count,
-        tasks=sorted(tasks, key=lambda t: t.task_id),
-        concurrency=list(concurrency),
-        throughput=list(throughput),
-    )
-
-
-def write_metrics_csv(path: str | Path, tasks: list[TaskMetrics]) -> None:
-    lines = [METRICS_CSV_HEADER]
-    lines += [t.csv_row() for t in sorted(tasks, key=lambda t: t.task_id)]
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_metrics_jsonl(path: str | Path, metrics: WorkloadMetrics) -> None:

@@ -1,4 +1,4 @@
-"""Pull-queue execution of planned tasks on a thread pool.
+"""Execution of planned tasks on a thread pool.
 
 The workload is I/O, zlib, and numpy kernels, all of which release the
 GIL, so threads behave like cores here. Planning probes the inputs for
@@ -7,9 +7,9 @@ Every task then reads those columns, applies the job's skim, and hands the
 selected entries of the sink's ``selected`` columns to the sink:
 
 * :class:`PartSink` (``run``, the ``reduce`` command) derives, encodes and
-  writes ``part-NNNNN.trf``. An attempt writes to ``part-NNNNN.trf.tmp``
-  and renames it into place only once the writer has closed, and a failed
-  attempt deletes its temp file, so no attempt leaves a truncated part.
+  writes ``part-NNNNN.trf``. The writer only renames its file into place
+  once it has closed, and deletes it when an attempt raises, so no attempt
+  leaves a truncated part.
 * :class:`FillSink` (``fill``, the ``hist`` command) fills a fresh copy of
   an aggregator's structure. The filled partials are merged with
   ``combine`` in task-id order, so the result does not depend on the
@@ -22,14 +22,18 @@ expression error, fail the task without a retry.
 By default a task reuses the directory the planner read from its input
 and fetches the baskets it needs with one vectored read
 (``EngineConfig.planned_reads``).
+
+Tasks run on a ``ThreadPoolExecutor`` of ``worker_count`` threads, and
+each records when it started and stopped. The run's timeline is derived
+once the pool has joined: on the ``sample_interval`` grid, the number of
+tasks running at each grid time, and the bytes whose fetch completed in
+each interval (from the completion times the tasks' ``IoStats`` record).
 """
 
 from __future__ import annotations
 
-import os
-import queue
-import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
 from pathlib import Path
@@ -46,8 +50,6 @@ from .metrics import (
     ManifestEntry,
     TaskMetrics,
     WorkloadMetrics,
-    merge_metrics,
-    write_metrics_csv,
     write_metrics_jsonl,
 )
 from .planner import (
@@ -116,23 +118,16 @@ class PartSink:
             out_columns[name] = exprlang.evaluate(expr, columns, n_entries=n)
 
         part_path = self.out_dir / f"part-{task.task_id:05d}.trf"
-        tmp_path = part_path.with_name(part_path.name + ".tmp")
-        try:
-            with TreeFileWriter(tmp_path) as writer:
-                writer.begin_tree(task.tree, self.out_schema)
-                if n:
-                    writer.extend(out_columns)
-                writer.end_tree()
-            os.replace(tmp_path, part_path)
-        except BaseException:
-            tmp_path.unlink(missing_ok=True)
-            raise
+        with TreeFileWriter(part_path) as writer:
+            writer.begin_tree(task.tree, self.out_schema)
+            if n:
+                writer.extend(out_columns)
+            writer.end_tree()
         return ManifestEntry(task.task_id, str(part_path), n)
 
     def finish(self, entries: list[ManifestEntry], metrics: WorkloadMetrics) -> Manifest:
         manifest = Manifest(entries)
         manifest.write_jsonl(self.out_dir / "manifest.jsonl")
-        write_metrics_csv(self.out_dir / "metrics.csv", metrics.tasks)
         write_metrics_jsonl(self.out_dir / "metrics.jsonl", metrics)
         return manifest
 
@@ -167,41 +162,6 @@ class FillSink:
         return reduce(histagg.combine, partials, self.agg)
 
 
-class _Live:
-    """Counters the sampler reads while workers run."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.active = 0
-        self.bytes_fetched = 0
-
-    def task_started(self) -> None:
-        with self._lock:
-            self.active += 1
-
-    def task_finished(self) -> None:
-        with self._lock:
-            self.active -= 1
-
-    def add_bytes(self, n: int) -> None:
-        with self._lock:
-            self.bytes_fetched += n
-
-    def snapshot(self) -> tuple[int, int]:
-        with self._lock:
-            return self.active, self.bytes_fetched
-
-
-class _TrackingIoStats(IoStats):
-    def __init__(self, live: _Live):
-        super().__init__()
-        self._live = live
-
-    def record_fetch(self, nbytes: int, seconds: float) -> None:
-        super().record_fetch(nbytes, seconds)
-        self._live.add_bytes(nbytes)
-
-
 class _Runner:
     def __init__(
         self,
@@ -219,18 +179,13 @@ class _Runner:
         sink.prepare(schema)
         self.directories = dict(zip(job.inputs, directories))
         self.tasks = tasks_from_counts(job, entry_counts(job, directories), sink.columns)
-        self.live = _Live()
-        self.results_lock = threading.Lock()
-        self.task_metrics: list[TaskMetrics] = []
-        self.outputs: dict[int, object] = {}
-        self.failures: list[tuple[int, str]] = []
         self.io = IoStats()
 
     def execute_task(self, task: Task, attempt: int) -> tuple[TaskMetrics, object, IoStats]:
         t0 = time.perf_counter()
         if self.fault_hook is not None:
             self.fault_hook(task, attempt)
-        io = _TrackingIoStats(self.live)
+        io = IoStats()
         source = open_source(task.input, read_ahead=self.engine.read_ahead, stats=io)
         try:
             if self.engine.planned_reads:
@@ -273,79 +228,73 @@ class _Runner:
         )
         return tm, output, io
 
-    def worker(self, task_queue: queue.Queue) -> None:
-        while True:
+    def run_task(self, task: Task):
+        """Up to two attempts; returns (start, stop, execute_task's result or None, error)."""
+        start = time.perf_counter()
+        for attempt in (1, 2):
             try:
-                task = task_queue.get_nowait()
-            except queue.Empty:
-                return
-            self.live.task_started()
-            try:
-                attempt = 1
-                while True:
-                    try:
-                        tm, output, io = self.execute_task(task, attempt)
-                        with self.results_lock:
-                            self.task_metrics.append(tm)
-                            self.outputs[task.task_id] = output
-                            self.io.merge(io)
-                        break
-                    except Exception as exc:
-                        if attempt >= 2 or isinstance(exc, _DETERMINISTIC):
-                            with self.results_lock:
-                                self.failures.append((task.task_id, repr(exc)))
-                            break
-                        attempt += 1
-            finally:
-                self.live.task_finished()
-
-    def sample_loop(self, stop: threading.Event, t0: float, concurrency, throughput) -> None:
-        prev_t, prev_bytes = 0.0, 0
-        while True:
-            stopped = stop.wait(self.engine.sample_interval)
-            t = time.perf_counter() - t0
-            active, total_bytes = self.live.snapshot()
-            concurrency.append((t, active))
-            dt = t - prev_t
-            throughput.append((t, (total_bytes - prev_bytes) / dt if dt > 0 else 0.0))
-            prev_t, prev_bytes = t, total_bytes
-            if stopped:
-                return
+                result, error = self.execute_task(task, attempt), None
+            except Exception as exc:
+                if attempt == 1 and not isinstance(exc, _DETERMINISTIC):
+                    continue
+                result, error = None, repr(exc)
+            return start, time.perf_counter(), result, error
 
     def run(self):
         """Execute every task; returns (the sink's result, metrics)."""
-        task_queue: queue.Queue = queue.Queue()
-        for task in self.tasks:
-            task_queue.put(task)
-
-        concurrency: list[tuple[float, int]] = [(0.0, 0)]
-        throughput: list[tuple[float, float]] = [(0.0, 0.0)]
-        stop = threading.Event()
         t0 = time.perf_counter()
-        sampler = threading.Thread(
-            target=self.sample_loop, args=(stop, t0, concurrency, throughput), daemon=True
-        )
-        sampler.start()
-        workers = [
-            threading.Thread(target=self.worker, args=(task_queue,), daemon=True)
-            for _ in range(self.engine.worker_count)
-        ]
-        for w in workers:
-            w.start()
-        for w in workers:
-            w.join()
-        stop.set()
-        sampler.join()
+        with ThreadPoolExecutor(self.engine.worker_count) as pool:
+            outcomes = list(pool.map(self.run_task, self.tasks))
         total_wall = time.perf_counter() - t0
 
-        if self.failures:
-            raise TaskFailure(sorted(self.failures))
+        failures = [
+            (task.task_id, error)
+            for task, (_, _, _, error) in zip(self.tasks, outcomes)
+            if error is not None
+        ]
+        if failures:
+            raise TaskFailure(failures)
 
-        metrics = merge_metrics(
-            self.task_metrics, concurrency, throughput, total_wall, self.engine.worker_count
+        task_metrics, outputs = [], []
+        for _, _, (tm, output, io), _ in outcomes:
+            task_metrics.append(tm)
+            outputs.append(output)
+            self.io.merge(io)
+        concurrency, throughput = _timeline(
+            [(start - t0, stop - t0) for start, stop, _, _ in outcomes],
+            [(t - t0, nbytes) for t, nbytes in self.io.fetch_done],
+            total_wall,
+            self.engine.sample_interval,
         )
-        outputs = [self.outputs[task.task_id] for task in self.tasks]
+        metrics = WorkloadMetrics(
+            total_wall, self.engine.worker_count, task_metrics, concurrency, throughput
+        )
         return self.sink.finish(outputs, metrics), metrics
+
+
+def _timeline(spans, fetches, total_wall: float, interval: float):
+    """Active tasks and fetched bytes/s at every grid time ``k * interval``.
+
+    ``spans`` are (start, stop) and ``fetches`` (completion time, bytes),
+    in seconds since the run started. A task is active at ``t`` if
+    ``start <= t < stop``. The rate at ``t`` counts the bytes whose fetch
+    completed in the interval that ends at ``t``. The grid runs past
+    ``total_wall``, so it starts and ends idle and every fetched byte falls
+    in one interval.
+    """
+    grid = np.arange(int(total_wall // interval) + 2) * interval
+    starts = np.sort([start for start, _ in spans])
+    stops = np.sort([stop for _, stop in spans])
+    active = np.searchsorted(starts, grid, "right") - np.searchsorted(stops, grid, "right")
+    fetches = sorted(fetches)
+    done_at = np.array([t for t, _ in fetches])
+    done = np.concatenate([[0], np.cumsum([nbytes for _, nbytes in fetches])])
+    bytes_by_grid = done[np.searchsorted(done_at, grid, "right")]
+    rates = np.diff(bytes_by_grid, prepend=0) / interval
+    return (
+        [(float(t), int(a)) for t, a in zip(grid, active)],
+        [(float(t), float(r)) for t, r in zip(grid, rates)],
+    )
 
 
 def run(job: JobSpec, engine: EngineConfig, *, fault_hook=None) -> RunResult:

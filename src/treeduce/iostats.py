@@ -8,7 +8,8 @@ never through shared mutation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 
 
 @dataclass
@@ -18,7 +19,9 @@ class IoStats:
     ``bytes_requested`` sums the lengths the caller asked for,
     ``bytes_fetched`` the bytes that crossed the wire (or came off disk),
     so ``amplification`` > 1 means the source over-fetched (read-ahead)
-    and < 1 means cache hits served repeat requests.
+    and < 1 means cache hits served repeat requests. ``fetch_done`` holds
+    one (``time.perf_counter()`` at completion, bytes) pair per fetch, from
+    which the engine derives its fetched-bytes timeline.
     """
 
     bytes_requested: int = 0
@@ -26,6 +29,7 @@ class IoStats:
     fetch_calls: int = 0
     read_calls: int = 0
     read_time_s: float = 0.0
+    fetch_done: list[tuple[float, int]] = field(default_factory=list)
 
     def record_request(self, nbytes: int) -> None:
         self.read_calls += 1
@@ -35,6 +39,7 @@ class IoStats:
         self.fetch_calls += 1
         self.bytes_fetched += nbytes
         self.read_time_s += seconds
+        self.fetch_done.append((time.perf_counter(), nbytes))
 
     @property
     def amplification(self) -> float:
@@ -46,4 +51,5 @@ class IoStats:
         self.fetch_calls += other.fetch_calls
         self.read_calls += other.read_calls
         self.read_time_s += other.read_time_s
+        self.fetch_done += other.fetch_done
         return self

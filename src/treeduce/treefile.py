@@ -19,6 +19,7 @@ Codec 2 (shuffle) stores a basket payload regrouped into byte planes
 from __future__ import annotations
 
 import bisect
+import os
 import struct
 import time
 import zlib
@@ -107,10 +108,6 @@ def itemsize(dtype: Dtype) -> int:
     return _DTYPE_BE[dtype].itemsize
 
 
-def native_dtype(dtype: Dtype) -> np.dtype:
-    return _DTYPE_NATIVE[dtype]
-
-
 # ---------------------------------------------------------------------------
 # metadata
 
@@ -175,9 +172,6 @@ class TreeMeta:
 class ReadStats:
     """Decode-side accounting, separate from byte-level I/O stats."""
 
-    baskets_read: int = 0
-    bytes_stored: int = 0
-    bytes_raw: int = 0
     decompress_time_s: float = 0.0
 
 
@@ -431,6 +425,10 @@ class TreeFileWriter:
 
     All branches of a tree advance in lockstep; every ``extend`` call must
     cover the same entry range for every branch in the schema.
+
+    The file is written as ``<path>.tmp`` and renamed to ``path`` by
+    :meth:`close`, so ``path`` never holds a partial file. Leaving a
+    ``with`` block on an exception deletes the temp file instead.
     """
 
     def __init__(
@@ -443,7 +441,8 @@ class TreeFileWriter:
         if basket_entries < 1:
             raise SchemaError("basket_entries must be >= 1")
         self._path = str(path)
-        self._fh: BinaryIO = open(self._path, "wb")
+        self._tmp_path = self._path + ".tmp"
+        self._fh: BinaryIO = open(self._tmp_path, "wb")
         self._codec = codec
         self._basket_entries = basket_entries
         self._trees: list[TreeMeta] = []
@@ -551,6 +550,7 @@ class TreeFileWriter:
         self._fh.write(TreeFileHeader(dir_offset, len(record), file_len).pack())
         self._fh.close()
         self._closed = True
+        os.replace(self._tmp_path, self._path)
 
     def __enter__(self) -> "TreeFileWriter":
         return self
@@ -558,9 +558,10 @@ class TreeFileWriter:
     def __exit__(self, *exc) -> None:
         if exc[0] is None:
             self.close()
-        else:
+        elif not self._closed:
             self._fh.close()
             self._closed = True
+            os.unlink(self._tmp_path)
 
 
 def _infer_column(data) -> tuple[ColumnChunk, Dtype, Shape]:
@@ -886,9 +887,6 @@ class TreeFileReader:
         raw = decompress_record(stored, basket.codec, basket.raw_len, planes)
         chunk = decode_basket(raw, meta.dtype, meta.shape, basket.n_entries)
         self.stats.decompress_time_s += time.perf_counter() - t0
-        self.stats.baskets_read += 1
-        self.stats.bytes_stored += basket.stored_len
-        self.stats.bytes_raw += basket.raw_len
         return chunk
 
     def validate(self, deep: bool = False) -> None:
@@ -936,23 +934,22 @@ def concat_files(
 ) -> int:
     """Merge single-tree files with identical schemas into one file.
 
-    Entries keep input order. Returns the total entry count.
+    Entries keep input order. Returns the total entry count. On any error,
+    such as a later input whose schema differs, no output file is left.
     """
     paths = list(inputs)
     if not paths:
         raise SchemaError("concat needs at least one input")
     total = 0
-    writer: TreeFileWriter | None = None
     schema: dict[str, tuple[Dtype, Shape]] | None = None
-    try:
+    with TreeFileWriter(output, codec=codec, basket_entries=basket_entries) as writer:
         for path in paths:
             with open_file(path) as reader:
                 tmeta = reader.tree()
                 this_schema = {
                     name: (meta.dtype, meta.shape) for name, meta in tmeta.branches.items()
                 }
-                if writer is None:
-                    writer = TreeFileWriter(output, codec=codec, basket_entries=basket_entries)
+                if schema is None:
                     writer.begin_tree(tmeta.name, this_schema)
                     schema = this_schema
                 elif this_schema != schema:
@@ -966,11 +963,4 @@ def concat_files(
                         }
                     )
                 total += tmeta.n_entries
-        assert writer is not None
-        writer.end_tree()
-        writer.close()
-    except BaseException:
-        if writer is not None:
-            writer._fh.close()
-        raise
     return total

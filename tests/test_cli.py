@@ -334,6 +334,17 @@ def test_concat_reads_a_reduction_manifest(cli_dataset, tmp_path, capsys):
         )
 
 
+def test_concat_schema_mismatch_fails_without_output(tmp_path, capsys):
+    a, b = tmp_path / "a.trf", tmp_path / "b.trf"
+    write_tree(str(a), "t", {"x": np.arange(3, dtype=np.float64)})
+    write_tree(str(b), "t", {"x": np.arange(3, dtype=np.int64)})
+    merged = tmp_path / "merged.trf"
+    assert main(["concat", "--out", str(merged), str(a), str(b)]) == 1
+    err = capsys.readouterr().err
+    assert "differs from first input" in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.trf", "b.trf"]
+
+
 def test_concat_without_inputs_fails(tmp_path, capsys):
     assert main(["concat", "--out", str(tmp_path / "x.trf")]) == 1
     assert "no inputs" in capsys.readouterr().err

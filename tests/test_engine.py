@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-import csv
 import json
 import sys
 import threading
+import time
 from collections import defaultdict
 from pathlib import Path
 
@@ -21,7 +21,6 @@ from reference_interp import (
 from treeduce import exprlang, histagg
 from treeduce.bench.generate import DEMO_SKIM, DEMO_TREE, GenSpec, generate
 from treeduce.engine import (
-    METRICS_CSV_HEADER,
     EngineConfig,
     EngineError,
     JobSpec,
@@ -487,7 +486,7 @@ def test_failed_attempt_leaves_no_partial_part(demo_dataset, demo_expected, tmp_
     out = tmp_path / "out"
     result = run(demo_reduction(data_dir, manifest, out), EngineConfig(cores_per_executor=2))
     assert_outputs_match_reference(result, demo_expected)
-    assert crashed == {f"part-{e.task_id:05d}.trf.tmp" for e in result.manifest.entries}
+    assert crashed == {f"part-{e.task_id:05d}.trf" for e in result.manifest.entries}
     assert not list(out.glob("*.tmp"))
     for entry in result.manifest.entries:
         with open_file(entry.path) as reader:
@@ -609,15 +608,10 @@ def test_metrics_files_and_accounting(demo_dataset, tmp_path):
         assert task.cpu_s + task.read_s + task.decompress_s <= task.wall_s * 1.05 + 1e-6
     assert metrics.sum_wall_s <= metrics.total_wall_s * metrics.worker_count * 1.5
 
-    csv_path = out / "metrics.csv"
-    rows = csv_path.read_text().splitlines()
-    assert rows[0] == METRICS_CSV_HEADER
-    assert METRICS_CSV_HEADER == (
-        "task_id,wall_s,cpu_s,read_s,decompress_s,entries_in,entries_out,bytes_fetched"
-    )
-    parsed = list(csv.DictReader(rows))
-    assert [int(r["task_id"]) for r in parsed] == sorted(int(r["task_id"]) for r in parsed)
-    assert sum(int(r["entries_out"]) for r in parsed) == metrics.entries_out
+    assert sorted(path.name for path in out.iterdir() if not path.name.startswith("part-")) == [
+        "manifest.jsonl",
+        "metrics.jsonl",
+    ]
 
     manifest_path = out / "manifest.jsonl"
     restored = Manifest.read_jsonl(manifest_path)
@@ -627,6 +621,12 @@ def test_metrics_files_and_accounting(demo_dataset, tmp_path):
     jsonl = [json.loads(line) for line in (out / "metrics.jsonl").read_text().splitlines()]
     kinds = {line["type"] for line in jsonl}
     assert {"task", "concurrency", "throughput", "summary"} <= kinds
+    task_records = [line for line in jsonl if line["type"] == "task"]
+    fields = {"type", "task_id", "wall_s", "cpu_s", "read_s", "decompress_s",
+              "entries_in", "entries_out", "bytes_fetched"}
+    assert [set(r) for r in task_records] == [fields] * len(metrics.tasks)
+    assert [r["task_id"] for r in task_records] == list(range(len(metrics.tasks)))
+    assert sum(r["entries_out"] for r in task_records) == metrics.entries_out
 
     # concurrency samples start and end idle
     series = metrics.concurrency
@@ -634,6 +634,50 @@ def test_metrics_files_and_accounting(demo_dataset, tmp_path):
     assert series[-1][1] == 0
     assert all(0 <= active <= metrics.worker_count for _, active in series)
     assert "CPU time" in metrics.summary_table()
+
+
+def test_timeline_sits_on_the_sample_grid(demo_dataset, tmp_path):
+    data_dir, _, manifest = demo_dataset
+    interval = 0.002
+
+    def slow_start(task, attempt):
+        time.sleep(0.01)  # long enough for several grid points per task
+
+    job = demo_reduction(data_dir, manifest, tmp_path / "out", partition_entries=512)
+    config = EngineConfig(cores_per_executor=2, sample_interval=interval)
+    result = run(job, config, fault_hook=slow_start)
+    metrics = result.metrics
+    assert len(metrics.tasks) >= 4 * metrics.worker_count
+
+    for series in (metrics.concurrency, metrics.throughput):
+        times = [t for t, _ in series]
+        assert times == [k * interval for k in range(len(times))]
+        assert times[-1] >= metrics.total_wall_s
+    active = [a for _, a in metrics.concurrency]
+    assert active[0] == 0 and active[-1] == 0
+    assert max(active) == metrics.worker_count
+    assert min(active) >= 0
+
+    rates = [rate for _, rate in metrics.throughput]
+    assert rates[0] == 0.0 and min(rates) >= 0.0
+    assert sum(rates[1:]) * interval == pytest.approx(result.io.bytes_fetched, rel=1e-9)
+    assert result.io.bytes_fetched == metrics.bytes_fetched > 0
+
+
+def test_timeline_counts_task_spans_and_fetch_completions():
+    spans = [(0.01, 0.05), (0.02, 0.03), (0.2, 0.21)]
+    fetches = [(0.025, 100), (0.04, 50), (0.205, 7)]
+    concurrency, throughput = runner._timeline(spans, fetches, 0.21, 0.1)
+    assert [t for t, _ in concurrency] == pytest.approx([0.0, 0.1, 0.2, 0.3])
+    assert [a for _, a in concurrency] == [0, 0, 1, 0]  # a span starting on a grid time counts
+    assert [t for t, _ in throughput] == [t for t, _ in concurrency]
+    assert [round(rate * 0.1) for _, rate in throughput] == [0, 150, 0, 7]
+
+    concurrency, throughput = runner._timeline(
+        [(0.001, 0.009), (0.003, 0.0081)], [], 0.0095, 0.002
+    )
+    assert [a for _, a in concurrency] == [0, 1, 2, 2, 2, 0]
+    assert all(rate == 0.0 for _, rate in throughput)
 
 
 def test_worker_count_does_not_change_outputs(demo_dataset, tmp_path):

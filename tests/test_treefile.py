@@ -697,6 +697,35 @@ def test_concat_rejects_schema_mismatch(tmp_path):
         concat_files([str(a), str(b)], str(tmp_path / "out.trf"))
 
 
+def test_concat_schema_mismatch_leaves_no_output(tmp_path):
+    a, b = tmp_path / "a.trf", tmp_path / "b.trf"
+    write_tree(str(a), "t", {"x": np.arange(3, dtype=np.float64)})
+    write_tree(str(b), "t", {"x": np.arange(3, dtype=np.int64)})
+    with pytest.raises(SchemaError, match="differs from first input"):
+        concat_files([str(a), str(b)], str(tmp_path / "out.trf"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.trf", "b.trf"]
+
+
+def test_writer_renames_on_close_and_deletes_on_error(tmp_path):
+    path = tmp_path / "w.trf"
+    writer = TreeFileWriter(str(path))
+    writer.begin_tree("t", {"x": (Dtype.I64, Shape.FLAT)})
+    writer.extend({"x": ColumnChunk(values=np.arange(3, dtype=np.int64))})
+    assert not path.exists() and (tmp_path / "w.trf.tmp").exists()
+    writer.close()
+    assert [p.name for p in tmp_path.iterdir()] == ["w.trf"]
+    with open_file(str(path)) as reader:
+        assert reader.read_column("t", "x").values.tolist() == [0, 1, 2]
+
+    with pytest.raises(RuntimeError):
+        with TreeFileWriter(str(path)) as writer:
+            writer.begin_tree("t", {"x": (Dtype.I64, Shape.FLAT)})
+            raise RuntimeError("stop")
+    assert [p.name for p in tmp_path.iterdir()] == ["w.trf"]  # the earlier file is kept
+    with open_file(str(path)) as reader:
+        reader.validate(deep=True)
+
+
 # --- sources ---------------------------------------------------------------
 
 
