@@ -6,8 +6,9 @@ CSV column sets, one file per variant:
     core_scaling.csv       executors,cores,workers,median_wall_s,throughput_bytes_per_s,cap_bytes_per_s
     readahead_sweep.csv    read_ahead,bytes_requested,bytes_fetched,amplification,median_wall_s
 
-The markdown echoes the rows and appends the workload time breakdown
-(total, cpu, read, decompress, with fractions) of the last recorded run.
+The markdown echoes the rows and appends the workload time breakdown of
+the last recorded run: total task time, then the summed seconds and share
+of each task span (fetch, decode, skim, select, sink, unaccounted).
 """
 
 from __future__ import annotations

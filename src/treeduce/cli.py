@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from . import bench, engine, histagg, treefile
-from .xrdlite import ServerConfig, XrdServer
+from .xrdlite import ServerConfig, XrdError, XrdServer
 
 _SUFFIXES = {
     "k": 1000, "m": 1000**2, "g": 1000**3,
@@ -82,20 +82,11 @@ def _load_job(args) -> engine.JobSpec:
 
 
 def _engine_config(args) -> engine.EngineConfig:
-    return engine.EngineConfig(
-        executors=args.executors,
-        cores_per_executor=args.cores,
-        read_ahead=parse_bytes(args.read_ahead),
-    )
+    return engine.EngineConfig(executors=args.executors, cores_per_executor=args.cores)
 
 
 def _cmd_reduce(args) -> int:
-    job = _load_job(args)
-    try:
-        result = engine.run(job, _engine_config(args))
-    except engine.TaskFailure as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
+    result = engine.run(_load_job(args), _engine_config(args))
     print(result.manifest.table())
     print()
     print(result.metrics.summary_table())
@@ -105,11 +96,7 @@ def _cmd_reduce(args) -> int:
 def _cmd_hist(args) -> int:
     job = engine.load_job_file(args.job)
     agg = histagg.parse_hist_spec(args.spec)
-    try:
-        result = engine.fill(job, _engine_config(args), agg)
-    except engine.TaskFailure as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
+    result = engine.fill(job, _engine_config(args), agg)
     Path(args.out).write_text(histagg.render(result.aggregate))
     print(f"filled {result.metrics.entries_out} events into {args.out}")
     return 0
@@ -172,11 +159,7 @@ def _cmd_concat(args) -> int:
     if not inputs:
         print("concat: no inputs", file=sys.stderr)
         return 1
-    try:
-        total = treefile.concat_files(inputs, args.out)
-    except treefile.TreeFileError as exc:
-        print(f"concat: {exc}", file=sys.stderr)
-        return 1
+    total = treefile.concat_files(inputs, args.out)
     print(f"wrote {args.out}: {total} entries from {len(inputs)} files")
     return 0
 
@@ -184,8 +167,6 @@ def _cmd_concat(args) -> int:
 def _add_engine_options(p: argparse.ArgumentParser, *, cores: int) -> None:
     p.add_argument("--executors", type=int, default=1)
     p.add_argument("--cores", type=int, default=cores, help=f"cores per executor (default {cores})")
-    p.add_argument("--read-ahead", default="64Ki",
-                   help="read-ahead window for reading input directories while planning")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -237,9 +218,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Errors that bad input, a bad job or an unreachable server cause: reported
+# as one line and exit status 1, without a traceback. TaskFailure is an
+# EngineError.
+_USER_ERRORS = (engine.EngineError, treefile.TreeFileError, histagg.HistError, XrdError, OSError)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _USER_ERRORS as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

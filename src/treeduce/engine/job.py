@@ -60,7 +60,8 @@ class EngineConfig:
     directory the planner read. ``read_ahead`` then sizes only the
     planner's window. ``planned_reads=False`` makes each task reopen its
     input and read basket by basket through the ``read_ahead`` window;
-    the read-ahead experiment uses it to measure that window.
+    the read-ahead experiment uses it to measure that window. Those basket
+    fetches then fall in the task's ``decode`` span, not in ``fetch``.
     ``sample_interval`` is the step, in seconds, of the run's concurrency
     and throughput timeline.
     """

@@ -7,13 +7,16 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 
+# A task's stages in the order they run, each timed as it ends, then the
+# rest of the task's wall time: the fault hook and closing the source.
+SPANS = ("fetch", "decode", "skim", "select", "sink", "unaccounted")
+
+
 @dataclass
 class TaskMetrics:
     task_id: int
     wall_s: float
-    cpu_s: float  # wall minus fetch waits and decompression, clamped at 0
-    read_s: float
-    decompress_s: float
+    spans: dict[str, float]  # wall seconds per name in SPANS; they sum to wall_s
     entries_in: int
     entries_out: int
     bytes_fetched: int
@@ -32,16 +35,21 @@ class WorkloadMetrics:
         return sum(t.wall_s for t in self.tasks)
 
     @property
-    def sum_cpu_s(self) -> float:
-        return sum(t.cpu_s for t in self.tasks)
+    def span_s(self) -> dict[str, float]:
+        """Each span's seconds summed over all tasks, in SPANS order."""
+        return {name: sum(t.spans[name] for t in self.tasks) for name in SPANS}
 
     @property
     def sum_read_s(self) -> float:
-        return sum(t.read_s for t in self.tasks)
+        return sum(t.spans["fetch"] for t in self.tasks)
 
     @property
     def sum_decompress_s(self) -> float:
-        return sum(t.decompress_s for t in self.tasks)
+        return sum(t.spans["decode"] for t in self.tasks)
+
+    @property
+    def sum_cpu_s(self) -> float:
+        return sum(t.spans["skim"] + t.spans["select"] + t.spans["sink"] for t in self.tasks)
 
     @property
     def entries_in(self) -> int:
@@ -55,29 +63,12 @@ class WorkloadMetrics:
     def bytes_fetched(self) -> int:
         return sum(t.bytes_fetched for t in self.tasks)
 
-    def _fraction(self, value: float) -> float:
-        total = self.sum_wall_s
-        return value / total if total > 0 else 0.0
-
-    @property
-    def cpu_fraction(self) -> float:
-        return self._fraction(self.sum_cpu_s)
-
-    @property
-    def read_fraction(self) -> float:
-        return self._fraction(self.sum_read_s)
-
-    @property
-    def decompress_fraction(self) -> float:
-        return self._fraction(self.sum_decompress_s)
-
     def summary_table(self) -> str:
-        """Breakdown of where task time went, one row per accounted bucket."""
-        rows = [
-            ("Total task time", self.sum_wall_s, ""),
-            ("CPU time", self.sum_cpu_s, f"{self.cpu_fraction:6.1%}"),
-            ("Read time", self.sum_read_s, f"{self.read_fraction:6.1%}"),
-            ("Decompress time", self.sum_decompress_s, f"{self.decompress_fraction:6.1%}"),
+        """Where task time went: each span's summed seconds and share of task time."""
+        total = self.sum_wall_s
+        rows = [("Total task time", total, "")] + [
+            (name, seconds, f"{seconds / total if total > 0 else 0.0:6.1%}")
+            for name, seconds in self.span_s.items()
         ]
         width = max(len(r[0]) for r in rows)
         lines = [f"{'metric':<{width}}  {'seconds':>12}  fraction"]
@@ -107,12 +98,7 @@ def write_metrics_jsonl(path: str | Path, metrics: WorkloadMetrics) -> None:
                     "total_wall_s": metrics.total_wall_s,
                     "worker_count": metrics.worker_count,
                     "sum_wall_s": metrics.sum_wall_s,
-                    "sum_cpu_s": metrics.sum_cpu_s,
-                    "sum_read_s": metrics.sum_read_s,
-                    "sum_decompress_s": metrics.sum_decompress_s,
-                    "cpu_fraction": metrics.cpu_fraction,
-                    "read_fraction": metrics.read_fraction,
-                    "decompress_fraction": metrics.decompress_fraction,
+                    "span_s": metrics.span_s,
                     "entries_in": metrics.entries_in,
                     "entries_out": metrics.entries_out,
                     "bytes_fetched": metrics.bytes_fetched,

@@ -28,6 +28,7 @@ each records when it started and stopped. The run's timeline is derived
 once the pool has joined: on the ``sample_interval`` grid, the number of
 tasks running at each grid time, and the bytes whose fetch completed in
 each interval (from the completion times the tasks' ``IoStats`` record).
+Within a task, each stage is timed as it ends (``metrics.SPANS``).
 """
 
 from __future__ import annotations
@@ -162,6 +163,19 @@ class FillSink:
         return reduce(histagg.combine, partials, self.agg)
 
 
+class _Laps:
+    """Wall seconds of consecutive stages, each timed as it ends."""
+
+    def __init__(self):
+        self.first = self.last = time.perf_counter()
+        self.spans: dict[str, float] = {}
+
+    def end(self, stage: str) -> None:
+        now = time.perf_counter()
+        self.spans[stage] = now - self.last
+        self.last = now
+
+
 class _Runner:
     def __init__(
         self,
@@ -185,6 +199,7 @@ class _Runner:
         t0 = time.perf_counter()
         if self.fault_hook is not None:
             self.fault_hook(task, attempt)
+        laps = _Laps()
         io = IoStats()
         source = open_source(task.input, read_ahead=self.engine.read_ahead, stats=io)
         try:
@@ -195,33 +210,39 @@ class _Runner:
                 reader.prefetch(task.tree, task.columns, task.entry_start, task.entry_stop)
             else:
                 reader = open_file(source)
+            laps.end("fetch")
+            # without planned reads, read_column fetches the baskets: in this span
             with reader:  # closing frees the prefetched baskets before the skim
                 columns = {
                     name: reader.read_column(task.tree, name, task.entry_start, task.entry_stop)
                     for name in task.columns
                 }
+            laps.end("decode")
             n_in = task.n_entries
             if self.skim is None:
-                selected = {name: columns[name] for name in self.sink.selected}
-                n_out = n_in
+                mask, n_out = None, n_in
             else:
                 mask = exprlang.evaluate(self.skim, columns, n_entries=n_in).values
-                selected = {name: columns[name].select(mask) for name in self.sink.selected}
                 n_out = int(np.count_nonzero(mask))
+            laps.end("skim")
+            selected = {
+                name: columns[name] if mask is None else columns[name].select(mask)
+                for name in self.sink.selected
+            }
             del columns  # the sink runs on the selection alone
+            laps.end("select")
             output = self.sink.consume(task, selected, n_out)
-            decompress_s = reader.stats.decompress_time_s
+            laps.end("sink")
         finally:
             source.close()
-        wall = time.perf_counter() - t0
-        read_s = io.read_time_s
-        cpu = max(wall - read_s - decompress_s, 0.0)
+        t_end = time.perf_counter()
+        # the time outside the laps, summed from its two pieces rather than
+        # taken as wall minus the laps, so rounding cannot make it negative
+        laps.spans["unaccounted"] = (laps.first - t0) + (t_end - laps.last)
         tm = TaskMetrics(
             task_id=task.task_id,
-            wall_s=wall,
-            cpu_s=cpu,
-            read_s=read_s,
-            decompress_s=decompress_s,
+            wall_s=t_end - t0,
+            spans=laps.spans,
             entries_in=n_in,
             entries_out=n_out,
             bytes_fetched=io.bytes_fetched,

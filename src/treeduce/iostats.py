@@ -1,4 +1,4 @@
-"""Byte and time accounting for random-access reads.
+"""Byte accounting for random-access reads.
 
 One ``IoStats`` instance belongs to one byte source (a local file or a
 remote connector). Sources update their own stats from a single owner
@@ -21,24 +21,23 @@ class IoStats:
     so ``amplification`` > 1 means the source over-fetched (read-ahead)
     and < 1 means cache hits served repeat requests. ``fetch_done`` holds
     one (``time.perf_counter()`` at completion, bytes) pair per fetch, from
-    which the engine derives its fetched-bytes timeline.
+    which the engine derives its fetched-bytes timeline. Time spent reading
+    is not kept here: the engine times each task's stages itself.
     """
 
     bytes_requested: int = 0
     bytes_fetched: int = 0
     fetch_calls: int = 0
     read_calls: int = 0
-    read_time_s: float = 0.0
     fetch_done: list[tuple[float, int]] = field(default_factory=list)
 
     def record_request(self, nbytes: int) -> None:
         self.read_calls += 1
         self.bytes_requested += nbytes
 
-    def record_fetch(self, nbytes: int, seconds: float) -> None:
+    def record_fetch(self, nbytes: int) -> None:
         self.fetch_calls += 1
         self.bytes_fetched += nbytes
-        self.read_time_s += seconds
         self.fetch_done.append((time.perf_counter(), nbytes))
 
     @property
@@ -50,6 +49,5 @@ class IoStats:
         self.bytes_fetched += other.bytes_fetched
         self.fetch_calls += other.fetch_calls
         self.read_calls += other.read_calls
-        self.read_time_s += other.read_time_s
         self.fetch_done += other.fetch_done
         return self

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-import time
 from pathlib import Path
 from typing import Protocol, Sequence, runtime_checkable
 
@@ -67,12 +66,10 @@ class FileSource:
     def read_at(self, offset: int, length: int) -> bytes:
         if length <= 0:
             return b""
-        t0 = time.perf_counter()
         data = os.pread(self._fd, length, offset)
-        dt = time.perf_counter() - t0
         if self.stats is not None:
             self.stats.record_request(len(data))
-            self.stats.record_fetch(len(data), dt)
+            self.stats.record_fetch(len(data))
         return data
 
     def read_ranges(self, ranges: Sequence[tuple[int, int]]) -> list[bytes]:

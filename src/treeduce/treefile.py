@@ -21,7 +21,6 @@ from __future__ import annotations
 import bisect
 import os
 import struct
-import time
 import zlib
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -166,13 +165,6 @@ class TreeMeta:
     name: str
     n_entries: int
     branches: dict[str, BranchMeta] = field(default_factory=dict)
-
-
-@dataclass
-class ReadStats:
-    """Decode-side accounting, separate from byte-level I/O stats."""
-
-    decompress_time_s: float = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -781,16 +773,20 @@ class TreeFileReader:
     ):
         self._source = source
         self._own = own_source
-        self.stats = ReadStats()
         # (offset, bytes) of prefetched ranges, sorted by offset
         self._prefetched: list[tuple[int, bytes | memoryview]] = []
-        if directory is None:
-            directory = read_directory(source)
-        elif directory[0].file_len != source.size:
-            raise CorruptFileError(
-                f"file has {source.size} bytes, {directory[0].file_len} when its "
-                "directory was read: it changed since"
-            )
+        try:
+            if directory is None:
+                directory = read_directory(source)
+            elif directory[0].file_len != source.size:
+                raise CorruptFileError(
+                    f"file has {source.size} bytes, {directory[0].file_len} when its "
+                    "directory was read: it changed since"
+                )
+        except BaseException:
+            if own_source:  # no caller will hold a reader to close it through
+                source.close()
+            raise
         self.header, self.trees = directory
 
     def tree(self, name: str | None = None) -> TreeMeta:
@@ -882,12 +878,9 @@ class TreeFileReader:
                 f"short read on basket at offset {basket.offset}: "
                 f"got {len(stored)} of {basket.stored_len} bytes"
             )
-        t0 = time.perf_counter()
         planes = _basket_planes(meta.dtype, meta.shape, basket.n_entries)
         raw = decompress_record(stored, basket.codec, basket.raw_len, planes)
-        chunk = decode_basket(raw, meta.dtype, meta.shape, basket.n_entries)
-        self.stats.decompress_time_s += time.perf_counter() - t0
-        return chunk
+        return decode_basket(raw, meta.dtype, meta.shape, basket.n_entries)
 
     def validate(self, deep: bool = False) -> None:
         """Re-run structural checks; with ``deep`` decode every basket too."""

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import socket
-import time
 from dataclasses import dataclass
 from typing import Sequence
 from urllib.parse import urlsplit
@@ -207,9 +206,8 @@ class RemoteByteSource:
         fetch_len = min(fetch_len, max(self._size - offset, 0))
         if fetch_len == 0:
             return b""
-        t0 = time.perf_counter()
         data = self._conn.read(self._handle, offset, fetch_len)
-        self.stats.record_fetch(len(data), time.perf_counter() - t0)
+        self.stats.record_fetch(len(data))
         if data:
             self._windows.append((offset, data))
             if len(self._windows) > self._config.max_cache_windows:
@@ -231,9 +229,8 @@ class RemoteByteSource:
             clipped.append((start, max(min(length, self._size - start), 0)))
         if not any(length for _, length in clipped):
             return [b""] * len(clipped)
-        t0 = time.perf_counter()
         parts = self._conn.readv(self._handle, clipped)
-        self.stats.record_fetch(sum(len(p) for p in parts), time.perf_counter() - t0)
+        self.stats.record_fetch(sum(len(p) for p in parts))
         return parts
 
     def close(self) -> None:

@@ -24,6 +24,7 @@ from reference_interp import (
     simulate_cache,
     task_requests,
 )
+from test_engine import span_law_violations
 from test_treefile import _assert_round_trip, tree_contents
 from treeduce.bench.experiments import ExperimentSpec, run_experiment
 from treeduce.bench.generate import (
@@ -255,7 +256,8 @@ def test_criterion_4_scheduler_saturation(saturation_run):
 
 
 # ---------------------------------------------------------------------------
-# 5. per-task clocks add up: cpu + read never exceed wall by more than 5%
+# 5. per-task clocks add up: cpu + read never exceed wall by more than 5%,
+#    and every task's spans are non-negative and sum to its wall time
 
 
 def test_criterion_5_time_accounting(
@@ -265,6 +267,8 @@ def test_criterion_5_time_accounting(
     for label, metrics in RUNS:
         if metrics.sum_cpu_s + metrics.sum_read_s > 1.05 * metrics.sum_wall_s + 1e-9:
             bad.append(label)
+        if span_law_violations(metrics):
+            bad.append(f"{label} (spans)")
     breakdown = max((m for _, m in RUNS), key=lambda m: m.entries_in)
     ACCEPTANCE_BLOCKS.append("workload breakdown (largest run):\n" + breakdown.summary_table())
     print(breakdown.summary_table())
@@ -272,7 +276,8 @@ def test_criterion_5_time_accounting(
         5,
         "time accounting",
         not bad,
-        f"cpu+read <= 1.05*wall on {len(RUNS)} runs" + (f", violated by {bad}" if bad else ""),
+        f"cpu+read <= 1.05*wall and spans sum to wall on {len(RUNS)} runs"
+        + (f", violated by {bad}" if bad else ""),
     )
 
 

@@ -17,9 +17,9 @@ from reference_interp import (
 )
 from treeduce.bench.generate import DEMO_TREE, DatasetManifest, GenSpec, generate
 from treeduce.cli import build_parser, main, parse_bytes
-from treeduce.engine import EngineError
+from treeduce.engine import EngineConfig, EngineError, fill, load_job_file
 from treeduce.exprlang import parse
-from treeduce.histagg import HistError
+from treeduce.histagg import HistError, parse_hist_spec
 from treeduce.treefile import ColumnChunk, open_file, write_tree
 
 
@@ -52,12 +52,14 @@ def test_parser_defaults():
     args = build_parser().parse_args(["serve", "--root", "x"])
     assert args.host == "127.0.0.1" and args.port == 1094 and args.bandwidth_cap is None
     args = build_parser().parse_args(["reduce", "--job", "j"])
-    assert args.executors == 1 and args.cores == 1 and args.read_ahead == "64Ki"
+    assert args.executors == 1 and args.cores == 1
     args = build_parser().parse_args(["hist", "--job", "j", "--spec", "count", "--out", "h.csv"])
-    assert args.executors == 1 and args.read_ahead == "64Ki"
+    assert args.executors == 1
     assert args.cores == len(os.sched_getaffinity(0))
     with pytest.raises(SystemExit):
         build_parser().parse_args(["frobnicate"])
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["reduce", "--job", "j", "--read-ahead", "4Ki"])
     with pytest.raises(SystemExit):
         build_parser().parse_args(["generate", "--out", "d", "--schema", "csv"])
 
@@ -134,7 +136,7 @@ def test_reduce_round_trip(cli_dataset, tmp_path, capsys):
     rc = main(["reduce", "--job", str(job_path), "--cores", "2"])
     assert rc == 0
     stdout = capsys.readouterr().out
-    assert "CPU time" in stdout
+    assert "unaccounted" in stdout
 
     skim = parse("nMuon >= 2")
     rows = []
@@ -242,7 +244,7 @@ def test_hist_csv_is_identical_across_cores_and_remote_reads(cli_dataset, tmp_pa
     runs = {
         "cores1": (manifest.file_paths(str(data_dir)), ["--cores", "1"]),
         "cores3": (manifest.file_paths(str(data_dir)), ["--cores", "3"]),
-        "remote": (manifest.urls(*server.address), ["--cores", "2", "--read-ahead", "4Ki"]),
+        "remote": (manifest.urls(*server.address), ["--cores", "2"]),
     }
     csvs, reports = {}, {}
     for name, (inputs, flags) in runs.items():
@@ -263,14 +265,15 @@ def test_hist_csv_is_identical_across_cores_and_remote_reads(cli_dataset, tmp_pa
     assert not (tmp_path / "unused").exists()
 
 
-def test_hist_rejects_schema_drift_between_inputs(tmp_path):
+def test_hist_rejects_schema_drift_between_inputs(tmp_path, capsys):
     write_tree(str(tmp_path / "a.trf"), DEMO_TREE, {"MET": np.arange(4, dtype=np.float64)})
     write_tree(str(tmp_path / "b.trf"), DEMO_TREE, {"MET": np.arange(4, dtype=np.float32)})
     job_path = tmp_path / "job.cfg"
     job_path.write_text(_job_text([tmp_path / "a.trf", tmp_path / "b.trf"], tmp_path / "o", keep="MET"))
     out_csv = tmp_path / "met.csv"
-    with pytest.raises(EngineError, match="schema differs"):
-        main(["hist", "--job", str(job_path), "--spec", "bin(4, 0, 4, 'MET')", "--out", str(out_csv)])
+    assert main(["hist", "--job", str(job_path), "--spec", "bin(4, 0, 4, 'MET')", "--out", str(out_csv)]) == 1
+    err = capsys.readouterr().err
+    assert "schema differs" in err and "Traceback" not in err
     assert not out_csv.exists()
 
 
@@ -281,13 +284,47 @@ def test_hist_rejects_schema_drift_between_inputs(tmp_path):
         ("MET > 1", "bin(4, 0, 4, 'Muon_pt')", HistError),  # quantity is jagged
     ],
 )
-def test_hist_typechecks_skim_and_quantity(cli_dataset, tmp_path, skim, spec, error):
+def test_hist_typechecks_skim_and_quantity(cli_dataset, tmp_path, capsys, skim, spec, error):
     data_dir, manifest = cli_dataset
     job_path = tmp_path / "job.cfg"
     job_path.write_text(_job_text(manifest.file_paths(str(data_dir)), tmp_path / "o", skim=skim))
-    with pytest.raises(error):
-        main(["hist", "--job", str(job_path), "--spec", spec, "--out", str(tmp_path / "h.csv")])
+    with pytest.raises(error) as raised:
+        fill(load_job_file(job_path), EngineConfig(), parse_hist_spec(spec))
+    assert main(["hist", "--job", str(job_path), "--spec", spec, "--out", str(tmp_path / "h.csv")]) == 1
+    assert capsys.readouterr().err == f"hist: {raised.value}\n"
     assert not (tmp_path / "h.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["reduce", "--job", "{missing_column}"], "required column 'Nope' missing"),
+        (["reduce", "--job", "{tmp}/absent.cfg"], "No such file or directory"),
+        (["reduce", "--job", "{corrupt_input}"], "bad magic"),
+        (["hist", "--job", "{corrupt_input}", "--spec", "count", "--out", "{tmp}/h.csv"], "bad magic"),
+        (["hist", "--job", "{good}", "--spec", "bin(4, 0", "--out", "{tmp}/h.csv"], "bad histogram spec"),
+        (["concat", "--out", "{tmp}/m.trf", "--manifest", "{tmp}/missing.jsonl"], "missing.jsonl"),
+    ],
+    ids=["missing-column", "missing-job-file", "corrupt-input", "hist-corrupt-input", "bad-spec",
+         "missing-manifest"],
+)
+def test_user_errors_print_a_message_and_return_1(cli_dataset, tmp_path, capsys, argv, message):
+    data_dir, manifest = cli_dataset
+    inputs = manifest.file_paths(str(data_dir))
+    corrupt = tmp_path / "corrupt.trf"
+    corrupt.write_bytes(b"XXXX" + bytes(60))
+    jobs = {
+        "missing_column": _job_text(inputs, tmp_path / "o", keep="MET, Nope"),
+        "corrupt_input": _job_text([corrupt], tmp_path / "o"),
+        "good": _job_text(inputs, tmp_path / "o"),
+    }
+    for name, text in jobs.items():
+        (tmp_path / f"{name}.cfg").write_text(text)
+    paths = {name: tmp_path / f"{name}.cfg" for name in jobs}
+    assert main([arg.format(tmp=tmp_path, **paths) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{argv[0]}: ") and message in err and "Traceback" not in err
+    assert err.count("\n") == 1
 
 
 def test_hist_task_failure_returns_1(cli_dataset, tmp_path, capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import sys
 import threading
 import time
@@ -32,6 +33,7 @@ from treeduce.engine import (
     run,
 )
 from treeduce.engine import runner
+from treeduce.engine.metrics import SPANS
 from treeduce.engine.planner import parse_job_exprs, tasks_from_counts
 from treeduce.exprlang import parse
 from treeduce.treefile import (
@@ -602,10 +604,7 @@ def test_metrics_files_and_accounting(demo_dataset, tmp_path):
     assert metrics.worker_count == 4
     assert metrics.entries_in == spec.n_files * spec.n_events
     assert metrics.entries_out == result.manifest.total_entries
-    for task in metrics.tasks:
-        assert task.wall_s >= 0.0
-        assert task.cpu_s >= 0.0
-        assert task.cpu_s + task.read_s + task.decompress_s <= task.wall_s * 1.05 + 1e-6
+    assert span_law_violations(metrics) == []
     assert metrics.sum_wall_s <= metrics.total_wall_s * metrics.worker_count * 1.5
 
     assert sorted(path.name for path in out.iterdir() if not path.name.startswith("part-")) == [
@@ -622,10 +621,12 @@ def test_metrics_files_and_accounting(demo_dataset, tmp_path):
     kinds = {line["type"] for line in jsonl}
     assert {"task", "concurrency", "throughput", "summary"} <= kinds
     task_records = [line for line in jsonl if line["type"] == "task"]
-    fields = {"type", "task_id", "wall_s", "cpu_s", "read_s", "decompress_s",
-              "entries_in", "entries_out", "bytes_fetched"}
+    fields = {"type", "task_id", "wall_s", "spans", "entries_in", "entries_out", "bytes_fetched"}
     assert [set(r) for r in task_records] == [fields] * len(metrics.tasks)
     assert [r["task_id"] for r in task_records] == list(range(len(metrics.tasks)))
+    assert [r["spans"] for r in task_records] == [task.spans for task in metrics.tasks]
+    (summary,) = [line for line in jsonl if line["type"] == "summary"]
+    assert list(summary["span_s"]) == list(SPANS)
     assert sum(r["entries_out"] for r in task_records) == metrics.entries_out
 
     # concurrency samples start and end idle
@@ -633,7 +634,36 @@ def test_metrics_files_and_accounting(demo_dataset, tmp_path):
     assert series[0][1] == 0
     assert series[-1][1] == 0
     assert all(0 <= active <= metrics.worker_count for _, active in series)
-    assert "CPU time" in metrics.summary_table()
+    table = metrics.summary_table().splitlines()
+    assert [line.split()[0] for line in table[2 : 2 + len(SPANS)]] == list(SPANS)
+
+
+def span_law_violations(metrics) -> list[int]:
+    """Ids of tasks whose spans are not exactly SPANS, >= 0 and summing to wall_s."""
+    return [
+        task.task_id
+        for task in metrics.tasks
+        if tuple(task.spans) != SPANS
+        or min(task.spans.values()) < 0.0
+        or not math.isclose(sum(task.spans.values()), task.wall_s, rel_tol=1e-9)
+    ]
+
+
+@pytest.mark.parametrize("planned_reads", [True, False])
+def test_fault_hook_time_is_unaccounted_not_fetch(demo_dataset, tmp_path, planned_reads):
+    data_dir, _, manifest = demo_dataset
+
+    def slow_start(task, attempt):
+        time.sleep(0.02)
+
+    job = demo_reduction(data_dir, manifest, tmp_path / "out", partition_entries=3072)
+    config = EngineConfig(cores_per_executor=2, planned_reads=planned_reads)
+    metrics = run(job, config, fault_hook=slow_start).metrics
+    assert len(metrics.tasks) == 4
+    assert span_law_violations(metrics) == []
+    for task in metrics.tasks:
+        assert task.spans["unaccounted"] >= 0.02
+        assert task.spans["fetch"] < 0.02
 
 
 def test_timeline_sits_on_the_sample_grid(demo_dataset, tmp_path):

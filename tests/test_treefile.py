@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
 
@@ -581,6 +582,16 @@ def test_header_magic_and_version_checked():
         open_bytes(struct.pack(">4sIQQQ", b"TRF1", 2, 32, 0, 32))
     with pytest.raises(TreeFileError):
         open_bytes(good)  # empty directory record is still malformed
+
+
+def test_failed_open_closes_the_file_it_opened(tmp_path):
+    bad = tmp_path / "bad.trf"
+    bad.write_bytes(struct.pack(">4sIQQQ", b"XXXX", 1, 32, 0, 32))
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(50):
+        with pytest.raises(CorruptFileError):
+            open_file(bad)
+    assert len(os.listdir("/proc/self/fd")) == before
 
 
 # --- property-based round trip -------------------------------------------
