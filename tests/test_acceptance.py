@@ -9,6 +9,7 @@ so the verdicts do not depend on the scale.
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -58,22 +59,39 @@ def _verdict(num: int, name: str, ok: bool, detail: str) -> None:
 # 1. wall time grows linearly with input bytes
 
 
+# The 1x point must last long enough that a competing process cannot bend
+# the fit: each file's event count is sized from a measured per-event cost.
+SIZE_MIN_WALL_S = 0.1
+
+
+def _size_events_per_file(base, n_files: int, engine: EngineConfig) -> int:
+    """Events per file, a power of two, for a 1x wall of at least ``SIZE_MIN_WALL_S``."""
+    probe = generate(GenSpec(seed=101, n_events=16384, n_files=n_files), base / "probe")
+    inputs = probe.file_paths(base / "probe")
+    job = demo_job(inputs, str(base / "probe-out"), partition_entries=4096)
+    walls = sorted(run(job, engine).metrics.total_wall_s for _ in range(3))
+    per_event = walls[1] / (probe.n_events * n_files)
+    wanted = SIZE_MIN_WALL_S / per_event / n_files
+    return min(1 << 17, max(16384, 1 << math.ceil(math.log2(wanted))))
+
+
 @pytest.fixture(scope="module")
 def size_result(tmp_path_factory):
     base = tmp_path_factory.mktemp("acc-size")
+    engine = EngineConfig(1, 4, sample_interval=0.02)
     spec = ExperimentSpec(
         variant="size",
         data_dir=str(base / "data"),
         out_dir=str(base / "report"),
         seed=101,
-        n_events=16384,
+        n_events=_size_events_per_file(base, 2, engine),
         n_files=2,
         repetitions=3,
         multiples=(1, 2, 4, 8),
         partition_entries=4096,
-        executors=1,
-        cores_per_executor=4,
-        sample_interval=0.02,
+        executors=engine.executors,
+        cores_per_executor=engine.cores_per_executor,
+        sample_interval=engine.sample_interval,
     )
     result = run_experiment(spec)
     RUNS.append(("size sweep, last run", result.metrics))
@@ -85,7 +103,8 @@ def test_criterion_1_size_scaling_linearity(size_result):
     assert [r.multiple for r in rows] == [1, 2, 4, 8]
     ok = size_result.r2 >= 0.95 and size_result.slope > 0
     walls = ", ".join(f"x{r.multiple}={r.median_wall_s:.3f}s" for r in rows)
-    _verdict(1, "size-scaling linearity", ok, f"r2={size_result.r2:.4f}, {walls}")
+    detail = f"r2={size_result.r2:.4f}, x1 reads {rows[0].bytes / 1e6:.1f} MB, {walls}"
+    _verdict(1, "size-scaling linearity", ok, detail)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from treeduce.treefile import (
     concat_files,
     decode_basket,
     encode_basket,
+    itemsize,
     open_bytes,
     open_file,
     read_directory,
@@ -133,6 +134,44 @@ def unshuffle_by_hand(buf: bytes, head: int, width: int) -> bytes:
         planes = [segment[k * n : (k + 1) * n] for k in range(w)]
         out += bytes(planes[k][i] for i in range(n) for k in range(w))
     return out
+
+
+def plane_lens_by_hand(raw_len: int, head: int, width: int) -> list[int]:
+    """Bytes in each byte plane of a payload, in plane order.
+
+    A jagged payload has the 8 planes of its offset table first.
+    """
+    return [head // 8] * (8 if head else 0) + [(raw_len - head) // width] * width
+
+
+def planes_payload_by_hand(payload: bytes, head: int, width: int, flags: list[int]) -> bytes:
+    """A codec-3 basket: flags | crc32 of the stored planes
+    | one level-1 zlib stream of the flagged planes | the stored planes."""
+    segments = [(payload[:head], 8), (payload[head:], width)] if head else [(payload, width)]
+    planes = [segment[k::w] for segment, w in segments for k in range(w)]
+    assert len(flags) == len(planes)
+    deflated = b"".join(plane for plane, flag in zip(planes, flags) if flag)
+    stored = b"".join(plane for plane, flag in zip(planes, flags) if not flag)
+    stream = zlib.compress(deflated, 1) if any(flags) else b""
+    return bytes(flags) + struct.pack(">I", zlib.crc32(stored)) + stream + stored
+
+
+def unplanes_by_hand(stored: bytes, raw_len: int, head: int, width: int) -> bytes:
+    """Decode a codec-3 basket with slicing, ``struct`` and ``zlib`` only."""
+    lens = plane_lens_by_hand(raw_len, head, width)
+    flags = stored[: len(lens)]
+    (crc,) = struct.unpack(">I", stored[len(lens) : len(lens) + 4])
+    kept_len = sum(n for n, flag in zip(lens, flags) if not flag)
+    stream = stored[len(lens) + 4 : len(stored) - kept_len]
+    kept = stored[len(stored) - kept_len :]
+    assert zlib.crc32(kept) == crc
+    sources = {1: zlib.decompress(stream) if stream else b"", 0: kept}
+    shuffled = b""
+    for n, flag in zip(lens, flags):
+        shuffled += sources[flag][:n]
+        sources[flag] = sources[flag][n:]
+    assert sources == {1: b"", 0: b""}
+    return unshuffle_by_hand(shuffled, head, width)
 
 
 def pack_name(name: str) -> bytes:
@@ -238,7 +277,8 @@ SHUFFLE_JAG = [[i, -i] if i % 3 else [] for i in range(64)]
 
 def test_shuffle_basket_payload_exact_bytes(tmp_path):
     path = tmp_path / "shuffle.trf"
-    write_tree(str(path), "t", {"flat": np.array(SHUFFLE_FLAT), "jag": SHUFFLE_JAG})  # default codec
+    branches = {"flat": np.array(SHUFFLE_FLAT), "jag": SHUFFLE_JAG}
+    write_tree(str(path), "t", branches, codec=Codec.SHUFFLE)
     raw = path.read_bytes()
     _, _, dir_offset, dir_len, _ = struct.unpack(">4sIQQQ", raw[:32])
     _, branches = DirWalker(parse_record(raw[dir_offset : dir_offset + dir_len])).walk()["t"]
@@ -286,8 +326,9 @@ def test_shuffle_codec_is_refused_for_the_directory_record():
     stored = struct.pack(">2d", 1.0, 2.0)
     deflated = open_bytes(hand_built_file(4, 0, 2, 0, stored, 16, dir_codec=1))
     assert deflated.read_column("t", "v").values.tolist() == [1.0, 2.0]
-    with pytest.raises(CorruptFileError, match="not allowed in a record"):
-        open_bytes(hand_built_file(4, 0, 2, 0, stored, 16, dir_codec=2))
+    for basket_only in (Codec.SHUFFLE, Codec.PLANES):
+        with pytest.raises(CorruptFileError, match="not allowed in a record"):
+            open_bytes(hand_built_file(4, 0, 2, 0, stored, 16, dir_codec=basket_only))
 
 
 def test_shuffle_falls_back_to_unshuffled_raw_when_not_smaller(tmp_path):
@@ -299,6 +340,95 @@ def test_shuffle_falls_back_to_unshuffled_raw_when_not_smaller(tmp_path):
     assert basket.codec == Codec.NONE
     stored = path.read_bytes()[basket.offset : basket.offset + basket.stored_len]
     assert stored == struct.pack(">64q", *values.tolist())
+
+
+def test_planes_basket_payload_exact_bytes(tmp_path):
+    rng = np.random.default_rng(11)
+    flat = rng.normal(size=2048)
+    jag = ColumnChunk(
+        values=rng.normal(size=3000).astype(np.float32),
+        offsets=np.concatenate([[0], np.sort(rng.integers(0, 3000, 2047)), [3000]]),
+    )
+    path = tmp_path / "planes.trf"
+    write_tree(str(path), "t", {"flat": flat, "jag": jag})  # default codec
+    raw = path.read_bytes()
+    _, _, dir_offset, dir_len, _ = struct.unpack(">4sIQQQ", raw[:32])
+    _, branches = DirWalker(parse_record(raw[dir_offset : dir_offset + dir_len])).walk()["t"]
+    expected = {
+        "flat": (0, 8, struct.pack(">2048d", *flat)),
+        "jag": (2049 * 8, 4, jag.offsets.astype(">u8").tobytes() + jag.values.astype(">f4").tobytes()),
+    }
+    for name, (head, width, payload) in expected.items():
+        ((first_entry, n, offset, stored_len, raw_len, codec),) = branches[name][2]
+        assert (first_entry, n, codec, raw_len) == (0, 2048, 3, len(payload))
+        stored = raw[offset : offset + stored_len]
+        flags = list(stored[: len(plane_lens_by_hand(raw_len, head, width))])
+        assert set(flags) == {0, 1}  # sign/exponent planes deflated, mantissa noise stored
+        assert stored == planes_payload_by_hand(payload, head, width, flags)
+        assert unplanes_by_hand(stored, raw_len, head, width) == payload
+
+
+@pytest.mark.parametrize(
+    "dtype, shape, rows, flags",
+    [
+        (Dtype.F64, Shape.FLAT, [0.5 * i for i in range(16)], [1, 0, 1, 0, 0, 1, 1, 0]),
+        (Dtype.F32, Shape.JAGGED, [[1.5], [], [2.5, -3.0]], [0, 1, 1, 0, 1, 1, 1, 0, 1, 0, 0, 1]),
+        (Dtype.BOOL, Shape.FLAT, [True, False, True], [1]),
+        (Dtype.F64, Shape.JAGGED, [[], [], []], [1] * 8 + [0] * 8),
+    ],
+    ids=["flat-f64-mixed", "jagged-f32", "bool", "jagged-no-elements"],
+)
+def test_hand_built_planes_baskets_decode(dtype, shape, rows, flags):
+    fmt = {Dtype.F64: "d", Dtype.F32: "f", Dtype.BOOL: "?"}[dtype]
+    if shape is Shape.FLAT:
+        head, payload = 0, struct.pack(f">{len(rows)}{fmt}", *rows)
+    else:
+        offsets = np.concatenate([[0], np.cumsum([len(row) for row in rows])]).tolist()
+        values = [x for row in rows for x in row]
+        head = 8 * len(offsets)
+        payload = struct.pack(f">{len(offsets)}Q{len(values)}{fmt}", *offsets, *values)
+    stored = planes_payload_by_hand(payload, head, itemsize(dtype), flags)
+    reader = open_bytes(hand_built_file(dtype, shape, len(rows), 3, stored, len(payload)))
+    assert reader.read_column("t", "v").to_lists() == rows
+
+
+def test_corrupt_planes_payloads_are_refused():
+    values = [0.5 * i for i in range(16)]
+    payload = struct.pack(">16d", *values)
+    planes = [payload[k::8] for k in range(8)]
+    flags = [1, 0, 1, 0, 0, 1, 1, 0]
+    flagged = b"".join(plane for plane, flag in zip(planes, flags) if flag)
+    kept = b"".join(plane for plane, flag in zip(planes, flags) if not flag)
+
+    def framed(flags, stream, kept):
+        return bytes(flags) + struct.pack(">I", zlib.crc32(kept)) + stream + kept
+
+    good = framed(flags, zlib.compress(flagged, 1), kept)
+    assert good == planes_payload_by_hand(payload, 0, 8, flags)
+    assert open_bytes(hand_built_file(4, 0, 16, 3, good, 128)).read_column("t", "v").to_lists() == values
+    cases = [
+        ("plane flags must be 0", bytes([2]) + good[1:]),
+        ("cannot hold", good[:12] + kept[:40]),  # fewer bytes than the stored planes
+        ("cannot hold", framed([0] * 8, zlib.compress(b""), payload)),  # a stream, nothing flagged
+        ("cannot hold", framed([1] + [0] * 7, b"", b"".join(planes[1:]))),  # flagged, no stream
+        ("CRC32", good[:8] + bytes(4) + good[12:]),
+        ("does not end in exactly", framed(flags, zlib.compress(flagged + b"x", 1), kept)),
+        ("does not end in exactly", good[:-65] + good[-64:]),  # stream cut short
+    ]
+    for match, stored in cases:
+        with pytest.raises(CorruptFileError, match=match):
+            open_bytes(hand_built_file(4, 0, 16, 3, stored, 128)).read_column("t", "v")
+
+
+def test_planes_deflates_a_constant_plane_and_stores_a_random_one(tmp_path):
+    path = tmp_path / "rule.trf"
+    values = np.random.default_rng(5).integers(0, 2**56, 4096, dtype=np.int64)  # byte 0 is always 0
+    write_tree(str(path), "t", {"v": values}, codec=Codec.PLANES)
+    with open_file(str(path)) as reader:
+        (basket,) = reader.tree("t").branches["v"].baskets
+        assert reader.read_column("t", "v").values.tobytes() == values.tobytes()
+    assert basket.codec == Codec.PLANES
+    assert path.read_bytes()[basket.offset : basket.offset + 8] == bytes([1, 0, 0, 0, 0, 0, 0, 0])
 
 
 def test_deflate_falls_back_to_none_when_not_smaller():
@@ -323,7 +453,7 @@ ALL_DTYPES = {
 }
 
 
-@pytest.mark.parametrize("codec", [Codec.NONE, Codec.DEFLATE, Codec.SHUFFLE])
+@pytest.mark.parametrize("codec", [Codec.NONE, Codec.DEFLATE, Codec.SHUFFLE, Codec.PLANES])
 def test_round_trip_every_dtype(tmp_path, codec):
     path = tmp_path / "all.trf"
     write_tree(str(path), "t", ALL_DTYPES, codec=codec)
@@ -533,6 +663,27 @@ def shuffle_file_bytes(tmp_path) -> bytes:
     return raw
 
 
+def planes_file_bytes(tmp_path) -> bytes:
+    """A small file whose every basket is stored with codec 3, with deflated and stored planes."""
+    rng = np.random.default_rng(7)
+    path = tmp_path / "small-planes.trf"
+    write_tree(
+        str(path), "t",
+        {
+            "flat": rng.integers(0, 2**56, 256, dtype=np.int64),
+            "jag": ColumnChunk(rng.normal(size=256).astype(np.float32), np.arange(257)),
+        },
+        codec=Codec.PLANES,
+    )
+    raw = path.read_bytes()
+    with open_bytes(raw) as reader:
+        for meta in reader.tree("t").branches.values():
+            (basket,) = meta.baskets
+            assert basket.codec == Codec.PLANES
+            assert set(raw[basket.offset : basket.offset + 8]) == {0, 1}
+    return raw
+
+
 def assert_every_truncation_detected(raw: bytes) -> None:
     for cut in range(len(raw)):
         with pytest.raises(TreeFileError):
@@ -560,6 +711,10 @@ def test_every_truncation_of_a_shuffle_file_is_detected(tmp_path):
     assert_every_truncation_detected(shuffle_file_bytes(tmp_path))
 
 
+def test_every_truncation_of_a_planes_file_is_detected(tmp_path):
+    assert_every_truncation_detected(planes_file_bytes(tmp_path))
+
+
 def test_trailing_garbage_is_detected(tmp_path):
     raw = small_file_bytes(tmp_path)
     with pytest.raises(CorruptFileError):
@@ -572,6 +727,31 @@ def test_single_byte_flips_never_crash(tmp_path):
 
 def test_single_byte_flips_in_a_shuffle_file_never_crash(tmp_path):
     assert_byte_flips_never_crash(shuffle_file_bytes(tmp_path))
+
+
+def test_single_byte_flips_in_a_planes_file_never_crash(tmp_path):
+    assert_byte_flips_never_crash(planes_file_bytes(tmp_path))
+
+
+def test_every_flip_in_stored_planes_is_detected(tmp_path):
+    raw = planes_file_bytes(tmp_path)
+    with open_bytes(raw) as reader:
+        branches = reader.tree("t").branches
+    flipped = 0
+    for name, meta in branches.items():
+        (basket,) = meta.baskets
+        head = (basket.n_entries + 1) * 8 if meta.is_jagged else 0
+        lens = plane_lens_by_hand(basket.raw_len, head, itemsize(meta.dtype))
+        flags = raw[basket.offset : basket.offset + len(lens)]
+        end = basket.offset + basket.stored_len
+        kept_len = sum(n for n, flag in zip(lens, flags) if not flag)
+        for pos in range(end - kept_len, end):
+            mutated = bytearray(raw)
+            mutated[pos] ^= 0x01
+            with pytest.raises(CorruptFileError, match="CRC32"):
+                open_bytes(bytes(mutated)).read_column("t", name)
+            flipped += 1
+    assert flipped > 1000
 
 
 def test_header_magic_and_version_checked():
@@ -639,7 +819,7 @@ def tree_contents(draw):
         else:
             branches[name] = ColumnChunk(values=draw(_values_strategy(dtype, n)))
     basket_entries = draw(st.sampled_from([1, 2, 7, DEFAULT_BASKET_ENTRIES]))
-    codec = draw(st.sampled_from([Codec.NONE, Codec.DEFLATE, Codec.SHUFFLE]))
+    codec = draw(st.sampled_from(list(Codec)))
     return branches, basket_entries, codec
 
 
