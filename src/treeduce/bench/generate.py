@@ -198,9 +198,14 @@ def _flat8_chunk(key: int, e0: int, e1: int) -> dict[str, ColumnChunk]:
 
 
 def generate(spec: GenSpec, out_dir: str | Path) -> DatasetManifest:
-    """Write the dataset and its manifest (dataset.json); returns the manifest."""
+    """Write the dataset and its manifest (dataset.json); returns the manifest.
+
+    An old manifest is removed before any file is written, so a generation
+    that is cut short leaves no manifest claiming the files it overwrote.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    (out / "dataset.json").unlink(missing_ok=True)
     schema = DEMO_SCHEMA if spec.schema == "demo" else FLAT8_SCHEMA
     make_chunk = _demo_chunk if spec.schema == "demo" else _flat8_chunk
     manifest = DatasetManifest(
@@ -228,13 +233,21 @@ def generate(spec: GenSpec, out_dir: str | Path) -> DatasetManifest:
     return manifest
 
 
+def _has_size(path: Path, size: int) -> bool:
+    try:
+        return path.stat().st_size == size
+    except FileNotFoundError:
+        return False
+
+
 def ensure_dataset(spec: GenSpec, out_dir: str | Path) -> DatasetManifest:
-    """Reuse an existing dataset when its manifest matches ``spec`` exactly."""
+    """Reuse an existing dataset when its manifest matches ``spec`` exactly
+    and every file it lists is there with the size it records."""
     marker = Path(out_dir) / "dataset.json"
     if marker.exists():
         manifest = DatasetManifest.from_json(marker.read_text())
         if manifest.matches(spec) and all(
-            (Path(out_dir) / f.path).exists() for f in manifest.files
+            _has_size(Path(out_dir) / f.path, f.bytes) for f in manifest.files
         ):
             return manifest
     return generate(spec, out_dir)

@@ -56,6 +56,23 @@ def parse_job_exprs(job: JobSpec) -> JobExprs:
     return JobExprs(skim, derived, tuple(sorted(names)))
 
 
+def sink_inputs(
+    skim: exprlang.Expr | None, exprs: list[exprlang.Expr], keep=()
+) -> tuple[tuple[str, ...], frozenset[exprlang.Expr]]:
+    """What a sink evaluating ``exprs`` is handed: columns, and nodes shared with the skim.
+
+    The skim's values of a shared node, selected like a column, stand in
+    for the node, so a column the sink reads only inside shared nodes is
+    not selected for it. The columns are those ``exprs`` read outside
+    shared nodes, plus ``keep``.
+    """
+    shared = exprlang.shared_nodes(skim, exprs)
+    names = set(keep)
+    for expr in exprs:
+        names |= exprlang.column_refs(expr, shared)
+    return tuple(sorted(names)), shared
+
+
 def check_skim(skim: exprlang.Expr | None, schema: Schema) -> None:
     """A skim, if any, must typecheck to a scalar bool."""
     if skim is None:

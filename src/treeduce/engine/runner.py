@@ -3,8 +3,9 @@
 The workload is I/O, zlib, and numpy kernels, all of which release the
 GIL, so threads behave like cores here. Planning probes the inputs for
 the sink's ``columns`` and lets the sink ``prepare`` against their schema.
-Every task then reads those columns, applies the job's skim, and hands the
-selected entries of the sink's ``selected`` columns to the sink:
+Every task then reads those columns, evaluates the job's skim once, and
+hands the sink the selected entries of its ``selected`` columns and of the
+values of its ``shared`` nodes:
 
 * :class:`PartSink` (``run``, the ``reduce`` command) derives, encodes and
   writes ``part-NNNNN.trf``. The writer only renames its file into place
@@ -14,6 +15,14 @@ selected entries of the sink's ``selected`` columns to the sink:
   an aggregator's structure. The filled partials are merged with
   ``combine`` in task-id order, so the result does not depend on the
   worker count.
+
+A sink's shared nodes are the largest subexpressions it shares with the
+skim. Evaluating the skim records their values, which are selected like a
+column and handed over keyed by their ``Expr``. The sink takes them
+instead of evaluating the node, so a column it reads only inside shared
+nodes is not selected. Every operator and fold works per event, so a
+value evaluated over all entries and then selected equals one evaluated
+over the selection, bit for bit.
 
 A sink's work is redone from scratch on every attempt, so the single
 retry is safe. Errors that would recur, such as a corrupt input or an
@@ -62,6 +71,7 @@ from .planner import (
     entry_counts,
     parse_job_exprs,
     probe_inputs,
+    sink_inputs,
     tasks_from_counts,
 )
 
@@ -100,10 +110,9 @@ class PartSink:
         self.exprs = exprs
         self.out_dir = Path(job.output)
         self.columns = exprs.columns
-        needed = set(job.keep_columns)
-        for _, expr in exprs.derived:
-            needed |= exprlang.column_refs(expr)
-        self.selected = tuple(sorted(needed))
+        self.selected, self.shared = sink_inputs(
+            exprs.skim, [expr for _, expr in exprs.derived], job.keep_columns
+        )
         self.out_schema: Schema = {}
 
     def prepare(self, schema: Schema) -> None:
@@ -144,11 +153,11 @@ class FillSink:
     def __init__(self, agg: histagg.Aggregator, exprs: JobExprs):
         self.agg = agg
         self.skim = exprs.skim
-        needed = agg.columns_needed()
+        self.selected, self.shared = sink_inputs(exprs.skim, agg.quantities())
+        needed = set(self.selected)
         if exprs.skim is not None:
             needed |= exprlang.column_refs(exprs.skim)
         self.columns = tuple(sorted(needed))
-        self.selected = tuple(sorted(agg.columns_needed()))
 
     def prepare(self, schema: Schema) -> None:
         histagg.typecheck_aggregator(self.agg, schema)
@@ -219,19 +228,20 @@ class _Runner:
                 }
             laps.end("decode")
             n_in = task.n_entries
+            inputs = dict.fromkeys(self.sink.shared)
             if self.skim is None:
                 mask, n_out = None, n_in
             else:
-                mask = exprlang.evaluate(self.skim, columns, n_entries=n_in).values
+                mask = exprlang.evaluate(self.skim, columns, n_entries=n_in, record=inputs).values
                 n_out = int(np.count_nonzero(mask))
             laps.end("skim")
-            selected = {
-                name: columns[name] if mask is None else columns[name].select(mask)
-                for name in self.sink.selected
-            }
+            inputs.update((name, columns[name]) for name in self.sink.selected)
             del columns  # the sink runs on the selection alone
+            if mask is not None:
+                for key in inputs:  # replacing each input frees its full entries
+                    inputs[key] = inputs[key].select(mask)
             laps.end("select")
-            output = self.sink.consume(task, selected, n_out)
+            output = self.sink.consume(task, inputs, n_out)
             laps.end("sink")
         finally:
             source.close()

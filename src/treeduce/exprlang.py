@@ -19,6 +19,7 @@ the result is bitwise identical to a per-event interpreter:
 from __future__ import annotations
 
 import re
+from collections.abc import Container, Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -134,22 +135,64 @@ _AGGREGATES = ("count", "sum", "max", "min")
 _COMPARISONS = ("==", "!=", "<", "<=", ">", ">=")
 
 
-def column_refs(expr: Expr) -> set[str]:
-    """Names of every column the expression reads."""
-    out: set[str] = set()
+def _children(node: Expr) -> tuple[Expr, ...]:
+    if isinstance(node, Unary):
+        return (node.operand,)
+    if isinstance(node, Binary):
+        return (node.left, node.right)
+    if isinstance(node, Call):
+        return (node.arg,)
+    return ()
+
+
+def reads(expr: Expr, provided: Container) -> set[str | Expr]:
+    """What evaluating ``expr`` reads when the nodes in ``provided`` come ready.
+
+    That is each node of ``provided`` it reaches, plus the name of every
+    column it references outside those nodes.
+    """
+    out: set[str | Expr] = set()
     stack = [expr]
     while stack:
         node = stack.pop()
         if isinstance(node, ColumnRef):
             out.add(node.name)
-        elif isinstance(node, Unary):
-            stack.append(node.operand)
-        elif isinstance(node, Binary):
-            stack.append(node.left)
-            stack.append(node.right)
-        elif isinstance(node, Call):
-            stack.append(node.arg)
+        elif node in provided:
+            out.add(node)
+        else:
+            stack.extend(_children(node))
     return out
+
+
+def column_refs(expr: Expr, shared: Container = ()) -> set[str]:
+    """Names of every column the expression reads outside the ``shared`` nodes."""
+    return {key for key in reads(expr, shared) if isinstance(key, str)}
+
+
+def shared_nodes(skim: Expr | None, exprs: Iterable[Expr]) -> frozenset[Expr]:
+    """The largest subexpressions of ``exprs`` that also occur in ``skim``.
+
+    Column references and literals are never shared: there is nothing to
+    save by not reading them again.
+    """
+    if skim is None:
+        return frozenset()
+    in_skim: set[Expr] = set()
+    stack = [skim]
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, (ColumnRef, Literal)):
+            in_skim.add(node)
+            stack.extend(_children(node))
+    shared: set[Expr] = set()
+    stack = list(exprs)
+    while stack:
+        node = stack.pop()
+        if node in in_skim:
+            shared.add(node)
+        else:
+            stack.extend(_children(node))
+    return frozenset(shared)
 
 
 # ---------------------------------------------------------------------------
@@ -445,20 +488,29 @@ def _fold_extremum(val: _Val, op) -> np.ndarray:
 
 def evaluate(
     expr: Expr,
-    columns: dict[str, ColumnChunk],
+    columns: dict[str | Expr, ColumnChunk],
     n_entries: int | None = None,
+    record: dict[Expr, ColumnChunk | None] | None = None,
 ) -> ColumnChunk:
-    """Evaluate over an entry range; columns must share one entry count.
+    """Evaluate over an entry range; every input must cover the same entries.
+
+    ``columns`` maps column names to chunks. It may also map an ``Expr``
+    node to that node's values over the same entries, as ``record`` gave
+    them. Evaluation then takes those values and does not descend into the
+    node, so the columns beneath it need not be provided.
+
+    ``record``, if given, is a dict keyed by ``Expr`` nodes; every key that
+    occurs in ``expr`` is set to that node's values, as a chunk.
 
     The expression should already typecheck against the schema the columns
     came from. Returns a flat chunk for scalar results or a jagged chunk
     for per-event arrays.
     """
-    names = column_refs(expr)
-    for name in names:
-        if name not in columns:
-            raise EvalError(f"column {name!r} not provided")
-    lengths = {columns[name].n_entries for name in names}
+    keys = reads(expr, columns)
+    for key in keys:
+        if key not in columns:
+            raise EvalError(f"column {key!r} not provided")
+    lengths = {columns[key].n_entries for key in keys}
     if len(lengths) > 1:
         raise EvalError(f"columns cover different entry counts: {sorted(lengths)}")
     if n_entries is None:
@@ -468,23 +520,32 @@ def evaluate(
     elif lengths and lengths != {n_entries}:
         raise EvalError(f"columns cover {lengths.pop()} entries, expected {n_entries}")
 
-    result = _eval(expr, columns, n_entries)
+    result = _eval(expr, columns, n_entries, {} if record is None else record)
     return ColumnChunk(result.values, result.offsets)
 
 
-def _eval(expr: Expr, columns: dict[str, ColumnChunk], n: int) -> _Val:
+def _eval(expr: Expr, columns: dict[str | Expr, ColumnChunk], n: int, record: dict) -> _Val:
+    if expr in columns:
+        return _load(columns[expr])
+    val = _eval_node(expr, columns, n, record)
+    if expr in record:
+        record[expr] = ColumnChunk(val.values, val.offsets)
+    return val
+
+
+def _eval_node(expr: Expr, columns: dict[str | Expr, ColumnChunk], n: int, record: dict) -> _Val:
     if isinstance(expr, Literal):
         return _Val(np.full(n, expr.value, dtype=expr.kind.numpy))
     if isinstance(expr, ColumnRef):
         return _load(columns[expr.name])
     if isinstance(expr, Unary):
-        inner = _eval(expr.operand, columns, n)
+        inner = _eval(expr.operand, columns, n, record)
         if expr.op == "-":
             return _Val(np.negative(inner.values), inner.offsets)
         return _Val(~inner.values, inner.offsets)
     if isinstance(expr, Binary):
-        left = _eval(expr.left, columns, n)
-        right = _eval(expr.right, columns, n)
+        left = _eval(expr.left, columns, n, record)
+        right = _eval(expr.right, columns, n, record)
         a, b, offsets = _flatten_pair(left, right, expr.offset)
         return _Val(_apply_binary(expr.op, a, b, expr.offset), offsets)
     if isinstance(expr, Call):
@@ -493,7 +554,7 @@ def _eval(expr: Expr, columns: dict[str, ColumnChunk], n: int) -> _Val:
             chunk = columns[expr.arg.name]
             inner = _Val(chunk.values, chunk.offsets)
         else:
-            inner = _eval(expr.arg, columns, n)
+            inner = _eval(expr.arg, columns, n, record)
         if expr.func in _AGGREGATES:
             if not inner.jagged:
                 raise EvalError(f"{expr.func} applied to a scalar value")

@@ -10,6 +10,11 @@ Bin uses half-open intervals [low, high): q == high lands in overflow,
 NaN lands in nanflow, and the in-range index is
 floor((q - low) / (high - low) * num), clamped to num - 1 to absorb
 round-up at the top edge.
+
+Besides columns, the ``columns`` a filling reads may hold the values of
+subexpressions of its quantities, keyed by ``Expr`` (see
+``exprlang.evaluate``). A nested aggregator gets the entries of its bin
+from every one of them its quantities read.
 """
 
 from __future__ import annotations
@@ -25,9 +30,9 @@ from .exprlang import (
     ExprTypeError,
     Kind,
     ParseError,
-    column_refs,
     evaluate,
     parse,
+    reads,
     typecheck,
 )
 from .treefile import ColumnChunk, Dtype, Shape
@@ -77,8 +82,8 @@ class Count:
         if not self.entries >= 0:
             raise HistError(f"Count entries {self.entries} < 0")
 
-    def columns_needed(self) -> set[str]:
-        return set()
+    def quantities(self) -> list[Expr]:
+        return []
 
 
 @dataclass
@@ -107,8 +112,8 @@ class Sum:
         if not self.entries >= 0:
             raise HistError(f"Sum entries {self.entries} < 0")
 
-    def columns_needed(self) -> set[str]:
-        return column_refs(self.quantity)
+    def quantities(self) -> list[Expr]:
+        return [self.quantity]
 
 
 @dataclass
@@ -186,9 +191,11 @@ class Bin:
                 self._fill_child(agg, columns, mask, w)
 
     @staticmethod
-    def _fill_child(child, columns: dict[str, ColumnChunk], mask: np.ndarray, w: np.ndarray) -> None:
-        needed = child.columns_needed()
-        sub = {name: chunk.select(mask) for name, chunk in columns.items() if name in needed}
+    def _fill_child(
+        child, columns: dict[str | Expr, ColumnChunk], mask: np.ndarray, w: np.ndarray
+    ) -> None:
+        needed = set().union(*(reads(q, columns) for q in child.quantities()))
+        sub = {key: chunk.select(mask) for key, chunk in columns.items() if key in needed}
         child.fill_chunk(sub, int(np.sum(mask)), w[mask])
 
     def combine(self, other: "Bin") -> "Bin":
@@ -224,11 +231,12 @@ class Bin:
         if total != self.entries and abs(total - self.entries) > 1e-9 * max(1.0, self.entries):
             raise HistError(f"Bin entries {self.entries} != children total {total}")
 
-    def columns_needed(self) -> set[str]:
-        needed = column_refs(self.quantity)
+    def quantities(self) -> list[Expr]:
+        """Every quantity this filling evaluates, the children's included."""
+        out = [self.quantity]
         for child in (*self.values, self.underflow, self.overflow, self.nanflow):
-            needed |= child.columns_needed()
-        return needed
+            out += child.quantities()
+        return out
 
 
 Aggregator = Count | Sum | Bin

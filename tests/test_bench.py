@@ -7,6 +7,7 @@ so any vectorization or counter-layout slip shows up as a bit mismatch.
 
 from __future__ import annotations
 
+import importlib
 import json
 import math
 from bisect import bisect_right
@@ -45,6 +46,10 @@ from treeduce.bench.prng import (
     unit_array,
 )
 from treeduce.treefile import Codec, open_file
+
+# the package re-exports the function ``generate`` under the module's name
+generate_module = importlib.import_module("treeduce.bench.generate")
+
 
 # ---------------------------------------------------------------------------
 # independent SplitMix64 (Steele, Lea & Flood; same algorithm as java.util)
@@ -154,6 +159,37 @@ class TestDeterminism:
         again = ensure_dataset(spec, tmp_path)
         assert again.matches(spec)
         assert __import__("os").path.exists(victim)
+
+    def test_ensure_dataset_regenerates_after_an_interrupted_generate(self, tmp_path, monkeypatch):
+        a, b = GenSpec(seed=3, **SMALL), GenSpec(seed=4, **SMALL)
+        first = ensure_dataset(a, tmp_path)
+        original = _file_bytes(tmp_path, first)
+
+        class Interrupted(Exception):
+            pass
+
+        real_writer = generate_module.TreeFileWriter
+
+        def writer(path, **kwargs):
+            if str(path).endswith("-00001.trf"):
+                raise Interrupted
+            return real_writer(path, **kwargs)
+
+        monkeypatch.setattr(generate_module, "TreeFileWriter", writer)
+        with pytest.raises(Interrupted):
+            ensure_dataset(b, tmp_path)  # file 0 now holds b's data
+        monkeypatch.undo()
+        again = ensure_dataset(a, tmp_path)
+        assert _file_bytes(tmp_path, again) == original
+
+    def test_ensure_dataset_regenerates_when_a_file_changed_size(self, tmp_path):
+        spec = GenSpec(seed=3, **SMALL)
+        first = ensure_dataset(spec, tmp_path)
+        original = _file_bytes(tmp_path, first)
+        with open(first.file_paths(str(tmp_path))[0], "ab") as fh:
+            fh.write(b"\0")
+        again = ensure_dataset(spec, tmp_path)
+        assert _file_bytes(tmp_path, again) == original
 
     def test_zero_event_files_are_valid(self, tmp_path):
         manifest = generate(GenSpec(seed=1, n_events=0, n_files=1), tmp_path)

@@ -15,6 +15,7 @@ import pytest
 
 from reference_interp import (
     arrays_match,
+    chunks_match,
     events_from_columns,
     float_columns,
     reduce_events,
@@ -589,6 +590,123 @@ def test_fill_fetches_exactly_the_skim_and_aggregator_baskets(demo_dataset, tmp_
                 stored += sum(b.stored_len for b in reader.tree(DEMO_TREE).branches[name].baskets)
     assert len(result.metrics.tasks) == 6
     assert result.io.bytes_fetched == stored
+
+
+# --- values the skim and the sink share ------------------------------------------------
+
+# name: (skim, expression the sink evaluates)
+SHARING_CASES = {
+    "flat fold": (DEMO_SKIM, "max(Muon_pt)"),
+    "jagged inner node": ("max(Muon_pt * 2) > 40", "min(Muon_pt * 2)"),
+    "different spacing": ("nMuon>=2&&max( Muon_pt )>20", "max(Muon_pt)"),
+    "column inside and outside": (DEMO_SKIM, "max(Muon_pt) + sum(Muon_pt)"),
+    "no skim": (None, "max(Muon_pt)"),
+    "keeps no entry": ("max(Muon_pt) > 1e9", "max(Muon_pt) * 2"),
+}
+# name: (skim, histogram spec)
+HIST_SHARING_CASES = {
+    name: (skim, f"bin(10, 0, 100, '{text}')") for name, (skim, text) in SHARING_CASES.items()
+}
+HIST_SHARING_CASES["nested child only"] = (DEMO_SKIM, "bin(4, 0, 8, 'nMuon', sum('max(Muon_pt)'))")
+HIST_SHARING_CASES["nested bin child"] = (
+    "max(Muon_pt * 2) > 40", "bin(3, 0, 6, 'nMuon', bin(5, 0, 100, 'min(Muon_pt * 2)'))"
+)
+
+
+def without_sharing(monkeypatch):
+    """From here on, sinks evaluate their expressions whole, on selected columns."""
+    monkeypatch.setattr(exprlang, "shared_nodes", lambda skim, exprs: frozenset())
+
+
+@pytest.mark.parametrize("case", sorted(SHARING_CASES))
+def test_reduce_with_shared_values_is_bit_identical(demo_dataset, tmp_path, monkeypatch, case):
+    data_dir, _, manifest = demo_dataset
+    skim, text = SHARING_CASES[case]
+    job = demo_reduction(data_dir, manifest, tmp_path / "shared", skim=skim, derived=[("q", text)])
+    assert bool(runner.PartSink(job, parse_job_exprs(job)).shared) == (skim is not None)
+    got = read_outputs(run(job, EngineConfig(cores_per_executor=2)))
+    without_sharing(monkeypatch)
+    job.output = str(tmp_path / "plain")
+    want = read_outputs(run(job, EngineConfig(cores_per_executor=2)))
+    assert sorted(got) == sorted(want) == ["MET", "Muon_pt", "q"]
+    for name in want:
+        assert chunks_match(got[name], want[name])
+
+
+@pytest.mark.parametrize("case", sorted(HIST_SHARING_CASES))
+def test_fill_with_shared_values_is_bit_identical(demo_dataset, tmp_path, monkeypatch, case):
+    data_dir, _, manifest = demo_dataset
+    skim, spec = HIST_SHARING_CASES[case]
+    job = demo_reduction(data_dir, manifest, tmp_path / "out", skim=skim)
+    sink = runner.FillSink(histagg.parse_hist_spec(spec), parse_job_exprs(job))
+    assert bool(sink.shared) == (skim is not None)
+    got = fill(job, EngineConfig(cores_per_executor=2), histagg.parse_hist_spec(spec))
+    without_sharing(monkeypatch)
+    want = fill(job, EngineConfig(cores_per_executor=2), histagg.parse_hist_spec(spec))
+    assert got.aggregate == want.aggregate
+    assert histagg.render(got.aggregate) == histagg.render(want.aggregate)
+
+
+def test_demo_fill_selects_no_column(demo_dataset, tmp_path, monkeypatch):
+    data_dir, _, manifest = demo_dataset
+    job = demo_reduction(data_dir, manifest, tmp_path / "out", partition_entries=768)
+    exprs = parse_job_exprs(job)
+    sink = runner.FillSink(histagg.parse_hist_spec(HIST_SPEC), exprs)
+    assert sink.selected == ()
+    assert sink.shared == {parse("max(Muon_pt)")}
+    assert runner.PartSink(job, exprs).selected == ("MET", "Muon_pt")  # kept, so still selected
+    selected_jagged = []
+    real_select = ColumnChunk.select
+
+    def counting_select(chunk, mask):
+        selected_jagged.append(chunk.is_jagged)
+        return real_select(chunk, mask)
+
+    monkeypatch.setattr(ColumnChunk, "select", counting_select)
+    result = fill(job, EngineConfig(cores_per_executor=2), histagg.parse_hist_spec(HIST_SPEC))
+    assert len(result.metrics.tasks) == 16
+    # each task selects the skim's flat max(Muon_pt) values and no column
+    assert selected_jagged == [False] * 16
+
+
+def test_reduce_folds_a_shared_max_once_per_task(demo_dataset, tmp_path, monkeypatch):
+    data_dir, _, manifest = demo_dataset
+    job = demo_reduction(
+        data_dir, manifest, tmp_path / "out", derived=[("leading_pt", "max(Muon_pt)")],
+        partition_entries=768,
+    )
+    folds = []
+    real_fold = exprlang._fold_extremum
+
+    def counting_fold(val, op):
+        folds.append(op)
+        return real_fold(val, op)
+
+    monkeypatch.setattr(exprlang, "_fold_extremum", counting_fold)
+    result = run(job, EngineConfig(cores_per_executor=2))
+    assert len(result.metrics.tasks) == 16
+    assert len(folds) == 16
+
+
+def test_error_in_a_shared_node_fails_the_task_without_retry(demo_dataset, tmp_path):
+    data_dir, _, manifest = demo_dataset
+    attempts = []
+    lock = threading.Lock()
+
+    def fault_hook(task, attempt):
+        with lock:
+            attempts.append(attempt)
+
+    job = demo_reduction(
+        data_dir, manifest, tmp_path / "out", skim="nMuon / 0 > 1", partition_entries=4096
+    )
+    agg = histagg.parse_hist_spec("bin(10, 0, 10, 'nMuon / 0')")
+    assert runner.FillSink(agg, parse_job_exprs(job)).shared == {parse("nMuon / 0")}
+    with pytest.raises(TaskFailure) as exc:
+        fill(job, EngineConfig(cores_per_executor=2), agg, fault_hook=fault_hook)
+    assert sorted(task_id for task_id, _ in exc.value.failures) == [0, 1, 2, 3]
+    assert all("integer division by zero" in reason for _, reason in exc.value.failures)
+    assert attempts == [1] * 4
 
 
 # --- metrics ---------------------------------------------------------------------------

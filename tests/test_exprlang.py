@@ -27,6 +27,7 @@ from treeduce.exprlang import (
     column_refs,
     evaluate,
     parse,
+    shared_nodes,
     typecheck,
 )
 from treeduce.treefile import ColumnChunk, Dtype, Shape
@@ -500,6 +501,77 @@ def test_evaluator_matches_per_event_reference(data, expr):
     if t.jagged:
         assert np.array_equal(got.offsets, expected.offsets)
     assert arrays_match(got.values, expected.values)
+
+
+# --- values shared between a skim and a sink ----------------------------------
+
+
+def test_shared_nodes_are_the_largest_common_subexpressions():
+    skim = parse("nMuon>=2 && max( Muon_pt*2 )>20 && count(Muon_pt) > 1")
+    sinks = [parse("max(Muon_pt * 2) + MET"), parse("min(Muon_pt * 2)"), parse("nMuon + 2")]
+    # spacing does not matter; max(..) swallows its own argument, the column
+    # ref nMuon and the literal 2 are never shared
+    assert shared_nodes(skim, sinks) == {parse("max(Muon_pt * 2)"), parse("Muon_pt * 2")}
+    assert shared_nodes(None, sinks) == frozenset()
+    assert shared_nodes(skim, []) == frozenset()
+    assert column_refs(sinks[0], shared_nodes(skim, sinks)) == {"MET"}
+
+
+def test_evaluate_takes_a_provided_node_instead_of_its_columns():
+    pt = JAGGED_PT
+    node = parse("max(jd)")
+    recorded = dict.fromkeys([node])
+    evaluate(parse("max(jd) > 3"), {"jd": pt}, record=recorded)
+    assert arrays_match(recorded[node].values, evaluate(node, {"jd": pt}).values)
+    provided = {node: ColumnChunk(np.array([1.0, 2.0, 3.0, 4.0])), "d": ColumnChunk(np.ones(4))}
+    out = evaluate(parse("max(jd) + d"), provided)  # no "jd": the node stands in for it
+    assert out.values.tolist() == [2.0, 3.0, 4.0, 5.0]
+
+
+def test_evaluate_still_checks_the_columns_outside_provided_nodes():
+    node = parse("max(jd)")
+    with pytest.raises(EvalError, match="column 'd' not provided"):
+        evaluate(parse("max(jd) + d"), {node: ColumnChunk(np.ones(4))})
+    uneven = {node: ColumnChunk(np.ones(4)), "d": ColumnChunk(np.ones(3))}
+    with pytest.raises(EvalError, match="different entry counts"):
+        evaluate(parse("max(jd) + d"), uneven)
+    with pytest.raises(EvalError, match="expected 5"):
+        evaluate(parse("max(jd)"), {node: ColumnChunk(np.ones(4))}, n_entries=5)
+
+
+def _test_of(expr, jagged: bool):
+    """A scalar bool that reads ``expr``, so a skim built on it evaluates it."""
+    if jagged:
+        return Binary(">", Call("count", expr), Literal(1, Kind.I64))
+    if typecheck(expr, SCHEMA).kind is Kind.BOOL:
+        return expr
+    return Binary(">", expr, Literal(0, Kind.I64))
+
+
+@settings(max_examples=250)
+@given(datasets(), exprs(kind=Kind.BOOL, jagged=False, depth=2), exprs())
+def test_shared_values_selected_match_the_sink_evaluated_on_the_selection(data, cut, node):
+    n, cols = data
+    jagged = typecheck(node, SCHEMA).jagged
+    skim = Binary("||", cut, _test_of(node, jagged))
+    sinks = [node, Call("count", node)] if jagged else [node]
+    shared = shared_nodes(skim, sinks)
+    recorded = dict.fromkeys(shared)
+    try:
+        mask = evaluate(skim, cols, n_entries=n, record=recorded).values
+    except EvalError:
+        return  # a task whose skim raises fails before its sink runs
+    n_out = int(np.count_nonzero(mask))
+    for sink in sinks:
+        plain = evaluate(sink, {k: c.select(mask) for k, c in cols.items()}, n_entries=n_out)
+        given_cols = {key: chunk.select(mask) for key, chunk in recorded.items()}
+        given_cols.update((name, cols[name].select(mask)) for name in column_refs(sink, shared))
+        got = evaluate(sink, given_cols, n_entries=n_out)
+        assert (got.offsets is None) == (plain.offsets is None)
+        if got.offsets is not None:
+            assert np.array_equal(got.offsets, plain.offsets)
+        assert got.values.dtype == plain.values.dtype
+        assert got.values.tobytes() == plain.values.tobytes()
 
 
 # --- printer round trip --------------------------------------------------------

@@ -146,7 +146,7 @@ def test_bin_of_sums_profiles_second_quantity():
     agg.fill_chunk(columns, 4)
     assert agg.values[0].sum == 30.0
     assert agg.values[1].sum == 7.0
-    assert agg.columns_needed() == {"x", "w"}
+    assert agg.quantities() == [X] + [parse("w")] * 5  # 2 bins and 3 flows
 
 
 def test_two_level_binning():
