@@ -52,6 +52,12 @@ class ExperimentSpec:
             raise ValueError(f"unknown experiment variant {self.variant!r}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        if self.n_events < 0:
+            raise ValueError("n_events must be >= 0")
+        if self.n_files < 1:
+            raise ValueError("n_files must be >= 1")
+        if any(m < 1 for m in self.multiples):
+            raise ValueError("multiples must be >= 1")
         if self.variant == "size" and not self.multiples:
             raise ValueError("size experiment needs at least one multiple")
         if self.variant == "cores" and not self.worker_grid:

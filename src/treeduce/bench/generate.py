@@ -11,7 +11,8 @@ Two schemas:
   geometry exactly computable, which the readahead sweep relies on.
 
 Every value is addressed as draw(file_key(seed, file), event*stride + slot),
-so generation chunking never changes the output bytes.
+so neither generation chunking nor the number of files written at once
+changes the output bytes.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -197,17 +200,42 @@ def _flat8_chunk(key: int, e0: int, e1: int) -> dict[str, ColumnChunk]:
     }
 
 
+def _file_workers(n_files: int) -> int:
+    """Files written at once: one per usable core, as `hist`'s default --cores."""
+    return max(1, min(n_files, len(os.sched_getaffinity(0))))
+
+
+def _write_file(spec: GenSpec, out: Path, i: int) -> FileEntry:
+    name = f"{spec.schema}-{i:05d}.trf"
+    path = out / name
+    key = file_key(spec.seed, i)
+    schema = DEMO_SCHEMA if spec.schema == "demo" else FLAT8_SCHEMA
+    make_chunk = _demo_chunk if spec.schema == "demo" else _flat8_chunk
+    with TreeFileWriter(path, codec=spec.codec, basket_entries=spec.basket_target_entries) as writer:
+        writer.begin_tree(DEMO_TREE, schema)
+        for e0 in range(0, spec.n_events, _GEN_CHUNK):
+            e1 = min(e0 + _GEN_CHUNK, spec.n_events)
+            writer.extend(make_chunk(key, e0, e1))
+        writer.end_tree()
+    return FileEntry(name, spec.n_events, os.path.getsize(path))
+
+
 def generate(spec: GenSpec, out_dir: str | Path) -> DatasetManifest:
     """Write the dataset and its manifest (dataset.json); returns the manifest.
 
-    An old manifest is removed before any file is written, so a generation
-    that is cut short leaves no manifest claiming the files it overwrote.
+    Files are written concurrently, one thread per usable core (deflate
+    releases the GIL). Each file depends only on its own key, so the bytes
+    do not depend on how many are written at once.
+
+    An old manifest is removed before any file is written, and the new one
+    is written after every file is, so a generation that is cut short leaves
+    no manifest claiming the files it overwrote. If a file fails, no file
+    not yet started is begun, the files in flight finish, and the first
+    error propagates.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "dataset.json").unlink(missing_ok=True)
-    schema = DEMO_SCHEMA if spec.schema == "demo" else FLAT8_SCHEMA
-    make_chunk = _demo_chunk if spec.schema == "demo" else _flat8_chunk
     manifest = DatasetManifest(
         seed=spec.seed,
         schema=spec.schema,
@@ -216,19 +244,20 @@ def generate(spec: GenSpec, out_dir: str | Path) -> DatasetManifest:
         basket_target_entries=spec.basket_target_entries,
         codec=int(spec.codec),
     )
-    for i in range(spec.n_files):
-        name = f"{spec.schema}-{i:05d}.trf"
-        path = out / name
-        key = file_key(spec.seed, i)
-        with TreeFileWriter(
-            path, codec=spec.codec, basket_entries=spec.basket_target_entries
-        ) as writer:
-            writer.begin_tree(DEMO_TREE, schema)
-            for e0 in range(0, spec.n_events, _GEN_CHUNK):
-                e1 = min(e0 + _GEN_CHUNK, spec.n_events)
-                writer.extend(make_chunk(key, e0, e1))
-            writer.end_tree()
-        manifest.files.append(FileEntry(name, spec.n_events, os.path.getsize(path)))
+    stop = threading.Event()
+
+    def write(i: int) -> FileEntry | None:
+        if stop.is_set():
+            return None  # another file failed; its error propagates
+        try:
+            return _write_file(spec, out, i)
+        except BaseException:
+            stop.set()
+            raise
+
+    # map cancels the files not yet begun when its error reaches this thread
+    with ThreadPoolExecutor(max_workers=_file_workers(spec.n_files)) as pool:
+        manifest.files = list(pool.map(write, range(spec.n_files)))
     (out / "dataset.json").write_text(manifest.to_json())
     return manifest
 

@@ -38,15 +38,23 @@ def parse_bytes(text: str) -> int:
     return int(raw)
 
 
+def _user_error(command: str, exc: Exception) -> int:
+    print(f"{command}: {exc}", file=sys.stderr)
+    return 1
+
+
 def _cmd_generate(args) -> int:
-    spec = bench.GenSpec(
-        seed=args.seed,
-        n_events=args.events,
-        n_files=args.files,
-        schema=args.schema,
-        basket_target_entries=args.basket_entries,
-        codec=treefile.Codec.NONE if args.codec == "none" else treefile.Codec.DEFLATE,
-    )
+    try:
+        spec = bench.GenSpec(
+            seed=args.seed,
+            n_events=args.events,
+            n_files=args.files,
+            schema=args.schema,
+            basket_target_entries=args.basket_entries,
+            codec=treefile.Codec.NONE if args.codec == "none" else treefile.Codec.DEFLATE,
+        )
+    except ValueError as exc:
+        return _user_error(args.command, exc)
     manifest = bench.generate(spec, args.out)
     total = sum(f.bytes for f in manifest.files)
     print(f"wrote {len(manifest.files)} files, {manifest.n_events} events each, {total} bytes")
@@ -127,24 +135,27 @@ def _load_bench_config(path: str | None) -> dict[str, str]:
 
 def _cmd_bench(args) -> int:
     cfg = _load_bench_config(args.config)
-    spec = bench.ExperimentSpec(
-        variant=args.experiment,
-        data_dir=cfg.get("data_dir", str(Path(args.out) / "data")),
-        out_dir=args.out,
-        seed=int(cfg.get("seed", "1")),
-        n_events=parse_bytes(cfg.get("events", str(1 << 20))),
-        n_files=int(cfg.get("files", "8")),
-        repetitions=int(cfg.get("repetitions", "3")),
-        multiples=tuple(int(x) for x in cfg.get("multiples", "1,2,4,8").split(",")),
-        worker_grid=_parse_worker_grid(cfg.get("workers", "1x1,1x2,2x2,2x4")),
-        read_aheads=tuple(
-            parse_bytes(x) for x in cfg.get("read_aheads", "64Ki,1Mi,32Mi").split(",")
-        ),
-        bandwidth_cap=parse_bytes(cfg["bandwidth_cap"]) if cfg.get("bandwidth_cap") else None,
-        partition_entries=int(cfg.get("partition_entries", "65536")),
-        executors=int(cfg.get("executors", "1")),
-        cores_per_executor=int(cfg.get("cores", "4")),
-    )
+    try:
+        spec = bench.ExperimentSpec(
+            variant=args.experiment,
+            data_dir=cfg.get("data_dir", str(Path(args.out) / "data")),
+            out_dir=args.out,
+            seed=int(cfg.get("seed", "1")),
+            n_events=parse_bytes(cfg.get("events", str(1 << 20))),
+            n_files=int(cfg.get("files", "8")),
+            repetitions=int(cfg.get("repetitions", "3")),
+            multiples=tuple(int(x) for x in cfg.get("multiples", "1,2,4,8").split(",")),
+            worker_grid=_parse_worker_grid(cfg.get("workers", "1x1,1x2,2x2,2x4")),
+            read_aheads=tuple(
+                parse_bytes(x) for x in cfg.get("read_aheads", "64Ki,1Mi,32Mi").split(",")
+            ),
+            bandwidth_cap=parse_bytes(cfg["bandwidth_cap"]) if cfg.get("bandwidth_cap") else None,
+            partition_entries=int(cfg.get("partition_entries", "65536")),
+            executors=int(cfg.get("executors", "1")),
+            cores_per_executor=int(cfg.get("cores", "4")),
+        )
+    except ValueError as exc:  # a bad config value or a spec it fails
+        return _user_error(args.command, exc)
     result = bench.run_experiment(spec)
     paths = bench.write_report(args.experiment, result, args.out)
     print(f"report: {paths['csv']} {paths['markdown']}")
@@ -229,8 +240,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except _USER_ERRORS as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
-        return 1
+        return _user_error(args.command, exc)
 
 
 if __name__ == "__main__":

@@ -7,10 +7,13 @@ so any vectorization or counter-layout slip shows up as a bit mismatch.
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 import json
 import math
+import threading
 from bisect import bisect_right
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -214,6 +217,72 @@ class TestDeterminism:
             GenSpec(n_files=-1)
 
 
+def _dir_digest(out_dir) -> str:
+    """SHA-256 over the name and bytes of every file in the directory, in name order."""
+    h = hashlib.sha256()
+    for path in sorted(Path(out_dir).iterdir()):
+        h.update(path.name.encode())
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+PINNED_DEMO = GenSpec(seed=5, n_events=700, n_files=4, basket_target_entries=128)
+
+
+class TestPinnedBytes:
+    """The digests were computed with the serial generator, before files were
+    written concurrently, so they pin the bytes across that change. Deflate
+    output (baskets, and every file's directory record) depends on the zlib
+    build, so another zlib implementation may need new digests."""
+
+    @pytest.mark.parametrize(
+        "spec,digest",
+        [
+            (PINNED_DEMO, "3e359e90ea3b7f03b9a7e4a61ec6ee79b7adec2219afe6f44aaf0fd8ef498662"),
+            (
+                GenSpec(seed=9, n_events=300, n_files=1, schema="flat8",
+                        basket_target_entries=100, codec=Codec.NONE),
+                "cb68c8ab9e09968e4d823c3b1808b91183e2e0bfcee7144e7d55fabb93759cfa",
+            ),
+        ],
+        ids=["demo-4-files", "flat8-uncompressed"],
+    )
+    def test_generated_bytes_match_the_pinned_digest(self, tmp_path, spec, digest):
+        generate(spec, tmp_path)
+        assert _dir_digest(tmp_path) == digest
+
+    def test_worker_count_does_not_change_the_bytes(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(generate_module, "_file_workers", lambda n_files: 1)
+        generate(PINNED_DEMO, tmp_path / "serial")
+        monkeypatch.setattr(generate_module, "_file_workers", lambda n_files: n_files)
+        generate(PINNED_DEMO, tmp_path / "parallel")
+        assert _dir_digest(tmp_path / "serial") == _dir_digest(tmp_path / "parallel")
+
+    def test_a_failing_file_stops_generation_without_a_manifest(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(generate_module, "_file_workers", lambda n_files: 2)
+        real_writer = generate_module.TreeFileWriter
+        started, overlapped = [], []
+        failed = threading.Event()
+
+        class Broken(Exception):
+            pass
+
+        def writer(path, **kwargs):
+            started.append(Path(path).name)
+            if str(path).endswith("-00001.trf"):
+                failed.set()
+                raise Broken
+            overlapped.append(failed.wait(10))  # file 0 stays in flight until file 1 fails
+            return real_writer(path, **kwargs)
+
+        monkeypatch.setattr(generate_module, "TreeFileWriter", writer)
+        with pytest.raises(Broken):
+            generate(GenSpec(seed=3, n_events=300, n_files=6, basket_target_entries=128), tmp_path)
+        assert overlapped == [True]
+        assert sorted(started) == ["demo-00000.trf", "demo-00001.trf"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["demo-00000.trf"]
+
+
 # ---------------------------------------------------------------------------
 # branch contents, recomputed per event from the counter layout
 
@@ -398,6 +467,12 @@ class TestExperimentPieces:
             ExperimentSpec(variant="cores", data_dir=".", out_dir=".", worker_grid=())
         with pytest.raises(ValueError):
             ExperimentSpec(variant="readahead", data_dir=".", out_dir=".", read_aheads=())
+        with pytest.raises(ValueError, match="n_events"):
+            ExperimentSpec(variant="size", data_dir=".", out_dir=".", n_events=-1)
+        with pytest.raises(ValueError, match="n_files"):
+            ExperimentSpec(variant="cores", data_dir=".", out_dir=".", n_files=0)
+        with pytest.raises(ValueError, match="multiples"):
+            ExperimentSpec(variant="size", data_dir=".", out_dir=".", multiples=(1, 0))
 
 
 class _StubMetrics:

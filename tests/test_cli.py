@@ -414,6 +414,34 @@ def test_bench_size_smoke(tmp_path, capsys):
     assert (out / "size_scaling.md").exists()
 
 
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ("multiples = -1", "multiples must be >= 1"),
+        ("repetitions = 0", "repetitions must be >= 1"),
+        ("files = -2", "n_files must be >= 1"),
+        ("files = x", "invalid literal for int()"),
+        ("events = -5", "n_events must be >= 0"),
+    ],
+)
+def test_bench_rejects_a_bad_config_value_in_one_line(tmp_path, capsys, line, message):
+    config = tmp_path / "bench.cfg"
+    config.write_text(f"{line}\ndata_dir = {tmp_path / 'data'}\n")
+    argv = ["bench", "--experiment", "size", "--config", str(config), "--out", str(tmp_path / "r")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"bench: {message}")
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert not (tmp_path / "data").exists()
+
+
+def test_generate_rejects_a_negative_event_count_in_one_line(tmp_path, capsys):
+    out = tmp_path / "d"
+    assert main(["generate", "--events", "-5", "--files", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "generate: n_events and n_files must be >= 0\n"
+    assert not out.exists()
+
+
 def test_bench_config_syntax_error(tmp_path):
     config = tmp_path / "bench.cfg"
     config.write_text("events 192\n")
