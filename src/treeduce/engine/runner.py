@@ -1,7 +1,8 @@
 """Execution of planned tasks on a thread pool.
 
-The workload is I/O, zlib, and numpy kernels, all of which release the
-GIL, so threads behave like cores here. Planning probes the inputs for
+The workload is I/O, inflating with libdeflate through ctypes (or zlib
+where libdeflate is not installed), deflating with zlib, and numpy
+kernels, all of which release the GIL, so threads behave like cores here. Planning probes the inputs for
 the sink's ``columns`` and lets the sink ``prepare`` against their schema.
 Every task then reads those columns, evaluates the job's skim once, and
 hands the sink the selected entries of its ``selected`` columns and of the

@@ -22,6 +22,7 @@ what writers use by default.
 from __future__ import annotations
 
 import bisect
+import ctypes
 import os
 import struct
 import zlib
@@ -57,6 +58,11 @@ _PLANE_SAMPLE = 1024
 _PLANE_MAX_ENTROPY = 7.0
 
 DEFAULT_BASKET_ENTRIES = 8192
+
+# Deflate codes at most 258 bytes per two bits (a one-bit length code and a
+# one-bit distance code), so no stream of n bytes inflates to more than
+# 1032 * n bytes. A larger declared length is corrupt and never allocated.
+_MAX_INFLATE_RATIO = 1032
 
 
 class Dtype(IntEnum):
@@ -118,6 +124,94 @@ class SchemaError(TreeFileError):
 
 def itemsize(dtype: Dtype) -> int:
     return _DTYPE_BE[dtype].itemsize
+
+
+# ---------------------------------------------------------------------------
+# inflate
+
+
+def _load_libdeflate() -> ctypes.CDLL | None:
+    """The host's libdeflate, or None where it is not installed.
+
+    Loaded by its soname, so the dynamic loader finds it without the
+    ``ldconfig`` subprocess that ``ctypes.util.find_library`` runs.
+    """
+    try:
+        lib = ctypes.CDLL("libdeflate.so.0")
+        lib.libdeflate_alloc_decompressor.argtypes = []
+        lib.libdeflate_alloc_decompressor.restype = ctypes.c_void_p
+        lib.libdeflate_free_decompressor.argtypes = [ctypes.c_void_p]
+        lib.libdeflate_free_decompressor.restype = None
+        lib.libdeflate_zlib_decompress_ex.argtypes = [
+            ctypes.c_void_p,  # decompressor
+            ctypes.c_void_p, ctypes.c_size_t,  # in, in_nbytes
+            ctypes.c_void_p, ctypes.c_size_t,  # out, out_nbytes_avail
+            ctypes.POINTER(ctypes.c_size_t),  # actual_in_nbytes_ret
+            ctypes.POINTER(ctypes.c_size_t),  # actual_out_nbytes_ret
+        ]
+        lib.libdeflate_zlib_decompress_ex.restype = ctypes.c_int
+    except (OSError, AttributeError):  # not installed, or too old for the _ex call
+        return None
+    return lib
+
+
+# Inflates every zlib stream when loaded; None selects the zlib module.
+# ctypes releases the GIL around each call, so threads inflate at once.
+_LIBDEFLATE = _load_libdeflate()
+
+def _inflate(stored: bytes | memoryview | np.ndarray, raw_len: int) -> np.ndarray:
+    """Inflate one whole zlib stream that must yield exactly ``raw_len`` bytes.
+
+    Both inflaters require that the stream checks out (Adler-32 included),
+    that it ends exactly at the end of ``stored`` and that exactly
+    ``raw_len`` bytes come out; anything else is :class:`CorruptFileError`.
+    """
+    src = np.frombuffer(stored, dtype=np.uint8)
+    if raw_len > _MAX_INFLATE_RATIO * len(src):
+        raise CorruptFileError(
+            f"{raw_len} bytes declared for a deflate stream of {len(src)} bytes, "
+            f"more than {_MAX_INFLATE_RATIO}x"
+        )
+    lib = _LIBDEFLATE
+    if lib is None:
+        inflater = zlib.decompressobj()
+        try:
+            # one byte more than declared is enough to see a stream run long
+            raw = inflater.decompress(src, raw_len + 1)
+        except zlib.error as exc:
+            problem = str(exc)
+        else:
+            if inflater.eof and not inflater.unused_data and len(raw) == raw_len:
+                return np.frombuffer(raw, dtype=np.uint8)
+            problem = (
+                f"{len(raw)} bytes out, stream {'ended' if inflater.eof else 'unfinished'}, "
+                f"{len(inflater.unused_data)} bytes after it"
+            )
+    else:
+        out = np.empty(raw_len, dtype=np.uint8)
+        used_in, used_out = ctypes.c_size_t(), ctypes.c_size_t()
+        # libdeflate decompressors are not thread-safe: one per call
+        decompressor = lib.libdeflate_alloc_decompressor()
+        if not decompressor:
+            raise MemoryError("libdeflate_alloc_decompressor failed")
+        try:
+            result = lib.libdeflate_zlib_decompress_ex(
+                decompressor, src.ctypes.data, len(src), out.ctypes.data, raw_len,
+                ctypes.byref(used_in), ctypes.byref(used_out),
+            )
+        finally:
+            lib.libdeflate_free_decompressor(decompressor)
+        if result == 0 and used_in.value == len(src) and used_out.value == raw_len:
+            return out
+        # result 1 is bad data (Adler-32 included), 3 more output than raw_len
+        problem = (
+            f"libdeflate result {result}, {used_out.value} bytes out, "
+            f"{len(src) - used_in.value} bytes after the stream"
+        )
+    raise CorruptFileError(
+        f"deflate stream is corrupt or does not end in exactly the {raw_len} bytes declared "
+        f"({problem})"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +310,7 @@ def _shuffle(raw: bytes, planes: Planes) -> np.ndarray:
     return out
 
 
-def _unshuffle(buf: bytes, planes: Planes) -> np.ndarray:
-    src = np.frombuffer(buf, dtype=np.uint8)
+def _unshuffle(src: np.ndarray, planes: Planes) -> np.ndarray:
     out = np.empty_like(src)
     for lo, hi, w in _segments(len(src), planes):
         out[lo:hi].reshape(-1, w)[...] = src[lo:hi].reshape(w, -1).T
@@ -285,19 +378,9 @@ def _inflate_planes(stored: bytes | memoryview, raw_len: int, planes: Planes) ->
     kept = body[stream_len:]
     if zlib.crc32(kept) != _CRC.unpack_from(stored, n_flags)[0]:
         raise CorruptFileError("stored planes do not match their CRC32")
-    inflated = b""
+    inflated_planes = np.empty(0, dtype=np.uint8)
     if stream_len:
-        inflater = zlib.decompressobj()
-        try:
-            inflated = inflater.decompress(body[:stream_len])
-        except zlib.error as exc:
-            raise CorruptFileError(f"deflated planes corrupt: {exc}") from exc
-        if not inflater.eof or inflater.unused_data or len(inflated) != deflated_len:
-            raise CorruptFileError(
-                f"deflate stream does not end in exactly the {deflated_len} bytes "
-                "of the flagged planes"
-            )
-    inflated_planes = np.frombuffer(inflated, dtype=np.uint8)
+        inflated_planes = _inflate(body[:stream_len], deflated_len)
     stored_planes = np.frombuffer(kept, dtype=np.uint8)
     out = np.empty(raw_len, dtype=np.uint8)
     d = s = 0  # bytes placed so far from the inflated and from the stored planes
@@ -333,24 +416,19 @@ def compress_record(
 
 def decompress_record(
     stored: bytes | memoryview, codec: Codec, raw_len: int, planes: Planes = _NO_PLANES
-) -> bytes | memoryview | np.ndarray:
-    """The ``raw_len`` payload bytes; codecs 2 and 3 return them as a u8 array."""
+) -> np.ndarray:
+    """The ``raw_len`` payload bytes as a u8 array; for codec 0 a view of ``stored``."""
+    if codec is Codec.NONE:
+        if len(stored) != raw_len:
+            raise CorruptFileError(f"payload length {len(stored)} != declared raw_len {raw_len}")
+        return np.frombuffer(stored, dtype=np.uint8)
+    if codec is Codec.DEFLATE:
+        return _inflate(stored, raw_len)
+    if codec is Codec.SHUFFLE:
+        return _unshuffle(_inflate(stored, raw_len), planes)
     if codec is Codec.PLANES:
         return _inflate_planes(stored, raw_len, planes)
-    if codec is Codec.NONE:
-        raw = stored
-    elif codec in (Codec.DEFLATE, Codec.SHUFFLE):
-        try:
-            raw = zlib.decompress(stored)
-        except zlib.error as exc:
-            raise CorruptFileError(f"deflate payload corrupt: {exc}") from exc
-    else:  # pragma: no cover - callers validate codec before dispatch
-        raise CorruptFileError(f"unknown codec {codec}")
-    if len(raw) != raw_len:
-        raise CorruptFileError(f"payload length {len(raw)} != declared raw_len {raw_len}")
-    if codec is Codec.SHUFFLE:
-        raw = _unshuffle(raw, planes)
-    return raw
+    raise CorruptFileError(f"unknown codec {codec}")  # pragma: no cover - callers validate codec
 
 
 def _frame_record(raw: bytes, codec: Codec) -> bytes:
@@ -364,7 +442,7 @@ def _parse_record(buf: bytes) -> bytes:
     codec_byte, raw_len = struct.unpack_from(">BI", buf, 0)
     if codec_byte not in (Codec.NONE, Codec.DEFLATE):  # SHUFFLE and PLANES are for baskets only
         raise CorruptFileError(f"codec byte {codec_byte} not allowed in a record")
-    return decompress_record(buf[5:], Codec(codec_byte), raw_len)
+    return decompress_record(memoryview(buf)[5:], Codec(codec_byte), raw_len).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -486,8 +564,15 @@ def encode_basket(chunk: ColumnChunk, dtype: Dtype, shape: Shape) -> bytes:
 
 
 def decode_basket(
-    raw: bytes | memoryview | np.ndarray, dtype: Dtype, shape: Shape, n_entries: int
+    raw: np.ndarray | bytes, dtype: Dtype, shape: Shape, n_entries: int
 ) -> ColumnChunk:
+    """Check a basket payload and view it as a chunk, without copying.
+
+    The views keep the stored byte order: values are big-endian, and a
+    jagged basket's offsets are its basket-local table viewed as
+    big-endian i8. :meth:`TreeFileReader.read_column` converts them while
+    it copies them into its column.
+    """
     be = _DTYPE_BE[dtype]
     size = be.itemsize
     if shape is Shape.FLAT:
@@ -495,23 +580,23 @@ def decode_basket(
             raise CorruptFileError(
                 f"flat basket payload is {len(raw)} bytes, expected {n_entries * size}"
             )
-        values = np.frombuffer(raw, dtype=be).astype(_DTYPE_NATIVE[dtype], copy=False)
-        return ColumnChunk(values)
+        return ColumnChunk(np.frombuffer(raw, dtype=be))
     head = (n_entries + 1) * 8
     if len(raw) < head:
-        raise CorruptFileError(f"jagged basket payload too short for its offset table")
-    offsets_u64 = np.frombuffer(raw, dtype=">u8", count=n_entries + 1)
-    if offsets_u64[0] != 0:
+        raise CorruptFileError("jagged basket payload too short for its offset table")
+    # stored as u64; read as i8, a value of 2**63 or more turns negative and
+    # fails the order check, since the table starts at 0
+    offsets = np.frombuffer(raw, dtype=">i8", count=n_entries + 1)
+    if offsets[0] != 0:
         raise CorruptFileError("jagged offsets must start at 0")
-    if np.any(np.diff(offsets_u64.astype(np.int64)) < 0):
+    if np.any(offsets[1:] < offsets[:-1]):
         raise CorruptFileError("jagged offsets must be non-decreasing")
-    n_elements = int(offsets_u64[-1])
+    n_elements = int(offsets[-1])
     if len(raw) != head + n_elements * size:
         raise CorruptFileError(
             f"jagged basket payload is {len(raw)} bytes, expected {head + n_elements * size}"
         )
-    values = np.frombuffer(raw, dtype=be, offset=head).astype(_DTYPE_NATIVE[dtype], copy=False)
-    return ColumnChunk(values, offsets_u64.astype(np.int64))
+    return ColumnChunk(np.frombuffer(raw, dtype=be, offset=head), offsets)
 
 
 # ---------------------------------------------------------------------------
@@ -916,23 +1001,43 @@ class TreeFileReader:
     ) -> ColumnChunk:
         """Decode one branch over ``[entry_start, entry_stop)``.
 
-        Only baskets overlapping the range are fetched and decompressed.
+        Only baskets overlapping the range are fetched and decompressed. The
+        column is sized from them and allocated once; each basket's part
+        goes into its slice in one copy that also converts the byte order.
         """
         tmeta = self.tree(tree)
         meta = _branch(tmeta, branch)
         stop = _entry_stop(tmeta, entry_start, entry_stop)
+        native = _DTYPE_NATIVE[meta.dtype]
         if entry_start == stop:
-            return ColumnChunk.empty(_DTYPE_NATIVE[meta.dtype], jagged=meta.is_jagged)
-        pieces: list[ColumnChunk] = []
+            return ColumnChunk.empty(native, jagged=meta.is_jagged)
+        # (basket in stored byte order, its first and stop entry in the range)
+        pieces = []
         for basket in _overlapping(meta, entry_start, stop):
-            chunk = self._read_basket(basket, meta)
             b_start = basket.first_entry
             lo = max(entry_start, b_start) - b_start
             hi = min(stop, b_start + basket.n_entries) - b_start
-            if lo != 0 or hi != basket.n_entries:
-                chunk = chunk.slice(lo, hi)
-            pieces.append(chunk)
-        return ColumnChunk.concatenate(pieces)
+            pieces.append((self._read_basket(basket, meta), lo, hi))
+        if not meta.is_jagged:
+            values = np.empty(stop - entry_start, dtype=native)
+            pos = 0
+            for chunk, lo, hi in pieces:
+                values[pos : pos + hi - lo] = chunk.values[lo:hi]
+                pos += hi - lo
+            return ColumnChunk(values)
+        # each piece's elements: [first, last) of its basket's values
+        spans = [(int(chunk.offsets[lo]), int(chunk.offsets[hi])) for chunk, lo, hi in pieces]
+        values = np.empty(sum(last - first for first, last in spans), dtype=native)
+        offsets = np.empty(stop - entry_start + 1, dtype=np.int64)
+        offsets[0] = 0
+        pos = base = 0  # entries and elements placed so far
+        for (chunk, lo, hi), (first, last) in zip(pieces, spans):
+            dst = offsets[pos + 1 : pos + 1 + hi - lo]
+            np.add(chunk.offsets[lo + 1 : hi + 1], base - first, out=dst)
+            values[base : base + last - first] = chunk.values[first:last]
+            pos += hi - lo
+            base += last - first
+        return ColumnChunk(values, offsets)
 
     def prefetch(
         self,
@@ -978,6 +1083,7 @@ class TreeFileReader:
         return self._source.read_at(basket.offset, basket.stored_len)
 
     def _read_basket(self, basket: BasketIndexEntry, meta: BranchMeta) -> ColumnChunk:
+        """Fetch, inflate and check one basket; the chunk views it in stored byte order."""
         stored = self._stored_bytes(basket)
         if len(stored) != basket.stored_len:
             raise CorruptFileError(

@@ -49,7 +49,7 @@ STATUS_NAMES = {
 
 MAX_FRAME = 1 << 20
 
-_PREFIX = struct.Struct(">IB")
+PREFIX = struct.Struct(">IB")  # frame_len u32 | first_byte u8
 READ_PAYLOAD = struct.Struct(">IQI")
 OPEN_RESPONSE = struct.Struct(">IQ")
 HANDLE = struct.Struct(">I")
@@ -65,7 +65,7 @@ class FrameError(Exception):
 
 
 def pack_frame(first_byte: int, payload: bytes = b"") -> bytes:
-    return _PREFIX.pack(1 + len(payload), first_byte) + payload
+    return PREFIX.pack(1 + len(payload), first_byte) + payload
 
 
 def pack_open_request(path: str) -> bytes:

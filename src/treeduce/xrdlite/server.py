@@ -84,12 +84,17 @@ class _Handler(socketserver.BaseRequestHandler):
                         continue
                     # a response frame holds at most MAX_FRAME - 1 bytes
                     n = min(length, file_len - offset, P.MAX_FRAME - 1)
+                    frame = _frame(P.ST_OK, n)
+                    payload_view = memoryview(frame)[P.PREFIX.size :]
                     try:
-                        data = os.pread(fd, n, offset) if n else b""
+                        got = os.preadv(fd, [payload_view], offset) if n else 0
                     except OSError as exc:
                         self._respond(sock, P.ST_SERVER_ERROR, str(exc).encode("utf-8"))
                         continue
-                    self._respond(sock, P.ST_OK, data)
+                    if got < n:  # the file shrank after OPEN measured it: answer short
+                        P.PREFIX.pack_into(frame, 0, 1 + got, P.ST_OK)
+                        frame = memoryview(frame)[: P.PREFIX.size + got]
+                    self._send(sock, frame)
                 elif opcode == P.OP_READV:
                     head = P.READV_HEAD.size
                     if len(payload) < head:
@@ -107,19 +112,26 @@ class _Handler(socketserver.BaseRequestHandler):
                     if any(offset + length > file_len for offset, length in ranges):
                         self._respond(sock, P.ST_RANGE_ERROR, b"range past end of file")
                         continue
-                    if sum(length for _, length in ranges) > P.MAX_FRAME - 1:
+                    total = sum(length for _, length in ranges)
+                    if total > P.MAX_FRAME - 1:
                         self._respond(sock, P.ST_RANGE_ERROR, b"ranges exceed one frame")
                         continue
+                    # each range is read straight into its place in the response
+                    frame = _frame(P.ST_OK, total)
+                    view = memoryview(frame)
+                    pos = P.PREFIX.size
                     try:
-                        parts = [os.pread(fd, length, offset) for offset, length in ranges]
+                        for offset, length in ranges:
+                            if os.preadv(fd, [view[pos : pos + length]], offset) != length:
+                                break  # the file shrank after OPEN measured it
+                            pos += length
                     except OSError as exc:
                         self._respond(sock, P.ST_SERVER_ERROR, str(exc).encode("utf-8"))
                         continue
-                    if any(len(part) != length for part, (_, length) in zip(parts, ranges)):
-                        # the file shrank after OPEN measured it
+                    if pos != len(frame):
                         self._respond(sock, P.ST_SERVER_ERROR, b"short read")
                         continue
-                    self._respond(sock, P.ST_OK, b"".join(parts))
+                    self._send(sock, frame)
                 elif opcode in (P.OP_STAT, P.OP_CLOSE):
                     if len(payload) != P.HANDLE.size:
                         self._respond(sock, P.ST_MALFORMED, b"bad handle payload")
@@ -159,19 +171,32 @@ class _Handler(socketserver.BaseRequestHandler):
         return target
 
     def _respond(self, sock, status: int, payload: bytes) -> None:
+        frame = _frame(status, len(payload))
+        frame[P.PREFIX.size :] = payload
+        self._send(sock, frame)
+
+    def _send(self, sock, frame: bytearray | memoryview) -> None:
+        """Send one response frame, its payload through the bandwidth cap if one is set."""
         bucket: TokenBucket | None = self.server.bucket  # type: ignore[attr-defined]
-        header = struct.pack(">IB", 1 + len(payload), status)
-        if bucket is None or not payload:
-            sock.sendall(header + payload)
+        head = P.PREFIX.size
+        if bucket is None or len(frame) == head:
+            sock.sendall(frame)
             return
-        sock.sendall(header)
+        view = memoryview(frame)
+        sock.sendall(view[:head])
         # only data bytes count against the cap; headers are negligible
-        view = memoryview(payload)
         step = bucket.chunk_size
-        for start in range(0, len(view), step):
+        for start in range(head, len(view), step):
             chunk = view[start : start + step]
             bucket.consume(len(chunk))
             sock.sendall(chunk)
+
+
+def _frame(status: int, n: int) -> bytearray:
+    """A response frame for an ``n``-byte payload: the header packed, the payload to fill."""
+    frame = bytearray(P.PREFIX.size + n)
+    P.PREFIX.pack_into(frame, 0, 1 + n, status)
+    return frame
 
 
 class _TcpServer(socketserver.ThreadingTCPServer):

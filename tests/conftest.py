@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, settings
 
+from treeduce import treefile
 from treeduce.bench.generate import GenSpec, generate
 from treeduce.xrdlite import ServerConfig, serve
 
@@ -28,7 +29,24 @@ ACCEPTANCE_LINES: list[str] = []
 ACCEPTANCE_BLOCKS: list[str] = []
 
 
+def pytest_report_header(config):
+    name = "libdeflate.so.0" if treefile._LIBDEFLATE is not None else "the zlib fallback"
+    return f"treefile inflates with {name}"
+
+
+@pytest.fixture(params=["libdeflate", "zlib"])
+def inflater(request, monkeypatch):
+    """Run a test once per inflater; the zlib case forces the fallback."""
+    if request.param == "zlib":
+        monkeypatch.setattr(treefile, "_LIBDEFLATE", None)
+    elif treefile._LIBDEFLATE is None:
+        pytest.skip("libdeflate.so.0 did not load")
+    return request.param
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
+    # -q hides the report header; this line shows in every log
+    terminalreporter.write_line(pytest_report_header(config))
     if not ACCEPTANCE_LINES:
         return
     terminalreporter.section("acceptance criteria")

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import os
 import struct
+import sys
+import threading
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -180,11 +183,14 @@ def pack_name(name: str) -> bytes:
 
 
 def hand_built_file(
-    dtype: int, shape: int, n_entries: int, codec: int, stored: bytes, raw_len: int, dir_codec: int = 0
+    dtype: int, shape: int, n_entries: int, codec: int, stored: bytes, raw_len: int,
+    dir_codec: int = 0, spoil_dir=None,
 ) -> bytes:
     """A one-tree, one-branch, one-basket file packed without the library.
 
-    A nonzero ``dir_codec`` stores the directory record deflated under that codec byte.
+    A nonzero ``dir_codec`` stores the directory record deflated under that
+    codec byte. ``spoil_dir``, if given, maps the directory payload to the
+    (stored, raw_len) that a codec-1 directory record carries instead.
     """
     basket = struct.pack(">QIQIIB", 0, n_entries, 32, len(stored), raw_len, codec)
     directory = (
@@ -192,7 +198,11 @@ def hand_built_file(
         + pack_name("v") + struct.pack(">BBI", dtype, shape, 1) + basket
     )
     packed = zlib.compress(directory) if dir_codec else directory
-    record = struct.pack(">BI", dir_codec, len(directory)) + packed
+    dir_raw_len = len(directory)
+    if spoil_dir is not None:
+        dir_codec = 1
+        packed, dir_raw_len = spoil_dir(directory)
+    record = struct.pack(">BI", dir_codec, dir_raw_len) + packed
     dir_offset = 32 + len(stored)
     header = struct.pack(">4sIQQQ", b"TRF1", 1, dir_offset, len(record), dir_offset + len(record))
     return header + stored + record
@@ -368,15 +378,18 @@ def test_planes_basket_payload_exact_bytes(tmp_path):
         assert unplanes_by_hand(stored, raw_len, head, width) == payload
 
 
+HAND_BUILT_PLANES = {
+    "flat-f64-mixed": (Dtype.F64, Shape.FLAT, [0.5 * i for i in range(16)], [1, 0, 1, 0, 0, 1, 1, 0]),
+    "jagged-f32": (
+        Dtype.F32, Shape.JAGGED, [[1.5], [], [2.5, -3.0]], [0, 1, 1, 0, 1, 1, 1, 0, 1, 0, 0, 1]
+    ),
+    "bool": (Dtype.BOOL, Shape.FLAT, [True, False, True], [1]),
+    "jagged-no-elements": (Dtype.F64, Shape.JAGGED, [[], [], []], [1] * 8 + [0] * 8),
+}
+
+
 @pytest.mark.parametrize(
-    "dtype, shape, rows, flags",
-    [
-        (Dtype.F64, Shape.FLAT, [0.5 * i for i in range(16)], [1, 0, 1, 0, 0, 1, 1, 0]),
-        (Dtype.F32, Shape.JAGGED, [[1.5], [], [2.5, -3.0]], [0, 1, 1, 0, 1, 1, 1, 0, 1, 0, 0, 1]),
-        (Dtype.BOOL, Shape.FLAT, [True, False, True], [1]),
-        (Dtype.F64, Shape.JAGGED, [[], [], []], [1] * 8 + [0] * 8),
-    ],
-    ids=["flat-f64-mixed", "jagged-f32", "bool", "jagged-no-elements"],
+    "dtype, shape, rows, flags", list(HAND_BUILT_PLANES.values()), ids=list(HAND_BUILT_PLANES)
 )
 def test_hand_built_planes_baskets_decode(dtype, shape, rows, flags):
     fmt = {Dtype.F64: "d", Dtype.F32: "f", Dtype.BOOL: "?"}[dtype]
@@ -439,7 +452,8 @@ def test_deflate_falls_back_to_none_when_not_smaller():
     assert codec == Codec.NONE
     assert stored == payload
     back = decode_basket(payload, Dtype.I64, Shape.FLAT, len(values))
-    assert arrays_match(back.values, values)
+    assert back.values.dtype == np.dtype(">i8")  # a view in the stored byte order
+    assert arrays_match(back.values.astype(np.int64), values)
 
 
 # --- round trips --------------------------------------------------------
@@ -752,6 +766,125 @@ def test_every_flip_in_stored_planes_is_detected(tmp_path):
                 open_bytes(bytes(mutated)).read_column("t", name)
             flipped += 1
     assert flipped > 1000
+
+
+# --- both inflaters -------------------------------------------------------
+# Each test here runs once per inflater: libdeflate, and the zlib fallback
+# (the ``inflater`` fixture in conftest.py). The first two rerun the codec
+# round-trip and corruption tests above under it.
+
+
+def test_codecs_round_trip_under_each_inflater(inflater, tmp_path):
+    for codec in Codec:
+        test_round_trip_every_dtype(tmp_path, codec)
+    test_round_trip_jagged_offsets_and_empty_events(tmp_path)
+    for case in HAND_BUILT_PLANES.values():
+        test_hand_built_planes_baskets_decode(*case)
+
+
+def test_corruption_is_detected_under_each_inflater(inflater, tmp_path):
+    for raw in (
+        small_file_bytes(tmp_path, codec=Codec.DEFLATE),
+        shuffle_file_bytes(tmp_path),
+        planes_file_bytes(tmp_path),
+    ):
+        assert_every_truncation_detected(raw)
+        assert_byte_flips_never_crash(raw)
+    test_shuffle_payload_of_partial_elements_is_corrupt()
+    test_corrupt_planes_payloads_are_refused()
+    test_every_flip_in_stored_planes_is_detected(tmp_path)
+
+
+def spoiled_stream(payload: bytes, fault: str) -> tuple[bytes, int]:
+    """A zlib stream of ``payload`` spoiled by ``fault``, and the raw_len to declare for it."""
+    stream = zlib.compress(payload, 1)
+    if fault == "adler32":
+        # level 0 keeps the payload in the clear after the 2-byte zlib header
+        # and the 5-byte stored-block header: the flip inflates cleanly and
+        # only the checksum can catch it
+        flipped = bytearray(zlib.compress(payload, 0))
+        flipped[7] ^= 0x01
+        return bytes(flipped), len(payload)
+    return {
+        "truncated": (stream[:-1], len(payload)),
+        "trailing-bytes": (stream + b"\0", len(payload)),
+        "raw_len+1": (stream, len(payload) + 1),
+        "raw_len-1": (stream, len(payload) - 1),
+        "raw_len-2**32-1": (stream, 2**32 - 1),
+    }[fault]
+
+
+@pytest.mark.parametrize(
+    "fault",
+    ["adler32", "truncated", "trailing-bytes", "raw_len+1", "raw_len-1", "raw_len-2**32-1"],
+)
+def test_spoiled_deflate_streams_are_corrupt_under_each_inflater(inflater, fault):
+    """Codecs 1 and 2, the flagged planes of codec 3, and the directory record all refuse it."""
+    payload = bytes([1, 0, 0, 1] * 32)  # 128 bools: one byte plane, shuffled as is
+    stored, raw_len = spoiled_stream(payload, fault)
+    # a length no stream of these few bytes can reach is refused before any allocation
+    match = "more than 1032x" if raw_len == 2**32 - 1 else "deflate stream"
+    baskets = [
+        (1, stored),
+        (2, stored),
+        (3, b"\1" + struct.pack(">I", 0) + stored),  # the one plane flagged, none stored
+    ]
+    for codec, basket in baskets:
+        with pytest.raises(CorruptFileError, match=match):
+            open_bytes(hand_built_file(5, 0, 128, codec, basket, raw_len)).read_column("t", "v")
+    good = hand_built_file(5, 0, 128, 0, payload, 128)
+    assert open_bytes(good).read_column("t", "v").values.tolist() == [bool(b) for b in payload]
+    spoiled_dir = hand_built_file(
+        5, 0, 128, 0, payload, 128, spoil_dir=lambda directory: spoiled_stream(directory, fault)
+    )
+    with pytest.raises(CorruptFileError, match=match):
+        open_bytes(spoiled_dir)
+
+
+def test_two_threads_read_one_files_columns_alike(inflater, tmp_path):
+    rng = np.random.default_rng(41)
+    n = 20_000
+    counts = rng.integers(0, 6, n)
+    branches = {
+        "f": ColumnChunk(rng.normal(size=n)),
+        "i": ColumnChunk(rng.integers(0, 1000, n, dtype=np.int32)),
+        "j": ColumnChunk(
+            rng.normal(size=int(counts.sum())).astype(np.float32),
+            np.concatenate([[0], np.cumsum(counts)]),
+        ),
+    }
+    ranges = [(0, n), (123, 19_001), (4_500, 4_501)]
+    want = [branches[name].slice(start, stop) for name in branches for start, stop in ranges]
+
+    def read_all(reader, barrier):
+        barrier.wait(timeout=10)
+        return [
+            reader.read_column("t", name, start, stop)
+            for _ in range(3)
+            for name in branches
+            for start, stop in ranges
+        ]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for codec in (Codec.DEFLATE, Codec.SHUFFLE, Codec.PLANES):
+            path = tmp_path / f"threads-{int(codec)}.trf"
+            write_tree(str(path), "t", branches, codec=codec, basket_entries=1000)
+            with open_file(str(path)) as reader:
+                barrier = threading.Barrier(2)
+                with ThreadPoolExecutor(2) as pool:
+                    futures = [pool.submit(read_all, reader, barrier) for _ in range(2)]
+                    results = [future.result(timeout=60) for future in futures]
+            for got in results:
+                assert len(got) == 3 * len(want)
+                for a, b in zip(got, want * 3):
+                    assert a.values.tobytes() == b.values.tobytes()
+                    assert (a.offsets is None) == (b.offsets is None)
+                    if a.offsets is not None:
+                        assert np.array_equal(a.offsets, b.offsets)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_header_magic_and_version_checked():

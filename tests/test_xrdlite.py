@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import socket
 import struct
 import time
@@ -383,6 +384,37 @@ def test_readv_error_statuses(served_file):
         assert status == P.ST_BAD_HANDLE
         # status errors leave the connection usable
         assert conn.readv(handle, [(1, 2)]) == [CONTENT[1:3]]
+    finally:
+        conn.close()
+
+
+def test_a_file_that_shrinks_after_open_reads_short_or_fails(tmp_path, serve_dir):
+    (tmp_path / "data.bin").write_bytes(CONTENT)
+    server = serve_dir(tmp_path)
+    conn = XrdConnection(server.address)
+    try:
+        handle, _ = conn.open("data.bin")
+        os.truncate(tmp_path / "data.bin", 100)
+        assert conn.read(handle, 50, 200) == CONTENT[50:100]  # short, as at end of file
+        # a READV is all or nothing
+        status, payload = conn._request(P.pack_readv_request(handle, [(0, 10), (90, 20)]))
+        assert (status, bytes(payload)) == (P.ST_SERVER_ERROR, b"short read")
+        assert conn.readv(handle, [(0, 10)]) == [CONTENT[:10]]
+    finally:
+        conn.close()
+
+
+def test_capped_server_sends_read_and_readv_payloads_whole(tmp_path, serve_dir):
+    data = np.random.default_rng(37).bytes(200_000)
+    (tmp_path / "f.bin").write_bytes(data)
+    server = serve_dir(tmp_path, bandwidth_cap=8 << 20)  # 83,886-byte chunks
+    conn = XrdConnection(server.address)
+    ranges = [(0, 90_000), (150_000, 50_000), (7, 0), (95_000, 3)]
+    try:
+        handle, _ = conn.open("f.bin")
+        assert conn.read(handle, 1, 199_999) == data[1:]
+        assert [bytes(b) for b in conn.readv(handle, ranges)] == [data[o : o + n] for o, n in ranges]
+        assert conn.stat(handle) == len(data)  # a payload smaller than one chunk
     finally:
         conn.close()
 
