@@ -118,10 +118,20 @@ def _parse_worker_grid(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(grid)
 
 
+# every key a bench config may set, with its default (an empty data_dir is <out>/data)
+_BENCH_DEFAULTS = {
+    "data_dir": "", "seed": "1", "events": str(1 << 20), "files": "8", "repetitions": "3",
+    "multiples": "1,2,4,8", "workers": "1x1,1x2,2x2,2x4", "read_aheads": "64Ki,1Mi,32Mi",
+    "bandwidth_cap": "", "partition_entries": "65536", "executors": "1", "cores": "4",
+}
+
+
 def _load_bench_config(path: str | None) -> dict[str, str]:
+    """The bench settings: the defaults, overridden by the ``key = value`` lines at ``path``."""
+    fields = dict(_BENCH_DEFAULTS)
     if path is None:
-        return {}
-    fields: dict[str, str] = {}
+        return fields
+    seen = set()
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -129,32 +139,36 @@ def _load_bench_config(path: str | None) -> dict[str, str]:
         if "=" not in line:
             raise SystemExit(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
-        fields[key.strip()] = value.strip().strip("'\"")
+        key = key.strip()
+        if key not in fields:
+            raise ValueError(f"unknown key {key!r} in {path}")
+        if key in seen:
+            raise ValueError(f"duplicate key {key!r} in {path}")
+        seen.add(key)
+        fields[key] = value.strip().strip("'\"")
     return fields
 
 
 def _cmd_bench(args) -> int:
-    cfg = _load_bench_config(args.config)
     try:
+        cfg = _load_bench_config(args.config)
         spec = bench.ExperimentSpec(
             variant=args.experiment,
-            data_dir=cfg.get("data_dir", str(Path(args.out) / "data")),
+            data_dir=cfg["data_dir"] or str(Path(args.out) / "data"),
             out_dir=args.out,
-            seed=int(cfg.get("seed", "1")),
-            n_events=parse_bytes(cfg.get("events", str(1 << 20))),
-            n_files=int(cfg.get("files", "8")),
-            repetitions=int(cfg.get("repetitions", "3")),
-            multiples=tuple(int(x) for x in cfg.get("multiples", "1,2,4,8").split(",")),
-            worker_grid=_parse_worker_grid(cfg.get("workers", "1x1,1x2,2x2,2x4")),
-            read_aheads=tuple(
-                parse_bytes(x) for x in cfg.get("read_aheads", "64Ki,1Mi,32Mi").split(",")
-            ),
-            bandwidth_cap=parse_bytes(cfg["bandwidth_cap"]) if cfg.get("bandwidth_cap") else None,
-            partition_entries=int(cfg.get("partition_entries", "65536")),
-            executors=int(cfg.get("executors", "1")),
-            cores_per_executor=int(cfg.get("cores", "4")),
+            seed=int(cfg["seed"]),
+            n_events=parse_bytes(cfg["events"]),
+            n_files=int(cfg["files"]),
+            repetitions=int(cfg["repetitions"]),
+            multiples=tuple(int(x) for x in cfg["multiples"].split(",")),
+            worker_grid=_parse_worker_grid(cfg["workers"]),
+            read_aheads=tuple(parse_bytes(x) for x in cfg["read_aheads"].split(",")),
+            bandwidth_cap=parse_bytes(cfg["bandwidth_cap"]) if cfg["bandwidth_cap"] else None,
+            partition_entries=int(cfg["partition_entries"]),
+            executors=int(cfg["executors"]),
+            cores_per_executor=int(cfg["cores"]),
         )
-    except ValueError as exc:  # a bad config value or a spec it fails
+    except ValueError as exc:  # a bad config key or value, or a spec it fails
         return _user_error(args.command, exc)
     result = bench.run_experiment(spec)
     paths = bench.write_report(args.experiment, result, args.out)

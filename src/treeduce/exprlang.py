@@ -415,36 +415,28 @@ def typecheck(expr: Expr, schema: dict[str, tuple[Dtype, Shape]]) -> ExprType:
 # evaluation
 
 
-@dataclass
-class _Val:
-    values: np.ndarray
-    offsets: np.ndarray | None = None  # jagged iff not None; local, starts at 0
-
-    @property
-    def jagged(self) -> bool:
-        return self.offsets is not None
-
-
-def _load(chunk: ColumnChunk) -> _Val:
-    values = chunk.values
-    if values.dtype == np.int32:
-        values = values.astype(np.int64)
-    elif values.dtype == np.float32:
-        values = values.astype(np.float64)
-    return _Val(values, chunk.offsets)
+def _load(chunk: ColumnChunk) -> ColumnChunk:
+    """The chunk with its values widened to the language's int64 or f64."""
+    if chunk.values.dtype == np.int32:
+        return ColumnChunk(chunk.values.astype(np.int64), chunk.offsets)
+    if chunk.values.dtype == np.float32:
+        return ColumnChunk(chunk.values.astype(np.float64), chunk.offsets)
+    return chunk
 
 
-def _flatten_pair(a: _Val, b: _Val, offset: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+def _flatten_pair(
+    a: ColumnChunk, b: ColumnChunk, offset: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Align two operands elementwise, broadcasting scalars over jagged peers."""
-    if a.jagged and b.jagged:
+    if a.is_jagged and b.is_jagged:
         if len(a.offsets) != len(b.offsets) or not np.array_equal(a.offsets, b.offsets):
             raise EvalError(
                 f"jagged operands have different per-event lengths (operator at offset {offset})"
             )
         return a.values, b.values, a.offsets
-    if a.jagged:
+    if a.is_jagged:
         return a.values, np.repeat(b.values, np.diff(a.offsets)), a.offsets
-    if b.jagged:
+    if b.is_jagged:
         return np.repeat(a.values, np.diff(b.offsets)), b.values, b.offsets
     return a.values, b.values, None
 
@@ -457,7 +449,7 @@ def _promote_arrays(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return a, b
 
 
-def _fold_sum(val: _Val) -> np.ndarray:
+def _fold_sum(val: ColumnChunk) -> np.ndarray:
     """Per-event left-to-right sum, matching a scalar accumulator loop bitwise."""
     counts = np.diff(val.offsets)
     starts = val.offsets[:-1]
@@ -469,7 +461,7 @@ def _fold_sum(val: _Val) -> np.ndarray:
     return out
 
 
-def _fold_extremum(val: _Val, op) -> np.ndarray:
+def _fold_extremum(val: ColumnChunk, op) -> np.ndarray:
     """Per-event max/min in f64; NaN elements poison the event, empty gives NaN.
 
     Folds in the values' own dtype, then widens: widening to f64 is
@@ -520,54 +512,56 @@ def evaluate(
     elif lengths and lengths != {n_entries}:
         raise EvalError(f"columns cover {lengths.pop()} entries, expected {n_entries}")
 
-    result = _eval(expr, columns, n_entries, {} if record is None else record)
-    return ColumnChunk(result.values, result.offsets)
+    return _eval(expr, columns, n_entries, {} if record is None else record)
 
 
-def _eval(expr: Expr, columns: dict[str | Expr, ColumnChunk], n: int, record: dict) -> _Val:
+def _eval(
+    expr: Expr, columns: dict[str | Expr, ColumnChunk], n: int, record: dict
+) -> ColumnChunk:
     if expr in columns:
         return _load(columns[expr])
     val = _eval_node(expr, columns, n, record)
     if expr in record:
-        record[expr] = ColumnChunk(val.values, val.offsets)
+        record[expr] = val
     return val
 
 
-def _eval_node(expr: Expr, columns: dict[str | Expr, ColumnChunk], n: int, record: dict) -> _Val:
+def _eval_node(
+    expr: Expr, columns: dict[str | Expr, ColumnChunk], n: int, record: dict
+) -> ColumnChunk:
     if isinstance(expr, Literal):
-        return _Val(np.full(n, expr.value, dtype=expr.kind.numpy))
+        return ColumnChunk(np.full(n, expr.value, dtype=expr.kind.numpy))
     if isinstance(expr, ColumnRef):
         return _load(columns[expr.name])
     if isinstance(expr, Unary):
         inner = _eval(expr.operand, columns, n, record)
         if expr.op == "-":
-            return _Val(np.negative(inner.values), inner.offsets)
-        return _Val(~inner.values, inner.offsets)
+            return ColumnChunk(np.negative(inner.values), inner.offsets)
+        return ColumnChunk(~inner.values, inner.offsets)
     if isinstance(expr, Binary):
         left = _eval(expr.left, columns, n, record)
         right = _eval(expr.right, columns, n, record)
         a, b, offsets = _flatten_pair(left, right, expr.offset)
-        return _Val(_apply_binary(expr.op, a, b, expr.offset), offsets)
+        return ColumnChunk(_apply_binary(expr.op, a, b, expr.offset), offsets)
     if isinstance(expr, Call):
         if expr.func in ("count", "max", "min") and isinstance(expr.arg, ColumnRef):
             # these folds need no widened copy of the stored values
-            chunk = columns[expr.arg.name]
-            inner = _Val(chunk.values, chunk.offsets)
+            inner = columns[expr.arg.name]
         else:
             inner = _eval(expr.arg, columns, n, record)
         if expr.func in _AGGREGATES:
-            if not inner.jagged:
+            if not inner.is_jagged:
                 raise EvalError(f"{expr.func} applied to a scalar value")
             if expr.func == "count":
-                return _Val(np.diff(inner.offsets).astype(np.int64))
+                return ColumnChunk(np.diff(inner.offsets).astype(np.int64))
             if expr.func == "sum":
-                return _Val(_fold_sum(inner))
+                return ColumnChunk(_fold_sum(inner))
             op = np.maximum if expr.func == "max" else np.minimum
-            return _Val(_fold_extremum(inner, op))
+            return ColumnChunk(_fold_extremum(inner, op))
         if expr.func == "abs":
-            return _Val(np.abs(inner.values), inner.offsets)
+            return ColumnChunk(np.abs(inner.values), inner.offsets)
         with np.errstate(invalid="ignore"):
-            return _Val(np.sqrt(inner.values.astype(np.float64, copy=False)), inner.offsets)
+            return ColumnChunk(np.sqrt(inner.values.astype(np.float64, copy=False)), inner.offsets)
     raise EvalError(f"unhandled node {type(expr).__name__}")
 
 

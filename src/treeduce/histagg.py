@@ -262,17 +262,8 @@ def combine(a, b):
 
 def typecheck_aggregator(agg, schema: dict[str, tuple[Dtype, Shape]]) -> None:
     """Verify every quantity resolves to a numeric scalar against the schema."""
-    if isinstance(agg, Count):
-        return
-    if isinstance(agg, Sum):
-        _check_scalar_numeric(agg.quantity, schema)
-        return
-    if isinstance(agg, Bin):
-        _check_scalar_numeric(agg.quantity, schema)
-        for child in (*agg.values, agg.underflow, agg.overflow, agg.nanflow):
-            typecheck_aggregator(child, schema)
-        return
-    raise HistError(f"unknown aggregator {type(agg).__name__}")
+    for quantity in agg.quantities():
+        _check_scalar_numeric(quantity, schema)
 
 
 def _check_scalar_numeric(quantity: Expr, schema) -> None:

@@ -16,7 +16,7 @@ class ByteSource(Protocol):
     @property
     def size(self) -> int: ...
 
-    def read_at(self, offset: int, length: int) -> bytes: ...
+    def read_at(self, offset: int, length: int) -> bytes | memoryview: ...
 
     def read_ranges(self, ranges: Sequence[tuple[int, int]]) -> list[bytes | memoryview]:
         """One buffer per (offset, length) range, in order, each short only at end of file."""

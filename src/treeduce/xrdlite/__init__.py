@@ -16,7 +16,6 @@ from .protocol import (
     MAX_FRAME,
     OP_CLOSE,
     OP_OPEN,
-    OP_READ,
     OP_READV,
     OP_STAT,
     ST_BAD_HANDLE,
@@ -42,7 +41,6 @@ __all__ = [
     "parse_url",
     "MAX_FRAME",
     "OP_OPEN",
-    "OP_READ",
     "OP_READV",
     "OP_STAT",
     "OP_CLOSE",

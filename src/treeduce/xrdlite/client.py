@@ -79,24 +79,9 @@ class XrdConnection:
         handle, file_len = P.OPEN_RESPONSE.unpack(payload)
         return handle, file_len
 
-    def read(self, handle: int, offset: int, length: int) -> bytes:
-        """Read up to ``length`` bytes, short only at end of file.
-
-        A response frame carries at most MAX_FRAME - 1 payload bytes, so
-        larger reads are issued as several wire requests.
-        """
-        budget = P.MAX_FRAME - 1
-        parts: list[bytes] = []
-        pos, remaining = offset, length
-        while remaining > 0:
-            want = min(remaining, budget)
-            chunk = self._expect_ok(P.pack_read_request(handle, pos, want))
-            parts.append(chunk)
-            pos += len(chunk)
-            remaining -= len(chunk)
-            if len(chunk) < want:
-                break  # end of file
-        return b"".join(parts)
+    def read(self, handle: int, offset: int, length: int) -> bytes | memoryview:
+        """Read one range, which must lie wholly inside the file: a one-range :meth:`readv`."""
+        return self.readv(handle, [(offset, length)])[0]
 
     def readv(self, handle: int, ranges: Sequence[tuple[int, int]]) -> list[bytes | memoryview]:
         """Read every (offset, length) range in full, returning one buffer per range.
@@ -168,7 +153,8 @@ class RemoteByteSource:
 
     A read served entirely by a cached window costs no wire traffic;
     anything else fetches max(length, read_ahead) bytes anchored at the
-    requested offset, clipped to the file end, and caches that window.
+    requested offset, clipped to the file end, as a one-range READV and
+    caches that window. Reads return views of the cached response.
     :meth:`read_ranges` fetches exactly the ranges asked for, with no
     window.
     """
@@ -186,13 +172,13 @@ class RemoteByteSource:
         self._size = file_len
         self._config = config
         self.stats = stats if stats is not None else IoStats()
-        self._windows: list[tuple[int, bytes]] = []  # LRU order: oldest first
+        self._windows: list[tuple[int, bytes | memoryview]] = []  # LRU order: oldest first
 
     @property
     def size(self) -> int:
         return self._size
 
-    def read_at(self, offset: int, length: int) -> bytes:
+    def read_at(self, offset: int, length: int) -> bytes | memoryview:
         if length <= 0:
             return b""
         self.stats.record_request(length)
@@ -202,18 +188,15 @@ class RemoteByteSource:
                     self._windows.append(self._windows.pop(i))
                 rel = offset - start
                 return data[rel : rel + length]
-        fetch_len = max(length, self._config.read_ahead)
-        fetch_len = min(fetch_len, max(self._size - offset, 0))
-        if fetch_len == 0:
+        fetch_len = min(max(length, self._config.read_ahead), self._size - offset)
+        if fetch_len <= 0:
             return b""
         data = self._conn.read(self._handle, offset, fetch_len)
         self.stats.record_fetch(len(data))
-        if data:
-            self._windows.append((offset, data))
-            if len(self._windows) > self._config.max_cache_windows:
-                self._windows.pop(0)
-        rel_end = min(length, len(data))
-        return data[:rel_end]
+        self._windows.append((offset, data))
+        if len(self._windows) > self._config.max_cache_windows:
+            self._windows.pop(0)
+        return data[:length]
 
     def read_ranges(self, ranges: Sequence[tuple[int, int]]) -> list[bytes | memoryview]:
         """Fetch every range with one vectored read, bypassing the window cache.

@@ -5,17 +5,17 @@ Every frame is ``frame_len u32 | first_byte u8 | payload`` with
 the first byte is an opcode, for responses a status code.
 
     OPEN  request: path (u16 length + UTF-8); response: handle u32 | file_len u64
-    READ  request: handle u32 | offset u64 | length u32; response: the bytes
     STAT  request: handle u32; response: file_len u64
     CLOSE request: handle u32; response: empty
     READV request: handle u32 | n u32 | n x (offset u64 | length u32);
           response: the n ranges' bytes, concatenated in request order
 
-A READ answers short at end of file and never with more than
-MAX_FRAME - 1 bytes. A READV is all or nothing: it answers RangeError if
-any range is not wholly inside the file or the lengths total more than
-MAX_FRAME - 1, and Malformed (then closes) if the payload is not
-8 + 12n bytes long.
+READV is the one read request; a single range is a READV of one. It is
+all or nothing: it answers RangeError if any range is not wholly inside
+the file or the lengths total more than MAX_FRAME - 1, ServerError if
+the file shrank after OPEN measured it, and Malformed (then closes) if
+the payload is not 8 + 12n bytes long. Opcode 2 is unassigned and, like
+any unknown opcode, answered Malformed before the server closes.
 
 Error responses carry a UTF-8 message as payload.
 """
@@ -26,7 +26,6 @@ import socket
 import struct
 
 OP_OPEN = 1
-OP_READ = 2
 OP_STAT = 3
 OP_CLOSE = 4
 OP_READV = 5
@@ -50,7 +49,6 @@ STATUS_NAMES = {
 MAX_FRAME = 1 << 20
 
 PREFIX = struct.Struct(">IB")  # frame_len u32 | first_byte u8
-READ_PAYLOAD = struct.Struct(">IQI")
 OPEN_RESPONSE = struct.Struct(">IQ")
 HANDLE = struct.Struct(">I")
 FILE_LEN = struct.Struct(">Q")
@@ -71,10 +69,6 @@ def pack_frame(first_byte: int, payload: bytes = b"") -> bytes:
 def pack_open_request(path: str) -> bytes:
     raw = path.encode("utf-8")
     return pack_frame(OP_OPEN, struct.pack(">H", len(raw)) + raw)
-
-
-def pack_read_request(handle: int, offset: int, length: int) -> bytes:
-    return pack_frame(OP_READ, READ_PAYLOAD.pack(handle, offset, length))
 
 
 def pack_readv_request(handle: int, ranges) -> bytes:

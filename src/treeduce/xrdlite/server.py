@@ -70,31 +70,6 @@ class _Handler(socketserver.BaseRequestHandler):
                     next_handle += 1
                     handles[handle] = (fd, file_len)
                     self._respond(sock, P.ST_OK, P.OPEN_RESPONSE.pack(handle, file_len))
-                elif opcode == P.OP_READ:
-                    if len(payload) != P.READ_PAYLOAD.size:
-                        self._respond(sock, P.ST_MALFORMED, b"bad READ payload")
-                        return
-                    handle, offset, length = P.READ_PAYLOAD.unpack(payload)
-                    if handle not in handles:
-                        self._respond(sock, P.ST_BAD_HANDLE, b"")
-                        continue
-                    fd, file_len = handles[handle]
-                    if offset > file_len:
-                        self._respond(sock, P.ST_RANGE_ERROR, b"offset past end of file")
-                        continue
-                    # a response frame holds at most MAX_FRAME - 1 bytes
-                    n = min(length, file_len - offset, P.MAX_FRAME - 1)
-                    frame = _frame(P.ST_OK, n)
-                    payload_view = memoryview(frame)[P.PREFIX.size :]
-                    try:
-                        got = os.preadv(fd, [payload_view], offset) if n else 0
-                    except OSError as exc:
-                        self._respond(sock, P.ST_SERVER_ERROR, str(exc).encode("utf-8"))
-                        continue
-                    if got < n:  # the file shrank after OPEN measured it: answer short
-                        P.PREFIX.pack_into(frame, 0, 1 + got, P.ST_OK)
-                        frame = memoryview(frame)[: P.PREFIX.size + got]
-                    self._send(sock, frame)
                 elif opcode == P.OP_READV:
                     head = P.READV_HEAD.size
                     if len(payload) < head:
@@ -175,7 +150,7 @@ class _Handler(socketserver.BaseRequestHandler):
         frame[P.PREFIX.size :] = payload
         self._send(sock, frame)
 
-    def _send(self, sock, frame: bytearray | memoryview) -> None:
+    def _send(self, sock, frame: bytearray) -> None:
         """Send one response frame, its payload through the bandwidth cap if one is set."""
         bucket: TokenBucket | None = self.server.bucket  # type: ignore[attr-defined]
         head = P.PREFIX.size

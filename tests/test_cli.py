@@ -422,6 +422,8 @@ def test_bench_size_smoke(tmp_path, capsys):
         ("files = -2", "n_files must be >= 1"),
         ("files = x", "invalid literal for int()"),
         ("events = -5", "n_events must be >= 0"),
+        ("repetition = 5", "unknown key 'repetition' in "),
+        ("files = 2\nfiles = 3", "duplicate key 'files' in "),
     ],
 )
 def test_bench_rejects_a_bad_config_value_in_one_line(tmp_path, capsys, line, message):

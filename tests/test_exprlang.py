@@ -268,7 +268,7 @@ def _random_jagged(rng: np.random.Generator, dtype: np.dtype, all_empty: bool) -
 
 @pytest.mark.parametrize("func", ["max", "min"])
 def test_vectorized_extremum_matches_the_loop_bitwise(func):
-    from treeduce.exprlang import _fold_extremum, _Val
+    from treeduce.exprlang import _fold_extremum
 
     op = np.maximum if func == "max" else np.minimum
     dtypes = [np.dtype(t) for t in (np.int32, np.int64, np.float32, np.float64)]
@@ -281,7 +281,7 @@ def test_vectorized_extremum_matches_the_loop_bitwise(func):
         assert got.values.dtype == np.float64
         assert np.array_equal(got.values.view(np.uint64), want), (case, dtype)
         widened = chunk.values.astype(np.float64 if dtype.kind == "f" else np.int64)
-        folded = _fold_extremum(_Val(widened, chunk.offsets), op)
+        folded = _fold_extremum(ColumnChunk(widened, chunk.offsets), op)
         assert np.array_equal(folded.view(np.uint64), want), (case, dtype)
 
 

@@ -42,6 +42,19 @@ def raw_socket(address) -> socket.socket:
     return sock
 
 
+def count_requests(conn: XrdConnection) -> list[int]:
+    """The opcode of every request ``conn`` sends from now on, in order."""
+    opcodes: list[int] = []
+    expect_ok = conn._expect_ok
+
+    def counting(frame):
+        opcodes.append(frame[4])
+        return expect_ok(frame)
+
+    conn._expect_ok = counting
+    return opcodes
+
+
 # --- frame encoding ----------------------------------------------------------
 
 
@@ -50,14 +63,12 @@ def test_frame_bytes_pinned():
     assert P.pack_open_request("data.trf") == (
         struct.pack(">IB", 1 + 2 + 8, P.OP_OPEN) + struct.pack(">H", 8) + b"data.trf"
     )
-    assert P.pack_read_request(7, 1024, 512) == (
-        struct.pack(">IB", 17, P.OP_READ) + struct.pack(">IQI", 7, 1024, 512)
-    )
     assert P.pack_readv_request(7, [(1024, 512), (0, 3)]) == (
         struct.pack(">IB", 1 + 8 + 2 * 12, P.OP_READV)
         + struct.pack(">IIQIQI", 7, 2, 1024, 512, 0, 3)
     )
-    assert (P.OP_OPEN, P.OP_READ, P.OP_STAT, P.OP_CLOSE, P.OP_READV) == (1, 2, 3, 4, 5)
+    # READV is the one read request; opcode 2 is unassigned
+    assert (P.OP_OPEN, P.OP_STAT, P.OP_CLOSE, P.OP_READV) == (1, 3, 4, 5)
     assert P.MAX_FRAME == 1 << 20
 
 
@@ -101,12 +112,15 @@ def test_read_boundaries(served_file):
     conn = XrdConnection(served_file)
     try:
         handle, file_len = conn.open("data.bin")
-        assert conn.read(handle, file_len - 5, 100) == CONTENT[-5:]  # clipped
-        assert conn.read(handle, file_len, 10) == b""  # exactly at EOF
+        assert conn.read(handle, file_len - 5, 5) == CONTENT[-5:]
+        assert conn.read(handle, 0, file_len) == CONTENT
         assert conn.read(handle, 0, 0) == b""
-        with pytest.raises(XrdStatusError) as exc:
-            conn.read(handle, file_len + 1, 1)
-        assert exc.value.status == P.ST_RANGE_ERROR
+        assert conn.read(handle, file_len, 0) == b""  # exactly at EOF
+        for offset, length in [(file_len - 5, 6), (file_len, 1), (file_len + 1, 0)]:
+            with pytest.raises(XrdStatusError) as exc:
+                conn.read(handle, offset, length)  # ends or starts past the end
+            assert exc.value.status == P.ST_RANGE_ERROR
+        assert conn.read(handle, 1, 2) == CONTENT[1:3]  # the connection stays usable
     finally:
         conn.close()
 
@@ -129,7 +143,6 @@ def test_bad_handle_paths(served_file):
     conn = XrdConnection(served_file)
     try:
         for frame in [
-            P.pack_read_request(999, 0, 1),
             P.pack_frame(P.OP_STAT, P.HANDLE.pack(999)),
             P.pack_frame(P.OP_CLOSE, P.HANDLE.pack(999)),
             P.pack_readv_request(999, [(0, 1)]),
@@ -177,11 +190,9 @@ def test_reads_larger_than_frame_budget_are_split(tmp_path, serve_dir):
     try:
         handle, file_len = conn.open("big.bin")
         assert file_len == len(big)
-        got = conn.read(handle, 0, file_len)
-        assert got == big
-        # single wire READ answers short rather than break the frame cap
-        raw = conn._expect_ok(P.pack_read_request(handle, 0, file_len))
-        assert len(raw) == P.MAX_FRAME - 1
+        requests = count_requests(conn)
+        assert conn.read(handle, 0, file_len) == big
+        assert requests == [P.OP_READV] * 3
     finally:
         conn.close()
 
@@ -189,7 +200,8 @@ def test_reads_larger_than_frame_budget_are_split(tmp_path, serve_dir):
 def test_malformed_frames_get_status_then_close(served_file):
     for frame in [
         P.pack_frame(200, b""),  # unknown opcode
-        P.pack_frame(P.OP_READ, b"short"),
+        P.pack_frame(2, b"short"),  # unassigned opcode
+        P.pack_frame(2, struct.pack(">IQI", 1, 0, 1)),  # the retired READ's request layout
         P.pack_frame(P.OP_OPEN, struct.pack(">H", 99) + b"x"),  # length mismatch
         P.pack_frame(P.OP_READV, b"abc"),  # shorter than handle and count
         P.pack_frame(P.OP_READV, P.READV_HEAD.pack(1, 2) + P.READV_RANGE.pack(0, 1)),
@@ -245,7 +257,6 @@ def _valid_frames() -> list[bytes]:
     """OPEN of the served file, then requests on its handle, 1."""
     return [
         P.pack_open_request("data.bin"),
-        P.pack_read_request(1, 100, 50),
         P.pack_readv_request(1, [(0, 10), (10, 5), (9000, 1240)]),
         P.pack_frame(P.OP_STAT, P.HANDLE.pack(1)),
     ]
@@ -337,14 +348,7 @@ def test_readv_splits_at_the_frame_budget(tmp_path, serve_dir):
     (tmp_path / "big.bin").write_bytes(big)
     server = serve_dir(tmp_path)
     conn = XrdConnection(server.address)
-    requests = []
-    expect_ok = conn._expect_ok
-
-    def counting(frame):
-        requests.append(frame[4])
-        return expect_ok(frame)
-
-    conn._expect_ok = counting
+    requests = count_requests(conn)
     budget = P.MAX_FRAME - 1
     cases = [
         [(i * 100_000, 100_000) for i in range(15)],  # 1.5 MB in ranges under the budget
@@ -388,19 +392,28 @@ def test_readv_error_statuses(served_file):
         conn.close()
 
 
-def test_a_file_that_shrinks_after_open_reads_short_or_fails(tmp_path, serve_dir):
+def test_a_file_that_shrinks_after_open_fails_loudly(tmp_path, serve_dir):
     (tmp_path / "data.bin").write_bytes(CONTENT)
     server = serve_dir(tmp_path)
     conn = XrdConnection(server.address)
+    src = open_remote(server.address, read_ahead=64)
     try:
         handle, _ = conn.open("data.bin")
         os.truncate(tmp_path / "data.bin", 100)
-        assert conn.read(handle, 50, 200) == CONTENT[50:100]  # short, as at end of file
+        with pytest.raises(XrdStatusError, match="short read") as exc:
+            conn.read(handle, 50, 200)
+        assert exc.value.status == P.ST_SERVER_ERROR
         # a READV is all or nothing
         status, payload = conn._request(P.pack_readv_request(handle, [(0, 10), (90, 20)]))
         assert (status, bytes(payload)) == (P.ST_SERVER_ERROR, b"short read")
         assert conn.readv(handle, [(0, 10)]) == [CONTENT[:10]]
+        assert conn.read(handle, 90, 10) == CONTENT[90:100]
+        # the connector measured the file at OPEN: it fails rather than return short bytes
+        with pytest.raises(XrdStatusError, match="short read"):
+            src.read_at(50, 200)
+        assert src.read_at(0, 10) == CONTENT[:10]
     finally:
+        src.close()
         conn.close()
 
 
