@@ -20,6 +20,8 @@ class TaskMetrics:
     entries_in: int
     entries_out: int
     bytes_fetched: int
+    cpu_spans: dict[str, float]  # the worker thread's on-CPU seconds per name in SPANS
+    minor_faults: int  # page faults the worker thread took in the task; 0 off Linux
 
 
 @dataclass
@@ -38,6 +40,15 @@ class WorkloadMetrics:
     def span_s(self) -> dict[str, float]:
         """Each span's seconds summed over all tasks, in SPANS order."""
         return {name: sum(t.spans[name] for t in self.tasks) for name in SPANS}
+
+    @property
+    def cpu_span_s(self) -> dict[str, float]:
+        """Each span's on-CPU seconds summed over all tasks, in SPANS order."""
+        return {name: sum(t.cpu_spans[name] for t in self.tasks) for name in SPANS}
+
+    @property
+    def minor_faults(self) -> int:
+        return sum(t.minor_faults for t in self.tasks)
 
     @property
     def sum_read_s(self) -> float:
@@ -64,21 +75,23 @@ class WorkloadMetrics:
         return sum(t.bytes_fetched for t in self.tasks)
 
     def summary_table(self) -> str:
-        """Where task time went: each span's summed seconds and share of task time."""
+        """Where task time went: each span's summed wall and on-CPU seconds, and
+        its share of task wall time."""
         total = self.sum_wall_s
-        rows = [("Total task time", total, "")] + [
-            (name, seconds, f"{seconds / total if total > 0 else 0.0:6.1%}")
+        cpu = self.cpu_span_s
+        rows = [("Total task time", total, sum(cpu.values()), "")] + [
+            (name, seconds, cpu[name], f"{seconds / total if total > 0 else 0.0:6.1%}")
             for name, seconds in self.span_s.items()
         ]
         width = max(len(r[0]) for r in rows)
-        lines = [f"{'metric':<{width}}  {'seconds':>12}  fraction"]
-        for name, seconds, frac in rows:
-            lines.append(f"{name:<{width}}  {seconds:12.3f}  {frac}")
+        lines = [f"{'metric':<{width}}  {'seconds':>12}  {'cpu seconds':>12}  fraction"]
+        for name, seconds, cpu_seconds, frac in rows:
+            lines.append(f"{name:<{width}}  {seconds:12.3f}  {cpu_seconds:12.3f}  {frac}")
         lines.append("")
         lines.append(
             f"job wall time {self.total_wall_s:.3f} s, {len(self.tasks)} tasks on "
             f"{self.worker_count} workers, {self.entries_in} -> {self.entries_out} entries, "
-            f"{self.bytes_fetched} bytes fetched"
+            f"{self.bytes_fetched} bytes fetched, {self.minor_faults} minor page faults"
         )
         return "\n".join(lines)
 
@@ -99,6 +112,8 @@ def write_metrics_jsonl(path: str | Path, metrics: WorkloadMetrics) -> None:
                     "worker_count": metrics.worker_count,
                     "sum_wall_s": metrics.sum_wall_s,
                     "span_s": metrics.span_s,
+                    "cpu_span_s": metrics.cpu_span_s,
+                    "minor_faults": metrics.minor_faults,
                     "entries_in": metrics.entries_in,
                     "entries_out": metrics.entries_out,
                     "bytes_fetched": metrics.bytes_fetched,

@@ -465,16 +465,32 @@ def _fold_extremum(val: ColumnChunk, op) -> np.ndarray:
     """Per-event max/min in f64; NaN elements poison the event, empty gives NaN.
 
     Folds in the values' own dtype, then widens: widening to f64 is
-    monotonic, so it commutes with max/min. ``reduceat`` applies ``op`` left
-    to right within each event, so mixed signed zeros resolve as in a scalar
-    loop, and np.maximum/minimum propagate NaN.
+    monotonic, so it commutes with max/min. Each event's accumulator starts
+    at ``op``'s identity for that dtype, and ``op.at`` applies ``op`` element
+    by element in index order, so each event folds left to right: mixed
+    signed zeros resolve as in a scalar loop, and np.maximum/minimum
+    propagate NaN.
     """
     offsets = val.offsets
     out = np.full(len(offsets) - 1, np.nan, dtype=np.float64)
     nonempty = offsets[1:] != offsets[:-1]
     starts = offsets[:-1][nonempty]
-    if len(starts):
-        out[nonempty] = op.reduceat(val.values[: offsets[-1]], starts)
+    if not len(starts):
+        return out
+    values = val.values[: offsets[-1]]
+    # each element's event among the non-empty events
+    rows = np.zeros(len(values), dtype=np.intp)
+    rows[starts[1:]] = 1
+    np.cumsum(rows, out=rows)
+    if values.dtype.kind == "f":
+        identity = -np.inf if op is np.maximum else np.inf
+    else:
+        info = np.iinfo(values.dtype)
+        identity = info.min if op is np.maximum else info.max
+    acc = np.full(len(starts), identity, dtype=values.dtype)
+    with np.errstate(invalid="ignore"):  # a NaN poisons its event, as intended
+        op.at(acc, rows, values)
+    out[nonempty] = acc
     return out
 
 

@@ -25,6 +25,7 @@ import bisect
 import ctypes
 import os
 import struct
+import threading
 import zlib
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -159,17 +160,29 @@ def _load_libdeflate() -> ctypes.CDLL | None:
 # ctypes releases the GIL around each call, so threads inflate at once.
 _LIBDEFLATE = _load_libdeflate()
 
-def _inflate(stored: bytes | memoryview | np.ndarray, raw_len: int) -> np.ndarray:
+
+class _OutParams(threading.local):
+    """The two ``size_t`` out-parameters of the inflate call, made once per thread."""
+
+    def __init__(self):
+        self.used_in, self.used_out = ctypes.c_size_t(), ctypes.c_size_t()
+        self.refs = (ctypes.byref(self.used_in), ctypes.byref(self.used_out))
+
+
+_OUT_PARAMS = _OutParams()
+
+
+def _inflate(stored: bytes | memoryview, raw_len: int) -> np.ndarray:
     """Inflate one whole zlib stream that must yield exactly ``raw_len`` bytes.
 
     Both inflaters require that the stream checks out (Adler-32 included),
     that it ends exactly at the end of ``stored`` and that exactly
     ``raw_len`` bytes come out; anything else is :class:`CorruptFileError`.
     """
-    src = np.frombuffer(stored, dtype=np.uint8)
-    if raw_len > _MAX_INFLATE_RATIO * len(src):
+    n_in = len(stored)
+    if raw_len > _MAX_INFLATE_RATIO * n_in:
         raise CorruptFileError(
-            f"{raw_len} bytes declared for a deflate stream of {len(src)} bytes, "
+            f"{raw_len} bytes declared for a deflate stream of {n_in} bytes, "
             f"more than {_MAX_INFLATE_RATIO}x"
         )
     lib = _LIBDEFLATE
@@ -177,7 +190,7 @@ def _inflate(stored: bytes | memoryview | np.ndarray, raw_len: int) -> np.ndarra
         inflater = zlib.decompressobj()
         try:
             # one byte more than declared is enough to see a stream run long
-            raw = inflater.decompress(src, raw_len + 1)
+            raw = inflater.decompress(stored, raw_len + 1)
         except zlib.error as exc:
             problem = str(exc)
         else:
@@ -188,25 +201,29 @@ def _inflate(stored: bytes | memoryview | np.ndarray, raw_len: int) -> np.ndarra
                 f"{len(inflater.unused_data)} bytes after it"
             )
     else:
+        src = np.frombuffer(stored, dtype=np.uint8).ctypes.data  # stored may be read-only
         out = np.empty(raw_len, dtype=np.uint8)
-        used_in, used_out = ctypes.c_size_t(), ctypes.c_size_t()
+        # a writable buffer's address is cheaper from ctypes than from numpy; an
+        # empty one has none, and libdeflate writes nothing when nothing may come out
+        dst = ctypes.addressof(ctypes.c_char.from_buffer(out)) if raw_len else None
+        params = _OUT_PARAMS
         # libdeflate decompressors are not thread-safe: one per call
         decompressor = lib.libdeflate_alloc_decompressor()
         if not decompressor:
             raise MemoryError("libdeflate_alloc_decompressor failed")
         try:
             result = lib.libdeflate_zlib_decompress_ex(
-                decompressor, src.ctypes.data, len(src), out.ctypes.data, raw_len,
-                ctypes.byref(used_in), ctypes.byref(used_out),
+                decompressor, src, n_in, dst, raw_len, *params.refs
             )
         finally:
             lib.libdeflate_free_decompressor(decompressor)
-        if result == 0 and used_in.value == len(src) and used_out.value == raw_len:
+        used_in, used_out = params.used_in.value, params.used_out.value
+        if result == 0 and used_in == n_in and used_out == raw_len:
             return out
         # result 1 is bad data (Adler-32 included), 3 more output than raw_len
         problem = (
-            f"libdeflate result {result}, {used_out.value} bytes out, "
-            f"{len(src) - used_in.value} bytes after the stream"
+            f"libdeflate result {result}, {used_out} bytes out, "
+            f"{n_in - used_in} bytes after the stream"
         )
     raise CorruptFileError(
         f"deflate stream is corrupt or does not end in exactly the {raw_len} bytes declared "

@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, settings
 
 from treeduce import treefile
 from treeduce.bench.generate import GenSpec, generate
+from treeduce.engine import memory
 from treeduce.xrdlite import ServerConfig, serve
 
 settings.register_profile(
@@ -31,7 +32,8 @@ ACCEPTANCE_BLOCKS: list[str] = []
 
 def pytest_report_header(config):
     name = "libdeflate.so.0" if treefile._LIBDEFLATE is not None else "the zlib fallback"
-    return f"treefile inflates with {name}"
+    policy = "applied" if memory.keep_task_memory() else "not applied (no glibc mallopt)"
+    return f"treefile inflates with {name}; engine allocator policy {policy}"
 
 
 @pytest.fixture(params=["libdeflate", "zlib"])

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
 import sys
 import threading
 import time
 from collections import defaultdict
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +23,7 @@ from reference_interp import (
     float_columns,
     reduce_events,
 )
+import treeduce
 from treeduce import exprlang, histagg
 from treeduce.bench.generate import DEMO_SKIM, DEMO_TREE, GenSpec, generate
 from treeduce.engine import (
@@ -33,7 +37,7 @@ from treeduce.engine import (
     plan,
     run,
 )
-from treeduce.engine import runner
+from treeduce.engine import memory, runner
 from treeduce.engine.metrics import SPANS
 from treeduce.engine.planner import parse_job_exprs, tasks_from_counts
 from treeduce.exprlang import parse
@@ -739,12 +743,17 @@ def test_metrics_files_and_accounting(demo_dataset, tmp_path):
     kinds = {line["type"] for line in jsonl}
     assert {"task", "concurrency", "throughput", "summary"} <= kinds
     task_records = [line for line in jsonl if line["type"] == "task"]
-    fields = {"type", "task_id", "wall_s", "spans", "entries_in", "entries_out", "bytes_fetched"}
+    fields = {"type", "task_id", "wall_s", "spans", "entries_in", "entries_out", "bytes_fetched",
+              "cpu_spans", "minor_faults"}
     assert [set(r) for r in task_records] == [fields] * len(metrics.tasks)
     assert [r["task_id"] for r in task_records] == list(range(len(metrics.tasks)))
     assert [r["spans"] for r in task_records] == [task.spans for task in metrics.tasks]
+    assert [r["cpu_spans"] for r in task_records] == [task.cpu_spans for task in metrics.tasks]
+    assert [r["minor_faults"] for r in task_records] == [t.minor_faults for t in metrics.tasks]
     (summary,) = [line for line in jsonl if line["type"] == "summary"]
     assert list(summary["span_s"]) == list(SPANS)
+    assert list(summary["cpu_span_s"]) == list(SPANS)
+    assert summary["minor_faults"] == metrics.minor_faults
     assert sum(r["entries_out"] for r in task_records) == metrics.entries_out
 
     # concurrency samples start and end idle
@@ -754,6 +763,7 @@ def test_metrics_files_and_accounting(demo_dataset, tmp_path):
     assert all(0 <= active <= metrics.worker_count for _, active in series)
     table = metrics.summary_table().splitlines()
     assert [line.split()[0] for line in table[2 : 2 + len(SPANS)]] == list(SPANS)
+    assert table[-1].endswith(f", {metrics.minor_faults} minor page faults")
 
 
 def span_law_violations(metrics) -> list[int]:
@@ -826,6 +836,133 @@ def test_timeline_counts_task_spans_and_fetch_completions():
     )
     assert [a for _, a in concurrency] == [0, 1, 2, 2, 2, 0]
     assert all(rate == 0.0 for _, rate in throughput)
+
+
+def test_cpu_spans_count_on_cpu_time_only(demo_dataset, tmp_path):
+    data_dir, _, manifest = demo_dataset
+
+    def slow_start(task, attempt):
+        time.sleep(0.02)  # wall time in the unaccounted span, but no CPU
+
+    job = demo_reduction(data_dir, manifest, tmp_path / "out", partition_entries=3072)
+    metrics = run(job, EngineConfig(cores_per_executor=2), fault_hook=slow_start).metrics
+    assert len(metrics.tasks) == 4
+    for task in metrics.tasks:
+        assert tuple(task.cpu_spans) == SPANS
+        assert min(task.cpu_spans.values()) >= 0.0
+        # one thread cannot be on a CPU longer than the wall time that passed
+        for name in SPANS:
+            assert task.cpu_spans[name] <= task.spans[name] + 1e-4, (task.task_id, name)
+        assert task.cpu_spans["unaccounted"] < 0.01 <= task.spans["unaccounted"]
+        assert task.cpu_spans["decode"] > 0.0 and task.cpu_spans["sink"] > 0.0
+        assert task.minor_faults >= 0
+    assert list(metrics.cpu_span_s) == list(SPANS)
+    assert metrics.minor_faults == sum(task.minor_faults for task in metrics.tasks)
+
+
+def test_runs_of_one_worker_count_share_their_threads(demo_dataset, tmp_path):
+    data_dir, _, manifest = demo_dataset
+    threads = [set(), set()]
+    for i, seen in enumerate(threads):
+        job = demo_reduction(data_dir, manifest, tmp_path / f"out{i}", partition_entries=512)
+        run(job, EngineConfig(cores_per_executor=2), fault_hook=lambda *_: seen.add(threading.get_ident()))
+    assert 1 <= len(threads[1]) and threads[1] <= threads[0] and len(threads[0]) <= 2
+    assert threading.get_ident() not in threads[0]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_runs_jobs_on_threads_of_its_own(demo_dataset, tmp_path):
+    data_dir, _, manifest = demo_dataset
+    config = EngineConfig(cores_per_executor=2)
+    run(demo_reduction(data_dir, manifest, tmp_path / "parent"), config)  # the pool has threads
+    pid = os.fork()
+    if pid == 0:  # the child: no pytest code may run here
+        status = 1
+        try:
+            result = run(demo_reduction(data_dir, manifest, tmp_path / "child"), config)
+            status = 0 if result.manifest.total_entries > 0 else 1
+        finally:
+            os._exit(status)
+    deadline = time.monotonic() + 60
+    while (waited := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if waited[0] == 0:
+        os.kill(pid, 9)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child's run hung: its pool has no threads")
+    assert os.waitstatus_to_exitcode(waited[1]) == 0
+
+
+@pytest.fixture(scope="module")
+def quarter_million(tmp_path_factory):
+    """One demo file of 4 x 65,536 entries: four full-size tasks of the benchmark's job."""
+    out = tmp_path_factory.mktemp("quarter-million")
+    manifest = generate(GenSpec(seed=5, n_events=4 * 65536, n_files=1), out)
+    return out, manifest
+
+
+# The job below twice in one fresh process, on one worker, printing the
+# process's minor page faults during each run.
+_TWO_RUNS = """
+import json, resource, sys
+from dataclasses import replace
+from treeduce.engine import EngineConfig, JobSpec, memory, run
+job = JobSpec(**json.loads(sys.argv[1]))
+faults = []
+for name in ("first", "second"):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    result = run(replace(job, output=job.output + name), EngineConfig(cores_per_executor=1))
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps({"applied": memory.keep_task_memory(), "faults": faults,
+                  "task_faults": result.metrics.minor_faults}))
+"""
+
+# Minor page faults of the second run at the commit before the allocator
+# policy: 1,534, 1,816, 2,912 and 2,913 in four processes (Linux, glibc 2.36,
+# numpy 2.4). The least of them is the base.
+HEAD_SECOND_RUN_FAULTS = 1534
+
+
+def test_a_second_run_keeps_its_task_memory_resident(quarter_million, tmp_path):
+    """One worker, so both runs allocate alike: with two, which worker gets
+    which task changes from run to run, and a worker's heap can still grow
+    in the second run when it first meets a larger task."""
+    if not memory.keep_task_memory():
+        pytest.skip("the allocator policy needs glibc's mallopt")
+    data_dir, manifest = quarter_million
+    job = demo_reduction(data_dir, manifest, tmp_path / "out-", partition_entries=65536)
+    env = dict(os.environ, PYTHONPATH=str(Path(treeduce.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _TWO_RUNS, json.dumps(asdict(job))],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    first, second = got["faults"]
+    assert got["applied"]
+    assert got["task_faults"] <= second < HEAD_SECOND_RUN_FAULTS / 100 < first
+
+
+@pytest.mark.parametrize("lookup", ["no-library", "no-mallopt"])
+def test_outputs_do_not_depend_on_the_allocator_policy(demo_dataset, tmp_path, monkeypatch, lookup):
+    data_dir, _, manifest = demo_dataset
+    tuned = run(demo_reduction(data_dir, manifest, tmp_path / "tuned"), EngineConfig())
+
+    def cdll(name):
+        if lookup == "no-library":
+            raise OSError("no C library")
+        return object()  # a C library without mallopt
+
+    monkeypatch.setattr(memory.ctypes, "CDLL", cdll)
+    memory.keep_task_memory.cache_clear()
+    try:
+        assert memory.keep_task_memory() is False
+        plain = run(demo_reduction(data_dir, manifest, tmp_path / "plain"), EngineConfig())
+    finally:
+        memory.keep_task_memory.cache_clear()  # the next run applies the policy again
+    assert len(plain.manifest.paths()) == len(tuned.manifest.paths()) > 1
+    for tuned_path, plain_path in zip(tuned.manifest.paths(), plain.manifest.paths()):
+        assert Path(plain_path).read_bytes() == Path(tuned_path).read_bytes()
 
 
 def test_worker_count_does_not_change_outputs(demo_dataset, tmp_path):

@@ -266,6 +266,51 @@ def _random_jagged(rng: np.random.Generator, dtype: np.dtype, all_empty: bool) -
     return ColumnChunk(values.astype(dtype), offsets)
 
 
+def _jagged(events: list[list], dtype: np.dtype, trailing: list = ()) -> ColumnChunk:
+    """A jagged chunk of ``events``, its values followed by ``trailing`` elements no event holds."""
+    counts = [len(event) for event in events]
+    offsets = np.concatenate([[0], np.cumsum(counts, dtype=np.int64)]).astype(np.int64)
+    flat = [value for event in events for value in event] + list(trailing)
+    return ColumnChunk(np.array(flat, dtype=dtype), offsets)
+
+
+def _nan(dtype: np.dtype, bits: int):
+    """The NaN of ``dtype`` with these raw bits, as a scalar that keeps them."""
+    return np.array([bits], dtype=np.uint32 if dtype.itemsize == 4 else np.uint64).view(dtype)[0]
+
+
+def _edge_jagged(dtype: np.dtype) -> list[ColumnChunk]:
+    """Hand-built inputs at the edges of the fold, for one dtype."""
+    if dtype.kind == "f":
+        low, high = -np.inf, np.inf
+    else:
+        info = np.iinfo(dtype)
+        low, high = int(info.min), int(info.max)
+    chunks = [
+        # elements equal to either fold's identity, alone and among others
+        _jagged([[low], [high], [low, high], [high, low], [low, low, 3], [3, high, high], []], dtype),
+        _jagged([[5], [-7], [0], [low], [high]], dtype),  # single-element events only
+        _jagged([[], [], []], dtype),  # every event empty
+        _jagged([], dtype),  # no events at all
+        # values run past offsets[-1]: the trailing elements belong to no event
+        _jagged([[1], [], [2, -4]], dtype, trailing=[high, low, 9]),
+        _jagged([[], []], dtype, trailing=[high, low]),
+    ]
+    if dtype.kind == "f":
+        if dtype.itemsize == 4:
+            a, b, c = (_nan(dtype, bits) for bits in (0x7FC00001, 0x7FC00002, 0xFFC00003))
+        else:
+            a, b, c = (
+                _nan(dtype, bits)
+                for bits in (0x7FF8000000000001, 0x7FF8000000000002, 0xFFF8000000000003)
+            )
+        # NaNs of different payloads and signs in one event, in every order
+        chunks.append(
+            _jagged([[a, b], [b, a], [c, a, b], [1.0, a, -0.0, b], [-0.0, c], [a]], dtype)
+        )
+    return chunks
+
+
 @pytest.mark.parametrize("func", ["max", "min"])
 def test_vectorized_extremum_matches_the_loop_bitwise(func):
     from treeduce.exprlang import _fold_extremum
@@ -273,9 +318,13 @@ def test_vectorized_extremum_matches_the_loop_bitwise(func):
     op = np.maximum if func == "max" else np.minimum
     dtypes = [np.dtype(t) for t in (np.int32, np.int64, np.float32, np.float64)]
     rng = np.random.default_rng(20)
-    for case in range(320):
-        dtype = dtypes[case % 4]
-        chunk = _random_jagged(rng, dtype, all_empty=case % 16 < 4)
+    cases = [
+        (dtypes[case % 4], _random_jagged(rng, dtypes[case % 4], all_empty=case % 16 < 4))
+        for case in range(320)
+    ]
+    cases += [(dtype, chunk) for dtype in dtypes for chunk in _edge_jagged(dtype)]
+    for case, (dtype, chunk) in enumerate(cases):
+        assert chunk.values.dtype == dtype
         want = _loop_extremum(chunk.values, chunk.offsets, op).view(np.uint64)
         got = evaluate(parse(f"{func}(x)"), {"x": chunk}, n_entries=chunk.n_entries)
         assert got.values.dtype == np.float64
