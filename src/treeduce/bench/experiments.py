@@ -45,7 +45,6 @@ class ExperimentSpec:
     partition_entries: int = 65536
     executors: int = 1
     cores_per_executor: int = 4
-    sample_interval: float = 0.05
 
     def __post_init__(self):
         if self.variant not in ("size", "cores", "readahead"):
@@ -58,6 +57,16 @@ class ExperimentSpec:
             raise ValueError("n_files must be >= 1")
         if any(m < 1 for m in self.multiples):
             raise ValueError("multiples must be >= 1")
+        if any(n < 1 for pair in self.worker_grid for n in pair):
+            raise ValueError("workers must be >= 1 executors x >= 1 cores")
+        if any(r < 1 for r in self.read_aheads):
+            raise ValueError("read_aheads must be >= 1")
+        if self.bandwidth_cap is not None and self.bandwidth_cap <= 0:
+            raise ValueError("bandwidth_cap must be > 0")
+        if self.partition_entries < 1:
+            raise ValueError("partition_entries must be >= 1")
+        if self.executors < 1 or self.cores_per_executor < 1:
+            raise ValueError("executors and cores must be >= 1")
         if self.variant == "size" and not self.multiples:
             raise ValueError("size experiment needs at least one multiple")
         if self.variant == "cores" and not self.worker_grid:
@@ -173,11 +182,7 @@ def _run_size(spec: ExperimentSpec, result: SizeScalingResult) -> None:
     )
     manifest = ensure_dataset(pool, spec.data_dir)
     paths = manifest.file_paths(spec.data_dir)
-    engine = EngineConfig(
-        executors=spec.executors,
-        cores_per_executor=spec.cores_per_executor,
-        sample_interval=spec.sample_interval,
-    )
+    engine = EngineConfig(executors=spec.executors, cores_per_executor=spec.cores_per_executor)
     for m in spec.multiples:
         used = manifest.files[: m * spec.n_files]
         inputs = paths[: m * spec.n_files]
@@ -196,7 +201,7 @@ def _run_size(spec: ExperimentSpec, result: SizeScalingResult) -> None:
         )
 
 
-def _calibrate_cap(spec: ExperimentSpec, manifest, engine_read_ahead: int) -> int:
+def _calibrate_cap(spec: ExperimentSpec, manifest) -> int:
     """Single worker against an uncapped server; cap = 2x its throughput."""
     with serve(ServerConfig(root_dir=spec.data_dir, port=0)) as srv:
         host, port = srv.address
@@ -205,8 +210,7 @@ def _calibrate_cap(spec: ExperimentSpec, manifest, engine_read_ahead: int) -> in
             str(Path(spec.out_dir) / "runs" / "calibrate"),
             partition_entries=spec.partition_entries,
         )
-        engine = EngineConfig(1, 1, read_ahead=engine_read_ahead, sample_interval=spec.sample_interval)
-        result = run(job, engine)
+        result = run(job, EngineConfig(1, 1))
     throughput = result.io.bytes_fetched / max(result.metrics.total_wall_s, 1e-9)
     return max(1, int(2 * throughput))
 
@@ -214,19 +218,13 @@ def _calibrate_cap(spec: ExperimentSpec, manifest, engine_read_ahead: int) -> in
 def _run_cores(spec: ExperimentSpec, result: CoreScalingResult) -> None:
     dataset = GenSpec(seed=spec.seed, n_events=spec.n_events, n_files=spec.n_files, schema="demo")
     manifest = ensure_dataset(dataset, spec.data_dir)
-    read_ahead = EngineConfig().read_ahead
-    cap = spec.bandwidth_cap or _calibrate_cap(spec, manifest, read_ahead)
+    cap = spec.bandwidth_cap or _calibrate_cap(spec, manifest)
     result.cap_bytes_per_s = float(cap)
     with serve(ServerConfig(root_dir=spec.data_dir, port=0, bandwidth_cap=cap)) as srv:
         host, port = srv.address
         inputs = manifest.urls(host, port)
         for executors, cores in spec.worker_grid:
-            engine = EngineConfig(
-                executors=executors,
-                cores_per_executor=cores,
-                read_ahead=read_ahead,
-                sample_interval=spec.sample_interval,
-            )
+            engine = EngineConfig(executors=executors, cores_per_executor=cores)
 
             def job_for_rep(rep: int, _e=executors, _c=cores) -> JobSpec:
                 out = str(Path(spec.out_dir) / "runs" / f"cores-e{_e}c{_c}")
@@ -266,7 +264,6 @@ def _run_readahead(spec: ExperimentSpec, result: ReadaheadResult) -> None:
                 executors=spec.executors,
                 cores_per_executor=spec.cores_per_executor,
                 read_ahead=read_ahead,
-                sample_interval=spec.sample_interval,
                 planned_reads=False,  # the window under test, not planned reads
             )
 

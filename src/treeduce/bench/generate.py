@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..engine import JobSpec
+from ..engine import JobSpec, usable_cores
 from ..treefile import Codec, ColumnChunk, Dtype, Shape, TreeFileWriter
 from .prng import draw_array, file_key, unit_array
 
@@ -202,7 +202,7 @@ def _flat8_chunk(key: int, e0: int, e1: int) -> dict[str, ColumnChunk]:
 
 def _file_workers(n_files: int) -> int:
     """Files written at once: one per usable core, as `hist`'s default --cores."""
-    return max(1, min(n_files, len(os.sched_getaffinity(0))))
+    return max(1, min(n_files, usable_cores()))
 
 
 def _write_file(spec: GenSpec, out: Path, i: int) -> FileEntry:

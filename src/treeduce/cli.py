@@ -16,8 +16,9 @@ histogram per task and merges them in task order into one CSV.
 from __future__ import annotations
 
 import argparse
-import os
+import dataclasses
 import sys
+import time
 from pathlib import Path
 
 from . import bench, engine, histagg, treefile
@@ -74,8 +75,6 @@ def _cmd_serve(args) -> int:
           + (f" capped at {config.bandwidth_cap} B/s" if config.bandwidth_cap else ""))
     try:
         while True:
-            import time
-
             time.sleep(3600)
     except KeyboardInterrupt:
         server.stop()
@@ -118,58 +117,48 @@ def _parse_worker_grid(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(grid)
 
 
-# every key a bench config may set, with its default (an empty data_dir is <out>/data)
-_BENCH_DEFAULTS = {
-    "data_dir": "", "seed": "1", "events": str(1 << 20), "files": "8", "repetitions": "3",
-    "multiples": "1,2,4,8", "workers": "1x1,1x2,2x2,2x4", "read_aheads": "64Ki,1Mi,32Mi",
-    "bandwidth_cap": "", "partition_entries": "65536", "executors": "1", "cores": "4",
+def _parse_list(parse):
+    return lambda text: tuple(parse(item) for item in text.split(","))
+
+
+# each key a bench config may set: the ExperimentSpec field it sets, and how
+# its value is read; a key left out keeps the field's default
+_BENCH_KEYS = {
+    "data_dir": ("data_dir", str),  # default <out>/data
+    "seed": ("seed", int),
+    "events": ("n_events", parse_bytes),
+    "files": ("n_files", int),
+    "repetitions": ("repetitions", int),
+    "multiples": ("multiples", _parse_list(int)),
+    "workers": ("worker_grid", _parse_worker_grid),
+    "read_aheads": ("read_aheads", _parse_list(parse_bytes)),
+    "bandwidth_cap": ("bandwidth_cap", parse_bytes),
+    "partition_entries": ("partition_entries", int),
+    "executors": ("executors", int),
+    "cores": ("cores_per_executor", int),
 }
 
 
-def _load_bench_config(path: str | None) -> dict[str, str]:
-    """The bench settings: the defaults, overridden by the ``key = value`` lines at ``path``."""
-    fields = dict(_BENCH_DEFAULTS)
-    if path is None:
-        return fields
-    seen = set()
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise SystemExit(f"{path}:{lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in fields:
-            raise ValueError(f"unknown key {key!r} in {path}")
-        if key in seen:
-            raise ValueError(f"duplicate key {key!r} in {path}")
-        seen.add(key)
-        fields[key] = value.strip().strip("'\"")
-    return fields
+def _bench_spec(args) -> bench.ExperimentSpec:
+    """The experiment ``args`` ask for, with the settings of its ``--config`` file.
+
+    Each line is applied in turn and the spec checked after it, so an error
+    names the line that caused it.
+    """
+    spec = bench.ExperimentSpec(args.experiment, str(Path(args.out) / "data"), args.out)
+    if args.config is None:
+        return spec
+    for place, key, value in engine.read_settings(args.config, _BENCH_KEYS):
+        name, parse = _BENCH_KEYS[key]
+        try:
+            spec = dataclasses.replace(spec, **{name: parse(value)})
+        except ValueError as exc:
+            raise engine.EngineError(f"{place}: {exc}") from None
+    return spec
 
 
 def _cmd_bench(args) -> int:
-    try:
-        cfg = _load_bench_config(args.config)
-        spec = bench.ExperimentSpec(
-            variant=args.experiment,
-            data_dir=cfg["data_dir"] or str(Path(args.out) / "data"),
-            out_dir=args.out,
-            seed=int(cfg["seed"]),
-            n_events=parse_bytes(cfg["events"]),
-            n_files=int(cfg["files"]),
-            repetitions=int(cfg["repetitions"]),
-            multiples=tuple(int(x) for x in cfg["multiples"].split(",")),
-            worker_grid=_parse_worker_grid(cfg["workers"]),
-            read_aheads=tuple(parse_bytes(x) for x in cfg["read_aheads"].split(",")),
-            bandwidth_cap=parse_bytes(cfg["bandwidth_cap"]) if cfg["bandwidth_cap"] else None,
-            partition_entries=int(cfg["partition_entries"]),
-            executors=int(cfg["executors"]),
-            cores_per_executor=int(cfg["cores"]),
-        )
-    except ValueError as exc:  # a bad config key or value, or a spec it fails
-        return _user_error(args.command, exc)
+    spec = _bench_spec(args)
     result = bench.run_experiment(spec)
     paths = bench.write_report(args.experiment, result, args.out)
     print(f"report: {paths['csv']} {paths['markdown']}")
@@ -223,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hist", help="fill a histogram over a job's skimmed inputs")
     p.add_argument("--job", required=True)
-    _add_engine_options(p, cores=len(os.sched_getaffinity(0)))
+    _add_engine_options(p, cores=engine.usable_cores())
     p.add_argument("--spec", required=True, help="e.g. \"bin(40, 0, 200, 'max(Muon_pt)')\"")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_hist)

@@ -2,7 +2,7 @@
 skim on a worker pool, then slim/derive into part files (``run``) or fill
 mergeable histograms (``fill``), and account for where the time went."""
 
-from .job import EngineConfig, EngineError, JobSpec, load_job_file
+from .job import EngineConfig, EngineError, JobSpec, load_job_file, read_settings, usable_cores
 from .metrics import Manifest, ManifestEntry, TaskMetrics, WorkloadMetrics
 from .planner import Task, plan
 from .runner import FillResult, RunResult, TaskFailure, fill, run
@@ -12,6 +12,8 @@ __all__ = [
     "EngineError",
     "JobSpec",
     "load_job_file",
+    "read_settings",
+    "usable_cores",
     "Manifest",
     "ManifestEntry",
     "TaskMetrics",

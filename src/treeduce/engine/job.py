@@ -16,8 +16,12 @@ derived columns use `derive.NAME = "expr"`:
 
 from __future__ import annotations
 
+import os
+from collections.abc import Callable, Container, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from ..sources import READ_AHEAD
 
 
 class EngineError(Exception):
@@ -62,63 +66,82 @@ class EngineConfig:
     input and read basket by basket through the ``read_ahead`` window;
     the read-ahead experiment uses it to measure that window. Those basket
     fetches then fall in the task's ``decode`` span, not in ``fetch``.
-    ``sample_interval`` is the step, in seconds, of the run's concurrency
-    and throughput timeline.
     """
 
     executors: int = 1
     cores_per_executor: int = 1
-    read_ahead: int = 65536
-    sample_interval: float = 0.05
+    read_ahead: int = READ_AHEAD
     planned_reads: bool = True
 
     def __post_init__(self):
         if self.executors < 1 or self.cores_per_executor < 1:
             raise EngineError("executors and cores_per_executor must be >= 1")
+        if self.read_ahead < 1:
+            raise EngineError("read_ahead must be >= 1")
 
     @property
     def worker_count(self) -> int:
         return self.executors * self.cores_per_executor
 
 
-def _unquote(value: str) -> str:
-    if len(value) >= 2 and value[0] == value[-1] and value[0] in "'\"":
-        return value[1:-1]
-    return value
+def usable_cores() -> int:
+    """The CPUs this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
+def read_settings(
+    path: str | Path, once: Container[str], repeats: Callable[[str], bool] = lambda key: False
+) -> Iterator[tuple[str, str, str]]:
+    """Yield ``(place, key, value)`` for each ``key = value`` line at ``path``.
+
+    Blank lines and lines starting with ``#`` are skipped, and a value's
+    matching outer quotes are removed. ``place`` is ``path:line``, the
+    prefix of every error about that line. A key in ``once`` may appear
+    once; a key ``repeats`` accepts, any number of times; any other key is
+    an error.
+    """
+    seen = set()
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        place = f"{path}:{lineno}"
+        if "=" not in line:
+            raise EngineError(f"{place}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if key in once:
+            if key in seen:
+                raise EngineError(f"{place}: duplicate key {key!r}")
+            seen.add(key)
+        elif not repeats(key):
+            raise EngineError(f"{place}: unknown key {key!r}")
+        if len(value) >= 2 and value[0] == value[-1] and value[0] in "'\"":
+            value = value[1:-1]
+        yield place, key, value
 
 
 def load_job_file(path: str | Path) -> JobSpec:
     inputs: list[str] = []
     derived: list[tuple[str, str]] = []
-    fields: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise EngineError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = _unquote(value.strip())
+    fields: dict = {}  # JobSpec keyword arguments
+    for place, key, value in read_settings(
+        path,
+        ("tree", "keep", "skim", "output", "partition_entries"),
+        lambda key: key == "input" or key.startswith("derive."),
+    ):
         if key == "input":
             inputs.append(value)
         elif key.startswith("derive."):
             derived.append((key[len("derive."):], value))
-        elif key in ("tree", "keep", "skim", "output", "partition_entries"):
-            if key in fields:
-                raise EngineError(f"{path}:{lineno}: duplicate key {key!r}")
-            fields[key] = value
+        elif key == "partition_entries":
+            try:
+                fields[key] = int(value)
+            except ValueError as exc:
+                raise EngineError(f"{place}: {exc}") from None
         else:
-            raise EngineError(f"{path}:{lineno}: unknown key {key!r}")
+            fields[key] = value
     if "tree" not in fields:
         raise EngineError(f"{path}: missing required key 'tree'")
-    keep = [c.strip() for c in fields.get("keep", "").split(",") if c.strip()]
-    return JobSpec(
-        inputs=inputs,
-        tree=fields["tree"],
-        keep_columns=keep,
-        skim=fields.get("skim"),
-        derived=derived,
-        output=fields.get("output", "out"),
-        partition_entries=int(fields.get("partition_entries", "65536")),
-    )
+    keep = [c.strip() for c in fields.pop("keep", "").split(",") if c.strip()]
+    return JobSpec(inputs=inputs, keep_columns=keep, derived=derived, **fields)

@@ -35,9 +35,10 @@ and fetches the baskets it needs with one vectored read
 
 Tasks run on a ``ThreadPoolExecutor`` of ``worker_count`` threads, and
 each records when it started and stopped. The run's timeline is derived
-once every task has returned: on the ``sample_interval`` grid, the number
-of tasks running at each grid time, and the bytes whose fetch completed in
-each interval (from the completion times the tasks' ``IoStats`` record).
+once every task has returned, on a grid that cuts the run's wall time into
+``TIMELINE_STEPS`` intervals: the number of tasks running at each grid
+time, and the bytes whose fetch completed in each interval (from the
+completion times the tasks' ``IoStats`` record).
 Within a task, each stage is timed as it ends (``metrics.SPANS``), in
 wall seconds and in the worker thread's on-CPU seconds, and the task
 records the minor page faults its thread took.
@@ -83,6 +84,10 @@ from .planner import (
     sink_inputs,
     tasks_from_counts,
 )
+
+# Intervals a run's timeline cuts its wall time into; the grid has two
+# points more, so every run's timeline has as many points.
+TIMELINE_STEPS = 100
 
 # Errors a second attempt would meet again: bad expressions or data, a
 # corrupt or changed input. Anything else, such as an OSError, is retried once.
@@ -311,7 +316,6 @@ class _Runner:
             [(start - t0, stop - t0) for start, stop, _, _ in outcomes],
             [(t - t0, nbytes) for t, nbytes in self.io.fetch_done],
             total_wall,
-            self.engine.sample_interval,
         )
         metrics = WorkloadMetrics(
             total_wall, self.engine.worker_count, task_metrics, concurrency, throughput
@@ -319,17 +323,20 @@ class _Runner:
         return self.sink.finish(outputs, metrics), metrics
 
 
-def _timeline(spans, fetches, total_wall: float, interval: float):
+def _timeline(spans, fetches, total_wall: float):
     """Active tasks and fetched bytes/s at every grid time ``k * interval``.
 
+    ``interval`` is ``total_wall / TIMELINE_STEPS`` (a microsecond's share
+    for a shorter run), and ``k`` runs from 0 to ``TIMELINE_STEPS + 1``.
     ``spans`` are (start, stop) and ``fetches`` (completion time, bytes),
-    in seconds since the run started. A task is active at ``t`` if
-    ``start <= t < stop``. The rate at ``t`` counts the bytes whose fetch
-    completed in the interval that ends at ``t``. The grid runs past
-    ``total_wall``, so it starts and ends idle and every fetched byte falls
-    in one interval.
+    in seconds since the run started, none later than ``total_wall``. A
+    task is active at ``t`` if ``start <= t < stop``. The rate at ``t``
+    counts the bytes whose fetch completed in the interval that ends at
+    ``t``. The grid runs one interval past ``total_wall``, so it starts and
+    ends idle and every fetched byte falls in one interval.
     """
-    grid = np.arange(int(total_wall // interval) + 2) * interval
+    interval = max(total_wall, 1e-6) / TIMELINE_STEPS
+    grid = np.arange(TIMELINE_STEPS + 2) * interval
     starts = np.sort([start for start, _ in spans])
     stops = np.sort([stop for _, stop in spans])
     active = np.searchsorted(starts, grid, "right") - np.searchsorted(stops, grid, "right")

@@ -152,9 +152,6 @@ class Bin:
         return cls(
             num, float(low), float(high), quantity,
             values=[template.copy_structure() for _ in range(num)],
-            underflow=template.copy_structure(),
-            overflow=template.copy_structure(),
-            nanflow=template.copy_structure(),
         )
 
     def _route(self, q: np.ndarray):
@@ -250,10 +247,6 @@ def fill(agg, event: dict[str, ColumnChunk], weight: float = 1.0) -> None:
         if chunk.n_entries != 1:
             raise HistError(f"column {name!r} has {chunk.n_entries} entries, expected 1")
     agg.fill_chunk(event, 1, np.array([weight], dtype=np.float64))
-
-
-def fill_chunk(agg, columns: dict[str, ColumnChunk], n: int, weights=None) -> None:
-    agg.fill_chunk(columns, n, weights)
 
 
 def combine(a, b):

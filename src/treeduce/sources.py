@@ -8,6 +8,8 @@ from typing import Protocol, Sequence, runtime_checkable
 
 from .iostats import IoStats
 
+READ_AHEAD = 64 << 10  # bytes; the default least fetch of a remote read
+
 
 @runtime_checkable
 class ByteSource(Protocol):
@@ -85,22 +87,16 @@ class FileSource:
 
 
 def open_source(
-    path_or_url: str | Path,
-    *,
-    read_ahead: int | None = None,
-    max_cache_windows: int | None = None,
-    stats: IoStats | None = None,
+    path_or_url: str | Path, *, read_ahead: int = READ_AHEAD, stats: IoStats | None = None
 ) -> ByteSource:
-    """Open a local path or an ``xrdl://host:port/path`` URL as a byte source."""
+    """Open a local path or an ``xrdl://host:port/path`` URL as a byte source.
+
+    ``read_ahead`` is the least a remote read fetches; local reads ignore it.
+    """
     text = str(path_or_url)
     if text.startswith("xrdl://"):
-        from .xrdlite.client import ConnectorConfig, connector_open, parse_url
+        from .xrdlite.client import connector_open, parse_url
 
         host, port, remote_path = parse_url(text)
-        kwargs = {}
-        if read_ahead is not None:
-            kwargs["read_ahead"] = read_ahead
-        if max_cache_windows is not None:
-            kwargs["max_cache_windows"] = max_cache_windows
-        return connector_open((host, port), remote_path, ConnectorConfig(**kwargs), stats=stats)
+        return connector_open((host, port), remote_path, read_ahead, stats)
     return FileSource(text, stats=stats)

@@ -3,7 +3,6 @@ read-ahead connector with LRU window caching and I/O accounting."""
 
 from ..iostats import IoStats
 from .client import (
-    ConnectorConfig,
     RemoteByteSource,
     XrdConnection,
     XrdError,
@@ -31,7 +30,6 @@ from .throttle import TokenBucket
 
 __all__ = [
     "IoStats",
-    "ConnectorConfig",
     "RemoteByteSource",
     "XrdConnection",
     "XrdError",

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import socket
-from dataclasses import dataclass
 from typing import Sequence
 from urllib.parse import urlsplit
 
 from ..iostats import IoStats
 from . import protocol as P
 from .server import DEFAULT_PORT
+
+CACHE_WINDOWS = 4  # read-ahead windows a RemoteByteSource keeps, least recently used dropped
+TIMEOUT_S = 30.0  # connect and per-receive socket timeout
 
 
 class XrdError(Exception):
@@ -37,23 +39,11 @@ def parse_url(url: str) -> tuple[str, int, str]:
     return parts.hostname, parts.port or DEFAULT_PORT, parts.path or "/"
 
 
-@dataclass
-class ConnectorConfig:
-    read_ahead: int = 65536
-    max_cache_windows: int = 4
-
-    def __post_init__(self):
-        if self.read_ahead < 1:
-            raise ValueError("read_ahead must be >= 1")
-        if self.max_cache_windows < 1:
-            raise ValueError("max_cache_windows must be >= 1")
-
-
 class XrdConnection:
     """Synchronous RPC over one TCP connection. Single-owner, not thread-safe."""
 
-    def __init__(self, address: tuple[str, int], timeout: float = 30.0):
-        self._sock = socket.create_connection(address, timeout=timeout)
+    def __init__(self, address: tuple[str, int]):
+        self._sock = socket.create_connection(address, timeout=TIMEOUT_S)
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
     def _request(self, frame: bytes) -> tuple[int, bytes]:
@@ -154,7 +144,8 @@ class RemoteByteSource:
     A read served entirely by a cached window costs no wire traffic;
     anything else fetches max(length, read_ahead) bytes anchored at the
     requested offset, clipped to the file end, as a one-range READV and
-    caches that window. Reads return views of the cached response.
+    caches that window, keeping the ``CACHE_WINDOWS`` most recently used.
+    Reads return views of the cached response.
     :meth:`read_ranges` fetches exactly the ranges asked for, with no
     window.
     """
@@ -164,13 +155,13 @@ class RemoteByteSource:
         conn: XrdConnection,
         handle: int,
         file_len: int,
-        config: ConnectorConfig,
+        read_ahead: int,
         stats: IoStats | None = None,
     ):
         self._conn = conn
         self._handle = handle
         self._size = file_len
-        self._config = config
+        self._read_ahead = read_ahead
         self.stats = stats if stats is not None else IoStats()
         self._windows: list[tuple[int, bytes | memoryview]] = []  # LRU order: oldest first
 
@@ -188,13 +179,13 @@ class RemoteByteSource:
                     self._windows.append(self._windows.pop(i))
                 rel = offset - start
                 return data[rel : rel + length]
-        fetch_len = min(max(length, self._config.read_ahead), self._size - offset)
+        fetch_len = min(max(length, self._read_ahead), self._size - offset)
         if fetch_len <= 0:
             return b""
         data = self._conn.read(self._handle, offset, fetch_len)
         self.stats.record_fetch(len(data))
         self._windows.append((offset, data))
-        if len(self._windows) > self._config.max_cache_windows:
+        if len(self._windows) > CACHE_WINDOWS:
             self._windows.pop(0)
         return data[:length]
 
@@ -227,14 +218,14 @@ class RemoteByteSource:
 def connector_open(
     address: tuple[str, int],
     path: str,
-    config: ConnectorConfig | None = None,
+    read_ahead: int,
     stats: IoStats | None = None,
 ) -> RemoteByteSource:
-    """Open a remote file as a random-access byte source."""
+    """Open a remote file as a byte source whose reads fetch at least ``read_ahead`` bytes."""
     conn = XrdConnection(address)
     try:
         handle, file_len = conn.open(path)
     except BaseException:
         conn.close()
         raise
-    return RemoteByteSource(conn, handle, file_len, config or ConnectorConfig(), stats)
+    return RemoteByteSource(conn, handle, file_len, read_ahead, stats)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import threading
 import time
 
-TICK_S = 0.01
+TICK_S = 0.01  # seconds; the refill step a consumer sleeps at most
 
 
 class TokenBucket:
@@ -16,12 +16,11 @@ class TokenBucket:
     concurrent consumers.
     """
 
-    def __init__(self, rate: float, tick_s: float = TICK_S):
+    def __init__(self, rate: float):
         if rate <= 0:
             raise ValueError("rate must be positive")
         self.rate = float(rate)
-        self.tick_s = tick_s
-        self.capacity = max(1.0, rate * tick_s * 2)
+        self.capacity = max(1.0, rate * TICK_S * 2)
         self._tokens = self.capacity
         self._updated = time.monotonic()
         self._lock = threading.Lock()
@@ -29,7 +28,7 @@ class TokenBucket:
     @property
     def chunk_size(self) -> int:
         """Largest single grab that cannot exceed one tick's budget."""
-        return max(1, int(self.rate * self.tick_s))
+        return max(1, int(self.rate * TICK_S))
 
     def consume(self, n: float) -> None:
         """Block until n tokens are available, then take them."""
@@ -44,4 +43,4 @@ class TokenBucket:
                     self._tokens -= n
                     return
                 deficit = n - self._tokens
-            time.sleep(min(deficit / self.rate, self.tick_s))
+            time.sleep(min(deficit / self.rate, TICK_S))

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from treeduce import treefile
-from treeduce.bench.generate import GenSpec, generate
-from treeduce.engine import memory
+from treeduce.bench.generate import DEMO_TREE, GenSpec, generate
+from treeduce.engine import Manifest, memory
 from treeduce.xrdlite import ServerConfig, serve
 
 settings.register_profile(
@@ -58,6 +58,20 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line("")
         for line in block.splitlines():
             terminalreporter.write_line(line)
+
+
+def read_parts(manifest: Manifest, tree: str = DEMO_TREE) -> dict[str, treefile.ColumnChunk]:
+    """Every branch of a reduce job's part files, concatenated in manifest order.
+
+    Checks each part's entry count against its manifest record.
+    """
+    per_branch: dict[str, list[treefile.ColumnChunk]] = {}
+    for entry in manifest.entries:
+        with treefile.open_file(entry.path) as reader:
+            assert reader.tree(tree).n_entries == entry.entries
+            for name in reader.tree(tree).branches:
+                per_branch.setdefault(name, []).append(reader.read_column(tree, name))
+    return {name: treefile.ColumnChunk.concatenate(chunks) for name, chunks in per_branch.items()}
 
 
 @pytest.fixture(scope="session")

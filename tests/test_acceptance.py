@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import ACCEPTANCE_BLOCKS, ACCEPTANCE_LINES
+from conftest import ACCEPTANCE_BLOCKS, ACCEPTANCE_LINES, read_parts
 from reference_interp import (
     arrays_match,
     events_from_columns,
@@ -78,7 +78,7 @@ def _size_events_per_file(base, n_files: int, engine: EngineConfig) -> int:
 @pytest.fixture(scope="module")
 def size_result(tmp_path_factory):
     base = tmp_path_factory.mktemp("acc-size")
-    engine = EngineConfig(1, 4, sample_interval=0.02)
+    engine = EngineConfig(1, 4)
     spec = ExperimentSpec(
         variant="size",
         data_dir=str(base / "data"),
@@ -91,7 +91,6 @@ def size_result(tmp_path_factory):
         partition_entries=4096,
         executors=engine.executors,
         cores_per_executor=engine.cores_per_executor,
-        sample_interval=engine.sample_interval,
     )
     result = run_experiment(spec)
     RUNS.append(("size sweep, last run", result.metrics))
@@ -126,7 +125,7 @@ def cores_result(tmp_path_factory):
                 str(base / f"probe-{cap or 0}"),
                 partition_entries=4096,
             )
-            result = run(job, EngineConfig(1, 1, sample_interval=0.02))
+            result = run(job, EngineConfig(1, 1))
         RUNS.append((f"single-worker probe cap={cap}", result.metrics))
         return result.io.bytes_fetched / max(result.metrics.total_wall_s, 1e-9)
 
@@ -147,7 +146,6 @@ def cores_result(tmp_path_factory):
         worker_grid=((1, 1), (1, 2), (2, 2), (2, 4)),
         bandwidth_cap=max(1, int(2 * single)),
         partition_entries=4096,
-        sample_interval=0.02,
     )
     result = run_experiment(spec)
     RUNS.append(("cores grid, last run", result.metrics))
@@ -195,7 +193,6 @@ def readahead_result(tmp_path_factory):
         partition_entries=8192,
         executors=1,
         cores_per_executor=2,
-        sample_interval=0.02,
     )
     result = run_experiment(spec)
     RUNS.append(("read-ahead sweep, last run", result.metrics))
@@ -252,7 +249,7 @@ def saturation_run(tmp_path_factory):
     job = demo_job(
         manifest.file_paths(str(base / "data")), str(base / "out"), partition_entries=4096
     )
-    result = run(job, EngineConfig(1, 2, sample_interval=0.002))
+    result = run(job, EngineConfig(1, 2))
     RUNS.append(("saturation run", result.metrics))
     return result
 
@@ -366,21 +363,12 @@ def reduction_suite(tmp_path_factory):
     return expected, runs
 
 
-def _concat_outputs(result) -> dict[str, ColumnChunk]:
-    per_branch: dict[str, list[ColumnChunk]] = {}
-    for entry in result.manifest.entries:
-        with open_file(entry.path) as reader:
-            for name in reader.tree(DEMO_TREE).branches:
-                per_branch.setdefault(name, []).append(reader.read_column(DEMO_TREE, name))
-    return {name: ColumnChunk.concatenate(chunks) for name, chunks in per_branch.items()}
-
-
 def test_criterion_6_reduction_matches_oracle(reduction_suite):
     expected, runs = reduction_suite
     labels = []
     ok = True
     for label, result in runs:
-        got = _concat_outputs(result)
+        got = read_parts(result.manifest)
         match = (
             result.manifest.total_entries == expected["n"]
             and sorted(got) == ["MET", "Muon_pt", "ht", "leading_pt"]
@@ -485,8 +473,8 @@ def test_criterion_8_connector_equivalence(tmp_path, serve_dir):
 
     rng = np.random.default_rng(8)
     mismatches = 0
-    for read_ahead, windows in ((1, 4), (4096, 2), (65536, 4), (1 << 20, 4)):
-        source = open_source(url, read_ahead=read_ahead, max_cache_windows=windows)
+    for read_ahead in (1, 4096, 65536, 1 << 20):
+        source = open_source(url, read_ahead=read_ahead)
         try:
             for _ in range(120):
                 offset = int(rng.integers(0, len(raw) + 1000))

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import math
-import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from conftest import read_parts
 from reference_interp import (
     arrays_match,
     events_from_columns,
@@ -15,9 +16,11 @@ from reference_interp import (
     reduce_events,
     route_value,
 )
+from treeduce import cli
+from treeduce.bench.experiments import ExperimentSpec
 from treeduce.bench.generate import DEMO_TREE, DatasetManifest, GenSpec, generate
 from treeduce.cli import build_parser, main, parse_bytes
-from treeduce.engine import EngineConfig, EngineError, fill, load_job_file
+from treeduce.engine import EngineConfig, EngineError, Manifest, fill, load_job_file, usable_cores
 from treeduce.exprlang import parse
 from treeduce.histagg import HistError, parse_hist_spec
 from treeduce.treefile import ColumnChunk, open_file, write_tree
@@ -55,7 +58,7 @@ def test_parser_defaults():
     assert args.executors == 1 and args.cores == 1
     args = build_parser().parse_args(["hist", "--job", "j", "--spec", "count", "--out", "h.csv"])
     assert args.executors == 1
-    assert args.cores == len(os.sched_getaffinity(0))
+    assert args.cores == usable_cores()
     with pytest.raises(SystemExit):
         build_parser().parse_args(["frobnicate"])
     with pytest.raises(SystemExit):
@@ -112,21 +115,6 @@ def _job_text(inputs, output, *, skim=None, derive=None, keep="MET, Muon_pt") ->
     return "\n".join(lines) + "\n"
 
 
-def _read_part_columns(out_dir) -> dict[str, ColumnChunk]:
-    import json
-
-    parts = []
-    manifest_path = out_dir / "manifest.jsonl"
-    for line in manifest_path.read_text().splitlines():
-        parts.append(json.loads(line)["path"])
-    per_branch: dict[str, list[ColumnChunk]] = {}
-    for path in parts:
-        with open_file(path) as reader:
-            for name in reader.tree(DEMO_TREE).branches:
-                per_branch.setdefault(name, []).append(reader.read_column(DEMO_TREE, name))
-    return {name: ColumnChunk.concatenate(chunks) for name, chunks in per_branch.items()}
-
-
 def test_reduce_round_trip(cli_dataset, tmp_path, capsys):
     data_dir, manifest = cli_dataset
     inputs = manifest.file_paths(str(data_dir))
@@ -155,7 +143,7 @@ def test_reduce_round_trip(cli_dataset, tmp_path, capsys):
                 float_columns(columns),
             )
         )
-    got = _read_part_columns(out)
+    got = read_parts(Manifest.read_jsonl(out / "manifest.jsonl"))
     assert sorted(got) == ["MET", "Muon_pt", "ht"]
     assert arrays_match(got["MET"].values, np.array([r["MET"] for r in rows], dtype=np.float64))
     assert arrays_match(got["ht"].values, np.array([r["ht"] for r in rows], dtype=np.float64))
@@ -362,7 +350,7 @@ def test_concat_reads_a_reduction_manifest(cli_dataset, tmp_path, capsys):
     merged = tmp_path / "merged.trf"
     assert main(["concat", "--out", str(merged), "--manifest", str(out / "manifest.jsonl")]) == 0
     capsys.readouterr()
-    expected = _read_part_columns(out)
+    expected = read_parts(Manifest.read_jsonl(out / "manifest.jsonl"))
     with open_file(str(merged)) as reader:
         tree = reader.tree(DEMO_TREE)
         assert tree.n_entries == len(expected["MET"].values)
@@ -420,10 +408,16 @@ def test_bench_size_smoke(tmp_path, capsys):
         ("multiples = -1", "multiples must be >= 1"),
         ("repetitions = 0", "repetitions must be >= 1"),
         ("files = -2", "n_files must be >= 1"),
-        ("files = x", "invalid literal for int()"),
+        ("files = x", "invalid literal for int() with base 10: 'x'"),
         ("events = -5", "n_events must be >= 0"),
-        ("repetition = 5", "unknown key 'repetition' in "),
-        ("files = 2\nfiles = 3", "duplicate key 'files' in "),
+        ("repetition = 5", "unknown key 'repetition'"),
+        ("files = 2\nfiles = 3", "duplicate key 'files'"),
+        ("read_aheads = 64Ki,0", "read_aheads must be >= 1"),
+        ("bandwidth_cap = 0", "bandwidth_cap must be > 0"),
+        ("workers = 1x1,0x2", "workers must be >= 1 executors x >= 1 cores"),
+        ("partition_entries = 0", "partition_entries must be >= 1"),
+        ("executors = 0", "executors and cores must be >= 1"),
+        ("cores = 0", "executors and cores must be >= 1"),
     ],
 )
 def test_bench_rejects_a_bad_config_value_in_one_line(tmp_path, capsys, line, message):
@@ -431,10 +425,21 @@ def test_bench_rejects_a_bad_config_value_in_one_line(tmp_path, capsys, line, me
     config.write_text(f"{line}\ndata_dir = {tmp_path / 'data'}\n")
     argv = ["bench", "--experiment", "size", "--config", str(config), "--out", str(tmp_path / "r")]
     assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"bench: {message}")
-    assert "Traceback" not in err and err.count("\n") == 1
+    last_line = line.count("\n") + 1  # the line the error names
+    assert capsys.readouterr().err == f"bench: {config}:{last_line}: {message}\n"
     assert not (tmp_path / "data").exists()
+
+
+def test_bench_config_keys_set_each_experiment_field_once(tmp_path):
+    set_by_keys = [name for name, _ in cli._BENCH_KEYS.values()]
+    assert len(set_by_keys) == len(set(set_by_keys))
+    settable = {f.name for f in fields(ExperimentSpec)} - {"variant", "data_dir", "out_dir"}
+    assert set(set_by_keys) - {"data_dir"} == settable
+    config = tmp_path / "bench.cfg"
+    config.write_text("# only a comment\n\n")
+    out = str(tmp_path / "r")
+    args = build_parser().parse_args(["bench", "--experiment", "cores", "--config", str(config), "--out", out])
+    assert cli._bench_spec(args) == ExperimentSpec("cores", str(tmp_path / "r" / "data"), out)
 
 
 def test_generate_rejects_a_negative_event_count_in_one_line(tmp_path, capsys):
@@ -444,8 +449,10 @@ def test_generate_rejects_a_negative_event_count_in_one_line(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_bench_config_syntax_error(tmp_path):
+def test_bench_config_syntax_error(tmp_path, capsys):
     config = tmp_path / "bench.cfg"
-    config.write_text("events 192\n")
-    with pytest.raises(SystemExit, match="expected 'key = value'"):
-        main(["bench", "--experiment", "size", "--config", str(config), "--out", str(tmp_path / "r")])
+    config.write_text("# events\nevents 192\n")
+    out = tmp_path / "r"
+    assert main(["bench", "--experiment", "size", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"bench: {config}:2: expected 'key = value'\n"
+    assert not out.exists()

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import read_parts
 from reference_interp import (
     arrays_match,
     chunks_match,
@@ -96,19 +97,8 @@ def demo_expected(demo_dataset):
     return {"MET": met, "Muon_pt": pt, "leading_pt": leading, "ht": ht, "n": len(rows)}
 
 
-def read_outputs(result) -> dict[str, ColumnChunk]:
-    per_branch = defaultdict(list)
-    for entry in result.manifest.entries:
-        with open_file(entry.path) as reader:
-            tree = reader.tree(DEMO_TREE)
-            assert tree.n_entries == entry.entries
-            for name in tree.branches:
-                per_branch[name].append(reader.read_column(DEMO_TREE, name))
-    return {name: ColumnChunk.concatenate(chunks) for name, chunks in per_branch.items()}
-
-
 def assert_outputs_match_reference(result, expected):
-    got = read_outputs(result)
+    got = read_parts(result.manifest)
     assert result.manifest.total_entries == expected["n"]
     assert sorted(got) == ["MET", "Muon_pt", "ht", "leading_pt"]
     assert arrays_match(got["MET"].values, expected["MET"])
@@ -152,6 +142,7 @@ partition_entries = 4096
         "input = a.trf\ntree = t\nkeep = x\ntree = u\n",  # duplicate key
         "input = a.trf\ntree = t\nkeep = x\ncolor = red\n",  # unknown key
         "input = a.trf\ntree = t\nkeep = x\nbroken line\n",
+        "input = a.trf\ntree = t\nkeep = x\npartition_entries = many\n",
         "tree = t\nkeep = x\n",  # no inputs
         "input = a.trf\ntree = t\n",  # keeps nothing
     ],
@@ -172,6 +163,8 @@ def test_job_spec_validation():
         JobSpec(inputs=["a"], tree="t", keep_columns=["x"], partition_entries=0)
     with pytest.raises(EngineError):
         EngineConfig(executors=0)
+    with pytest.raises(EngineError):
+        EngineConfig(read_ahead=0)
     assert EngineConfig(executors=2, cores_per_executor=4).worker_count == 8
 
 
@@ -270,7 +263,7 @@ def test_identity_reduction_is_bit_exact(demo_dataset, tmp_path):
         partition_entries=1700,
     )
     result = run(job, EngineConfig(executors=1, cores_per_executor=4))
-    got = read_outputs(result)
+    got = read_parts(result.manifest)
     per_branch = defaultdict(list)
     for path in inputs:
         with open_file(path) as reader:
@@ -307,7 +300,7 @@ def test_derived_only_output(demo_dataset, tmp_path):
         skim=None,
     )
     result = run(job, EngineConfig(cores_per_executor=2))
-    got = read_outputs(result)
+    got = read_parts(result.manifest)
     assert list(got) == ["nmu"]
     assert got["nmu"].values.dtype == np.int64
     per_file = []
@@ -628,10 +621,10 @@ def test_reduce_with_shared_values_is_bit_identical(demo_dataset, tmp_path, monk
     skim, text = SHARING_CASES[case]
     job = demo_reduction(data_dir, manifest, tmp_path / "shared", skim=skim, derived=[("q", text)])
     assert bool(runner.PartSink(job, parse_job_exprs(job)).shared) == (skim is not None)
-    got = read_outputs(run(job, EngineConfig(cores_per_executor=2)))
+    got = read_parts(run(job, EngineConfig(cores_per_executor=2)).manifest)
     without_sharing(monkeypatch)
     job.output = str(tmp_path / "plain")
-    want = read_outputs(run(job, EngineConfig(cores_per_executor=2)))
+    want = read_parts(run(job, EngineConfig(cores_per_executor=2)).manifest)
     assert sorted(got) == sorted(want) == ["MET", "Muon_pt", "q"]
     for name in want:
         assert chunks_match(got[name], want[name])
@@ -796,21 +789,20 @@ def test_fault_hook_time_is_unaccounted_not_fetch(demo_dataset, tmp_path, planne
 
 def test_timeline_sits_on_the_sample_grid(demo_dataset, tmp_path):
     data_dir, _, manifest = demo_dataset
-    interval = 0.002
 
     def slow_start(task, attempt):
         time.sleep(0.01)  # long enough for several grid points per task
 
     job = demo_reduction(data_dir, manifest, tmp_path / "out", partition_entries=512)
-    config = EngineConfig(cores_per_executor=2, sample_interval=interval)
+    config = EngineConfig(cores_per_executor=2)
     result = run(job, config, fault_hook=slow_start)
     metrics = result.metrics
     assert len(metrics.tasks) >= 4 * metrics.worker_count
 
+    interval = metrics.total_wall_s / runner.TIMELINE_STEPS
+    grid = [k * interval for k in range(runner.TIMELINE_STEPS + 2)]
     for series in (metrics.concurrency, metrics.throughput):
-        times = [t for t, _ in series]
-        assert times == [k * interval for k in range(len(times))]
-        assert times[-1] >= metrics.total_wall_s
+        assert [t for t, _ in series] == grid
     active = [a for _, a in metrics.concurrency]
     assert active[0] == 0 and active[-1] == 0
     assert max(active) == metrics.worker_count
@@ -821,21 +813,30 @@ def test_timeline_sits_on_the_sample_grid(demo_dataset, tmp_path):
     assert sum(rates[1:]) * interval == pytest.approx(result.io.bytes_fetched, rel=1e-9)
     assert result.io.bytes_fetched == metrics.bytes_fetched > 0
 
+    # a run a fraction as long has a timeline of as many points
+    short = run(demo_reduction(data_dir, manifest, tmp_path / "short"), config).metrics
+    assert short.total_wall_s < metrics.total_wall_s / 2
+    assert len(short.concurrency) == len(short.throughput) == len(grid)
+
 
 def test_timeline_counts_task_spans_and_fetch_completions():
-    spans = [(0.01, 0.05), (0.02, 0.03), (0.2, 0.21)]
-    fetches = [(0.025, 100), (0.04, 50), (0.205, 7)]
-    concurrency, throughput = runner._timeline(spans, fetches, 0.21, 0.1)
-    assert [t for t, _ in concurrency] == pytest.approx([0.0, 0.1, 0.2, 0.3])
-    assert [a for _, a in concurrency] == [0, 0, 1, 0]  # a span starting on a grid time counts
-    assert [t for t, _ in throughput] == [t for t, _ in concurrency]
-    assert [round(rate * 0.1) for _, rate in throughput] == [0, 150, 0, 7]
-
-    concurrency, throughput = runner._timeline(
-        [(0.001, 0.009), (0.003, 0.0081)], [], 0.0095, 0.002
-    )
-    assert [a for _, a in concurrency] == [0, 1, 2, 2, 2, 0]
-    assert all(rate == 0.0 for _, rate in throughput)
+    step = 2.0**-7  # the interval of a run TIMELINE_STEPS of them long, exact in binary
+    spans = [(10 * step, 50 * step), (20.5 * step, 30 * step), (90 * step, 100 * step)]
+    fetches = [(25 * step, 100), (40 * step, 50), (95.5 * step, 7)]
+    concurrency, throughput = runner._timeline(spans, fetches, runner.TIMELINE_STEPS * step)
+    assert [t for t, _ in concurrency] == [k * step for k in range(runner.TIMELINE_STEPS + 2)]
+    active = [a for _, a in concurrency]
+    # a span starting on a grid time counts there; one stopping there does not
+    assert [active[k] for k in (9, 10, 20, 21, 29, 30, 50, 90, 100, 101)] == [
+        0, 1, 1, 2, 2, 1, 0, 1, 0, 0
+    ]
+    rates = {k: rate for k, (_, rate) in enumerate(throughput) if rate}
+    # a fetch counts in the interval it completed in, one ending on a grid time there
+    assert rates == {25: 100 / step, 40: 50 / step, 96: 7 / step}
+    # a zero-length run keeps a finite grid
+    concurrency, throughput = runner._timeline([], [], 0.0)
+    assert len(concurrency) == runner.TIMELINE_STEPS + 2
+    assert all(math.isfinite(t) and rate == 0.0 for t, rate in throughput)
 
 
 def test_cpu_spans_count_on_cpu_time_only(demo_dataset, tmp_path):
@@ -971,6 +972,6 @@ def test_worker_count_does_not_change_outputs(demo_dataset, tmp_path):
     for i, cores in enumerate([1, 3]):
         job = demo_reduction(data_dir, manifest, tmp_path / f"out{i}")
         result = run(job, EngineConfig(cores_per_executor=cores))
-        got = read_outputs(result)
+        got = read_parts(result.manifest)
         digests.append({name: chunk.values.tobytes() for name, chunk in got.items()})
     assert digests[0] == digests[1]

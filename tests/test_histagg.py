@@ -16,7 +16,6 @@ from treeduce.histagg import (
     Sum,
     combine,
     fill,
-    fill_chunk,
     parse_hist_spec,
     render,
     typecheck_aggregator,

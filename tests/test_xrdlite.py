@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from reference_interp import simulate_cache
 from treeduce.iostats import IoStats
 from treeduce.xrdlite import (
-    ConnectorConfig,
     ServerConfig,
     TokenBucket,
     XrdConnection,
@@ -25,6 +24,7 @@ from treeduce.xrdlite import (
     serve,
 )
 from treeduce.xrdlite import protocol as P
+from treeduce.xrdlite.client import CACHE_WINDOWS
 
 CONTENT = bytes(range(256)) * 40  # 10240 bytes
 
@@ -80,13 +80,6 @@ def test_parse_url_forms():
         parse_url("http://h/a")
     with pytest.raises(ValueError):
         parse_url("xrdl:///nohost")
-
-
-def test_connector_config_validation():
-    with pytest.raises(ValueError):
-        ConnectorConfig(read_ahead=0)
-    with pytest.raises(ValueError):
-        ConnectorConfig(max_cache_windows=0)
 
 
 # --- request handling ---------------------------------------------------------
@@ -494,9 +487,8 @@ def test_bandwidth_cap_slows_transfers(tmp_path, serve_dir):
 # --- prefetching connector ------------------------------------------------------
 
 
-def open_remote(address, read_ahead=65536, windows=4, stats=None):
-    config = ConnectorConfig(read_ahead=read_ahead, max_cache_windows=windows)
-    return connector_open(address, "data.bin", config, stats)
+def open_remote(address, read_ahead=65536, stats=None):
+    return connector_open(address, "data.bin", read_ahead, stats)
 
 
 def test_connector_matches_direct_reads(served_file):
@@ -512,23 +504,27 @@ def test_connector_matches_direct_reads(served_file):
 
 
 def test_cache_hits_and_eviction_accounting(served_file):
+    assert CACHE_WINDOWS == 4
     stats = IoStats()
-    src = open_remote(served_file, read_ahead=1024, windows=2, stats=stats)
+    src = open_remote(served_file, read_ahead=1024, stats=stats)
     try:
         src.read_at(0, 100)  # miss: fetch [0, 1024)
         src.read_at(100, 100)  # hit
         src.read_at(900, 124)  # hit (fully contained)
         assert (stats.fetch_calls, stats.bytes_fetched) == (1, 1024)
         src.read_at(2048, 100)  # miss: fetch [2048, 3072)
-        src.read_at(0, 100)  # hit; moves first window back to MRU
-        src.read_at(4096, 100)  # miss: evicts the [2048, 3072) window
-        assert (stats.fetch_calls, stats.bytes_fetched) == (3, 3072)
-        src.read_at(0, 100)  # still cached
-        assert stats.fetch_calls == 3
+        src.read_at(4096, 100)  # miss: fetch [4096, 5120)
+        src.read_at(6144, 100)  # miss: fetch [6144, 7168); four windows cached
+        src.read_at(0, 100)  # hit; moves the first window back to MRU
+        src.read_at(8192, 100)  # miss: evicts the [2048, 3072) window
+        assert (stats.fetch_calls, stats.bytes_fetched) == (5, 5120)
+        for offset in (0, 4096, 6144, 8192):
+            src.read_at(offset, 100)  # all still cached
+        assert stats.fetch_calls == 5
         src.read_at(2048, 100)  # was evicted: fetched again
-        assert stats.fetch_calls == 4
-        assert stats.bytes_requested == 100 * 7 + 124
-        assert stats.read_calls == 8
+        assert stats.fetch_calls == 6
+        assert stats.bytes_requested == 100 * 12 + 124
+        assert stats.read_calls == 13
     finally:
         src.close()
 
@@ -558,15 +554,14 @@ def test_read_ahead_clips_at_end_of_file(served_file):
 @settings(max_examples=25)
 @given(
     st.integers(1, 4096),
-    st.integers(1, 4),
     st.lists(
         st.tuples(st.integers(0, len(CONTENT)), st.integers(0, 2048)),
         max_size=30,
     ),
 )
-def test_connector_traffic_matches_cache_simulation(served_file, read_ahead, windows, reads):
+def test_connector_traffic_matches_cache_simulation(served_file, read_ahead, reads):
     stats = IoStats()
-    src = open_remote(served_file, read_ahead=read_ahead, windows=windows, stats=stats)
+    src = open_remote(served_file, read_ahead=read_ahead, stats=stats)
     try:
         for offset, length in reads:
             got = src.read_at(offset, length)
@@ -574,7 +569,7 @@ def test_connector_traffic_matches_cache_simulation(served_file, read_ahead, win
             assert got == expect
     finally:
         src.close()
-    expected = simulate_cache(reads, len(CONTENT), read_ahead, windows)
+    expected = simulate_cache(reads, len(CONTENT), read_ahead, CACHE_WINDOWS)
     assert stats.bytes_requested == expected["bytes_requested"]
     assert stats.bytes_fetched == expected["bytes_fetched"]
     assert stats.fetch_calls == expected["fetch_calls"]
