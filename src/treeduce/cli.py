@@ -52,7 +52,7 @@ def _cmd_generate(args) -> int:
             n_files=args.files,
             schema=args.schema,
             basket_target_entries=args.basket_entries,
-            codec=treefile.Codec.NONE if args.codec == "none" else treefile.Codec.DEFLATE,
+            codec=treefile.Codec[args.codec.upper()],
         )
     except ValueError as exc:
         return _user_error(args.command, exc)
@@ -187,14 +187,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="treeduce", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    gen = bench.GenSpec()
     p = sub.add_parser("generate", help="write a synthetic dataset")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--events", type=parse_bytes, default=1 << 20, help="events per file")
-    p.add_argument("--files", type=int, default=8)
+    p.add_argument("--seed", type=int, default=gen.seed)
+    p.add_argument("--events", type=parse_bytes, default=gen.n_events, help="events per file")
+    p.add_argument("--files", type=int, default=gen.n_files)
     p.add_argument("--out", required=True)
-    p.add_argument("--schema", choices=("demo", "flat8"), default="demo")
-    p.add_argument("--basket-entries", type=int, default=8192)
-    p.add_argument("--codec", choices=("deflate", "none"), default="deflate")
+    p.add_argument("--schema", choices=("demo", "flat8"), default=gen.schema)
+    p.add_argument("--basket-entries", type=int, default=gen.basket_target_entries)
+    p.add_argument("--codec", choices=("deflate", "none"), default=gen.codec.name.lower())
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("serve", help="serve a directory over the range-read protocol")

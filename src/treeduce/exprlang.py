@@ -418,27 +418,30 @@ def typecheck(expr: Expr, schema: dict[str, tuple[Dtype, Shape]]) -> ExprType:
 def _load(chunk: ColumnChunk) -> ColumnChunk:
     """The chunk with its values widened to the language's int64 or f64."""
     if chunk.values.dtype == np.int32:
-        return ColumnChunk(chunk.values.astype(np.int64), chunk.offsets)
+        return chunk.with_values(chunk.values.astype(np.int64))
     if chunk.values.dtype == np.float32:
-        return ColumnChunk(chunk.values.astype(np.float64), chunk.offsets)
+        return chunk.with_values(chunk.values.astype(np.float64))
     return chunk
 
 
 def _flatten_pair(
     a: ColumnChunk, b: ColumnChunk, offset: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Align two operands elementwise, broadcasting scalars over jagged peers."""
+) -> tuple[np.ndarray, np.ndarray, ColumnChunk]:
+    """Align two operands elementwise, broadcasting scalars over jagged peers.
+
+    The third item is the operand whose entries the result has.
+    """
     if a.is_jagged and b.is_jagged:
         if len(a.offsets) != len(b.offsets) or not np.array_equal(a.offsets, b.offsets):
             raise EvalError(
                 f"jagged operands have different per-event lengths (operator at offset {offset})"
             )
-        return a.values, b.values, a.offsets
+        return a.values, b.values, a
     if a.is_jagged:
-        return a.values, np.repeat(b.values, np.diff(a.offsets)), a.offsets
+        return a.values, b.values[a.events()], a
     if b.is_jagged:
-        return np.repeat(a.values, np.diff(b.offsets)), b.values, b.offsets
-    return a.values, b.values, None
+        return a.values[b.events()], b.values, b
+    return a.values, b.values, a
 
 
 def _promote_arrays(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -450,14 +453,15 @@ def _promote_arrays(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _fold_sum(val: ColumnChunk) -> np.ndarray:
-    """Per-event left-to-right sum, matching a scalar accumulator loop bitwise."""
-    counts = np.diff(val.offsets)
-    starts = val.offsets[:-1]
-    out = np.zeros(len(counts), dtype=val.values.dtype)
-    limit = int(counts.max()) if len(counts) else 0
-    for j in range(limit):
-        sel = counts > j
-        out[sel] += val.values[starts[sel] + j]
+    """Per-event left-to-right sum, matching a scalar accumulator loop bitwise.
+
+    ``np.add.at`` adds element by element in index order, over the chunk's
+    element-to-event index, into accumulators that start at 0.
+    """
+    events = val.events()
+    out = np.zeros(val.n_entries, dtype=val.values.dtype)
+    with np.errstate(over="ignore", invalid="ignore"):  # IEEE f64, as + does
+        np.add.at(out, events, val.values[: len(events)])
     return out
 
 
@@ -466,31 +470,23 @@ def _fold_extremum(val: ColumnChunk, op) -> np.ndarray:
 
     Folds in the values' own dtype, then widens: widening to f64 is
     monotonic, so it commutes with max/min. Each event's accumulator starts
-    at ``op``'s identity for that dtype, and ``op.at`` applies ``op`` element
-    by element in index order, so each event folds left to right: mixed
-    signed zeros resolve as in a scalar loop, and np.maximum/minimum
-    propagate NaN.
+    at ``op``'s identity for that dtype, and ``op.at`` applies ``op`` over
+    the chunk's element-to-event index in index order, so each event folds
+    left to right: mixed signed zeros resolve as in a scalar loop, and
+    np.maximum/minimum propagate NaN. Empty events are set to NaN after.
     """
-    offsets = val.offsets
-    out = np.full(len(offsets) - 1, np.nan, dtype=np.float64)
-    nonempty = offsets[1:] != offsets[:-1]
-    starts = offsets[:-1][nonempty]
-    if not len(starts):
-        return out
-    values = val.values[: offsets[-1]]
-    # each element's event among the non-empty events
-    rows = np.zeros(len(values), dtype=np.intp)
-    rows[starts[1:]] = 1
-    np.cumsum(rows, out=rows)
+    events = val.events()
+    values = val.values[: len(events)]
     if values.dtype.kind == "f":
         identity = -np.inf if op is np.maximum else np.inf
     else:
         info = np.iinfo(values.dtype)
         identity = info.min if op is np.maximum else info.max
-    acc = np.full(len(starts), identity, dtype=values.dtype)
+    acc = np.full(val.n_entries, identity, dtype=values.dtype)
     with np.errstate(invalid="ignore"):  # a NaN poisons its event, as intended
-        op.at(acc, rows, values)
-    out[nonempty] = acc
+        op.at(acc, events, values)
+    out = acc.astype(np.float64, copy=False)
+    out[val.offsets[1:] == val.offsets[:-1]] = np.nan
     return out
 
 
@@ -552,13 +548,13 @@ def _eval_node(
     if isinstance(expr, Unary):
         inner = _eval(expr.operand, columns, n, record)
         if expr.op == "-":
-            return ColumnChunk(np.negative(inner.values), inner.offsets)
-        return ColumnChunk(~inner.values, inner.offsets)
+            return inner.with_values(np.negative(inner.values))
+        return inner.with_values(~inner.values)
     if isinstance(expr, Binary):
         left = _eval(expr.left, columns, n, record)
         right = _eval(expr.right, columns, n, record)
-        a, b, offsets = _flatten_pair(left, right, expr.offset)
-        return ColumnChunk(_apply_binary(expr.op, a, b, expr.offset), offsets)
+        a, b, entries = _flatten_pair(left, right, expr.offset)
+        return entries.with_values(_apply_binary(expr.op, a, b, expr.offset))
     if isinstance(expr, Call):
         if expr.func in ("count", "max", "min") and isinstance(expr.arg, ColumnRef):
             # these folds need no widened copy of the stored values
@@ -575,9 +571,9 @@ def _eval_node(
             op = np.maximum if expr.func == "max" else np.minimum
             return ColumnChunk(_fold_extremum(inner, op))
         if expr.func == "abs":
-            return ColumnChunk(np.abs(inner.values), inner.offsets)
+            return inner.with_values(np.abs(inner.values))
         with np.errstate(invalid="ignore"):
-            return ColumnChunk(np.sqrt(inner.values.astype(np.float64, copy=False)), inner.offsets)
+            return inner.with_values(np.sqrt(inner.values.astype(np.float64, copy=False)))
     raise EvalError(f"unhandled node {type(expr).__name__}")
 
 
@@ -601,9 +597,10 @@ def _apply_binary(op: str, a: np.ndarray, b: np.ndarray, offset: int) -> np.ndar
         if a.dtype == np.int64:
             if np.any(b == 0):
                 raise EvalError(f"integer division by zero (operator at offset {offset})")
-            return a // b
+            with np.errstate(over="ignore"):  # INT64_MIN / -1 wraps, as + - * do
+                return a // b
         with np.errstate(divide="ignore", invalid="ignore"):
             return a / b
     func = {"+": np.add, "-": np.subtract, "*": np.multiply}[op]
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # i64 wraps; inf - inf is NaN
         return func(a, b)

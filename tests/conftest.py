@@ -30,20 +30,36 @@ ACCEPTANCE_LINES: list[str] = []
 ACCEPTANCE_BLOCKS: list[str] = []
 
 
+def _library(lib) -> str:
+    return "libdeflate.so.0" if lib is not None else "the zlib fallback"
+
+
 def pytest_report_header(config):
-    name = "libdeflate.so.0" if treefile._LIBDEFLATE is not None else "the zlib fallback"
     policy = "applied" if memory.keep_task_memory() else "not applied (no glibc mallopt)"
-    return f"treefile inflates with {name}; engine allocator policy {policy}"
+    return (
+        f"treefile inflates with {_library(treefile._LIBDEFLATE)} and deflates codec 3 "
+        f"with {_library(treefile._LIBDEFLATE_DEFLATE)}; engine allocator policy {policy}"
+    )
+
+
+def _one_per_library(request, monkeypatch, attr: str) -> str:
+    if request.param == "zlib":
+        monkeypatch.setattr(treefile, attr, None)
+    elif getattr(treefile, attr) is None:
+        pytest.skip("libdeflate.so.0 did not load")
+    return request.param
 
 
 @pytest.fixture(params=["libdeflate", "zlib"])
 def inflater(request, monkeypatch):
     """Run a test once per inflater; the zlib case forces the fallback."""
-    if request.param == "zlib":
-        monkeypatch.setattr(treefile, "_LIBDEFLATE", None)
-    elif treefile._LIBDEFLATE is None:
-        pytest.skip("libdeflate.so.0 did not load")
-    return request.param
+    return _one_per_library(request, monkeypatch, "_LIBDEFLATE")
+
+
+@pytest.fixture(params=["libdeflate", "zlib"])
+def deflater(request, monkeypatch):
+    """Run a test once per deflater of codec 3's planes; the zlib case forces the fallback."""
+    return _one_per_library(request, monkeypatch, "_LIBDEFLATE_DEFLATE")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

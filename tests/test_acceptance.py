@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -200,7 +201,7 @@ def readahead_result(tmp_path_factory):
 
 
 def _simulated_traffic(data_dir: str, partition: int, read_ahead: int) -> tuple[int, int]:
-    manifest = DatasetManifest.from_json(open(os.path.join(data_dir, "dataset.json")).read())
+    manifest = DatasetManifest.from_json((Path(data_dir) / "dataset.json").read_text())
     requested = fetched = 0
     for path in manifest.file_paths(data_dir):
         file_len = os.path.getsize(path)
@@ -466,7 +467,7 @@ def test_criterion_8_connector_equivalence(tmp_path, serve_dir):
         GenSpec(seed=108, n_events=8192, n_files=1, schema="flat8"), tmp_path
     )
     path = manifest.file_paths(str(tmp_path))[0]
-    raw = open(path, "rb").read()
+    raw = Path(path).read_bytes()
     server = serve_dir(tmp_path)
     host, port = server.address
     url = f"xrdl://{host}:{port}/{manifest.files[0].path}"

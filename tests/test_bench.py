@@ -121,7 +121,7 @@ SMALL = dict(n_events=300, n_files=2, basket_target_entries=128)
 
 
 def _file_bytes(out_dir, manifest) -> list[bytes]:
-    return [open(p, "rb").read() for p in manifest.file_paths(str(out_dir))]
+    return [Path(p).read_bytes() for p in manifest.file_paths(str(out_dir))]
 
 
 class TestDeterminism:
@@ -386,7 +386,7 @@ class TestDemoContent:
         spec = GenSpec(seed=9, n_events=256, n_files=1, schema="flat8",
                        basket_target_entries=100, codec=Codec.NONE)
         manifest = generate(spec, tmp_path)
-        raw = open(manifest.file_paths(str(tmp_path))[0], "rb").read()
+        raw = Path(manifest.file_paths(str(tmp_path))[0]).read_bytes()
         _, _, dir_offset, dir_len, _ = struct.unpack(">4sIQQQ", raw[:32])
         trees = DirWalker(parse_record(raw[dir_offset : dir_offset + dir_len])).walk()
         _, branches = trees[DEMO_TREE]
@@ -495,10 +495,10 @@ class TestReport:
             metrics=_StubMetrics(),
         )
         paths = write_report("size", result, tmp_path)
-        csv_text = open(paths["csv"]).read()
+        csv_text = Path(paths["csv"]).read_text()
         assert csv_text.splitlines()[0] == "multiple,bytes,median_wall_s,r2"
         assert csv_text.splitlines()[1] == "1,1000,0.500000,0.999100"
-        md = open(paths["markdown"]).read()
+        md = Path(paths["markdown"]).read_text()
         assert md.startswith("# size scaling")
         assert "| 2 | 2000 | 1.000000 | 0.999100 |" in md
         assert "R^2 = 0.9991" in md
@@ -513,12 +513,12 @@ class TestReport:
                           throughput_bytes_per_s=999.5, entries_out=5)],
         )
         paths = write_report("cores", result, tmp_path)
-        csv_text = open(paths["csv"]).read()
+        csv_text = Path(paths["csv"]).read_text()
         assert csv_text.splitlines()[0] == (
             "executors,cores,workers,median_wall_s,throughput_bytes_per_s,cap_bytes_per_s"
         )
         assert csv_text.splitlines()[1] == "2,4,8,0.250000,999.5,1048576.0"
-        md = open(paths["markdown"]).read()
+        md = Path(paths["markdown"]).read_text()
         assert "server bandwidth cap: 1048576 bytes/s" in md
         assert "## workload breakdown" not in md
 
@@ -531,7 +531,7 @@ class TestReport:
                                amplification=4.0, median_wall_s=2.0, entries_out=1)],
         )
         paths = write_report("readahead", result, tmp_path)
-        csv_text = open(paths["csv"]).read()
+        csv_text = Path(paths["csv"]).read_text()
         assert csv_text.splitlines()[0] == (
             "read_ahead,bytes_requested,bytes_fetched,amplification,median_wall_s"
         )

@@ -23,7 +23,7 @@ from treeduce.cli import build_parser, main, parse_bytes
 from treeduce.engine import EngineConfig, EngineError, Manifest, fill, load_job_file, usable_cores
 from treeduce.exprlang import parse
 from treeduce.histagg import HistError, parse_hist_spec
-from treeduce.treefile import ColumnChunk, open_file, write_tree
+from treeduce.treefile import Codec, ColumnChunk, open_file, write_tree
 
 
 @pytest.mark.parametrize(
@@ -52,6 +52,11 @@ def test_parse_bytes_rejects(text):
 
 
 def test_parser_defaults():
+    args = build_parser().parse_args(["generate", "--out", "d"])
+    spec = GenSpec()
+    assert (args.seed, args.events, args.files) == (spec.seed, spec.n_events, spec.n_files)
+    assert (args.schema, args.basket_entries) == (spec.schema, spec.basket_target_entries)
+    assert Codec[args.codec.upper()] is spec.codec
     args = build_parser().parse_args(["serve", "--root", "x"])
     assert args.host == "127.0.0.1" and args.port == 1094 and args.bandwidth_cap is None
     args = build_parser().parse_args(["reduce", "--job", "j"])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -186,6 +188,17 @@ def test_integer_division_floors():
     assert _scalar("7 / (0 - 2)")[0] == -4
 
 
+def test_integer_division_of_the_most_negative_by_minus_one_wraps():
+    text = "(0 - 9223372036854775807 - 1) / (0 - 1)"
+    cols = {"b": ColumnChunk(np.array([-(2**63), 7], dtype=np.int64))}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _scalar(text)[0] == -(2**63)
+        assert evaluate(parse("b / (0 - 1)"), cols).values.tolist() == [-(2**63), -7]
+    assert eval_events(parse(text), [{}]) == [-(2**63)]
+    assert eval_events(parse("b / (0 - 1)"), events_from_columns(cols)) == [-(2**63), -7]
+
+
 def test_integer_division_by_zero_raises():
     with pytest.raises(EvalError):
         _scalar("7 / 0")
@@ -313,6 +326,7 @@ def _edge_jagged(dtype: np.dtype) -> list[ColumnChunk]:
 
 @pytest.mark.parametrize("func", ["max", "min"])
 def test_vectorized_extremum_matches_the_loop_bitwise(func):
+    """Each chunk is folded once fresh and once with its element-to-event index built."""
     from treeduce.exprlang import _fold_extremum
 
     op = np.maximum if func == "max" else np.minimum
@@ -323,14 +337,55 @@ def test_vectorized_extremum_matches_the_loop_bitwise(func):
         for case in range(320)
     ]
     cases += [(dtype, chunk) for dtype in dtypes for chunk in _edge_jagged(dtype)]
+    cases += [(dtype, ColumnChunk(chunk.values, chunk.offsets)) for dtype, chunk in cases]
     for case, (dtype, chunk) in enumerate(cases):
         assert chunk.values.dtype == dtype
+        if case >= len(cases) // 2:
+            chunk.events()
         want = _loop_extremum(chunk.values, chunk.offsets, op).view(np.uint64)
         got = evaluate(parse(f"{func}(x)"), {"x": chunk}, n_entries=chunk.n_entries)
         assert got.values.dtype == np.float64
         assert np.array_equal(got.values.view(np.uint64), want), (case, dtype)
         widened = chunk.values.astype(np.float64 if dtype.kind == "f" else np.int64)
-        folded = _fold_extremum(ColumnChunk(widened, chunk.offsets), op)
+        folded = _fold_extremum(chunk.with_values(widened), op)
+        assert np.array_equal(folded.view(np.uint64), want), (case, dtype)
+
+
+def _loop_sum(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Each event's elements added left to right onto 0 in Python scalars, i64 wrapping."""
+    out = []
+    for i in range(len(offsets) - 1):
+        acc = values.dtype.type(0).item()
+        for v in values[offsets[i] : offsets[i + 1]].tolist():
+            acc = acc + v if values.dtype.kind == "f" else (acc + v + 2**63) % 2**64 - 2**63
+        out.append(acc)
+    return np.array(out, dtype=values.dtype)
+
+
+@pytest.mark.parametrize("indexed", [False, True], ids=["fresh", "indexed"])
+def test_vectorized_sum_matches_the_loop_bitwise(indexed):
+    from treeduce.exprlang import _fold_sum
+
+    dtypes = [np.dtype(t) for t in (np.int32, np.int64, np.float32, np.float64)]
+    rng = np.random.default_rng(21)
+    cases = [
+        (dtypes[case % 4], _random_jagged(rng, dtypes[case % 4], all_empty=case % 16 < 4))
+        for case in range(160)
+    ]
+    cases += [(dtype, chunk) for dtype in dtypes for chunk in _edge_jagged(dtype)]
+    cases += [
+        (np.dtype(np.float64), _jagged([[-0.0], [-0.0, -0.0], [0.0, -0.0], [1e308, 1e308, -np.inf]], np.float64)),
+        (np.dtype(np.int64), _jagged([[2**63 - 1, 1], [-(2**63), -1, 1]], np.int64, trailing=[5])),
+    ]
+    for case, (dtype, chunk) in enumerate(cases):
+        if indexed:
+            chunk.events()
+        widened = chunk.values.astype(np.float64 if dtype.kind == "f" else np.int64)
+        want = _loop_sum(widened, chunk.offsets).view(np.uint64)
+        got = evaluate(parse("sum(x)"), {"x": chunk}, n_entries=chunk.n_entries)
+        assert got.values.dtype == widened.dtype
+        assert np.array_equal(got.values.view(np.uint64), want), (case, dtype)
+        folded = _fold_sum(chunk.with_values(widened))
         assert np.array_equal(folded.view(np.uint64), want), (case, dtype)
 
 

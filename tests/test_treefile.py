@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_interp import arrays_match
+from treeduce import treefile
 from treeduce.iostats import IoStats
 from treeduce.sources import ByteSource, BytesSource, FileSource
 from treeduce.treefile import (
@@ -147,14 +148,22 @@ def plane_lens_by_hand(raw_len: int, head: int, width: int) -> list[int]:
     return [head // 8] * (8 if head else 0) + [(raw_len - head) // width] * width
 
 
-def planes_payload_by_hand(payload: bytes, head: int, width: int, flags: list[int]) -> bytes:
-    """A codec-3 basket: flags | crc32 of the stored planes
-    | one level-1 zlib stream of the flagged planes | the stored planes."""
+def split_planes_by_hand(
+    payload: bytes, head: int, width: int, flags: list[int]
+) -> tuple[bytes, bytes]:
+    """The flagged planes of a payload, and its other planes, each in plane order."""
     segments = [(payload[:head], 8), (payload[head:], width)] if head else [(payload, width)]
     planes = [segment[k::w] for segment, w in segments for k in range(w)]
     assert len(flags) == len(planes)
     deflated = b"".join(plane for plane, flag in zip(planes, flags) if flag)
     stored = b"".join(plane for plane, flag in zip(planes, flags) if not flag)
+    return deflated, stored
+
+
+def planes_payload_by_hand(payload: bytes, head: int, width: int, flags: list[int]) -> bytes:
+    """A codec-3 basket: flags | crc32 of the stored planes
+    | one level-1 zlib stream of the flagged planes | the stored planes."""
+    deflated, stored = split_planes_by_hand(payload, head, width, flags)
     stream = zlib.compress(deflated, 1) if any(flags) else b""
     return bytes(flags) + struct.pack(">I", zlib.crc32(stored)) + stream + stored
 
@@ -353,6 +362,9 @@ def test_shuffle_falls_back_to_unshuffled_raw_when_not_smaller(tmp_path):
 
 
 def test_planes_basket_payload_exact_bytes(tmp_path):
+    """Under zlib the whole payload is pinned. libdeflate writes a different
+    stream, so under it everything around the stream is pinned, and the
+    stream must inflate to exactly the flagged planes."""
     rng = np.random.default_rng(11)
     flat = rng.normal(size=2048)
     jag = ColumnChunk(
@@ -374,7 +386,15 @@ def test_planes_basket_payload_exact_bytes(tmp_path):
         stored = raw[offset : offset + stored_len]
         flags = list(stored[: len(plane_lens_by_hand(raw_len, head, width))])
         assert set(flags) == {0, 1}  # sign/exponent planes deflated, mantissa noise stored
-        assert stored == planes_payload_by_hand(payload, head, width, flags)
+        want = planes_payload_by_hand(payload, head, width, flags)
+        if treefile._LIBDEFLATE_DEFLATE is None:
+            assert stored == want
+        else:
+            flagged, kept = split_planes_by_hand(payload, head, width, flags)
+            n_head = len(flags) + 4  # flags and CRC32
+            assert stored[:n_head] == want[:n_head]
+            assert stored[len(stored) - len(kept) :] == kept
+            assert zlib.decompress(stored[n_head : len(stored) - len(kept)]) == flagged
         assert unplanes_by_hand(stored, raw_len, head, width) == payload
 
 
@@ -517,6 +537,55 @@ def test_multiple_trees_in_one_file(tmp_path):
         assert reader.read_column("b", "y").values.tolist() == [1.0, 1.0]
         with pytest.raises(TreeFileError):
             reader.tree()  # ambiguous without a name
+
+
+# --- column chunks --------------------------------------------------------
+
+
+def _select_by_hand(rows: list, mask: list) -> list:
+    return [row for row, keep in zip(rows, mask) if keep]
+
+
+@pytest.mark.parametrize("indexed", [False, True], ids=["fresh", "indexed"])
+def test_select_keeps_the_masked_entries(indexed):
+    rng = np.random.default_rng(9)
+    rows = [[], [1.5, -0.0], [], [np.nan], [2.0, 3.0, 4.0], []]
+    chunks = [
+        ColumnChunk.from_lists(rows, np.float32, jagged=True),
+        ColumnChunk.from_lists([[], [], []], np.int64, jagged=True),
+        ColumnChunk.from_lists([], np.float64, jagged=True),
+        # values past offsets[-1] belong to no entry and are never kept
+        ColumnChunk(np.array([1, 2, 3, 99, 98], dtype=np.int32), np.array([0, 2, 2, 3])),
+        ColumnChunk(np.arange(6, dtype=np.int64)),
+    ]
+    for chunk in chunks:
+        if indexed and chunk.is_jagged:
+            chunk.events()
+        n = chunk.n_entries
+        lists = chunk.to_lists()
+        for mask in (np.zeros(n, bool), np.ones(n, bool), rng.random(n) < 0.5):
+            got = chunk.select(mask)
+            assert got.is_jagged == chunk.is_jagged
+            assert got.values.dtype == chunk.values.dtype
+            want = _select_by_hand(lists, mask.tolist())
+            assert str(got.to_lists()) == str(want)  # NaN- and sign-aware
+            if got.is_jagged:
+                assert got.offsets.dtype == np.int64 and got.offsets[0] == 0
+                assert len(got.values) == got.offsets[-1]
+                assert got.events().tolist() == [i for i, row in enumerate(want) for _ in row]
+        with pytest.raises(SchemaError, match="mask of"):
+            chunk.select(np.ones(n + 1, bool))
+
+
+def test_chunk_events_index_each_element_and_are_cached():
+    chunk = ColumnChunk(np.arange(7.0), np.array([0, 0, 3, 3, 4, 6, 6]))
+    events = chunk.events()
+    assert events.tolist() == [1, 1, 1, 3, 4, 4]
+    assert chunk.events() is events
+    assert chunk.with_values(np.zeros(7)).events() is events
+    assert chunk.slice(1, 4).events().tolist() == [0, 0, 0, 2]
+    with pytest.raises(SchemaError):
+        ColumnChunk(np.arange(3)).events()
 
 
 # --- streaming writer ---------------------------------------------------
@@ -887,6 +956,102 @@ def test_two_threads_read_one_files_columns_alike(inflater, tmp_path):
         sys.setswitchinterval(interval)
 
 
+# --- both deflaters --------------------------------------------------------
+# Codec 3 deflates its flagged planes with libdeflate where it loads and with
+# zlib otherwise (the ``deflater`` fixture in conftest.py); every other
+# deflate uses zlib.
+
+
+def test_codec3_round_trips_under_each_deflater(deflater, tmp_path):
+    test_planes_basket_payload_exact_bytes(tmp_path)
+    test_round_trip_every_dtype(tmp_path, Codec.PLANES)
+    test_round_trip_jagged_offsets_and_empty_events(tmp_path)
+    test_planes_deflates_a_constant_plane_and_stores_a_random_one(tmp_path)
+    raw = planes_file_bytes(tmp_path)
+    with open_bytes(raw) as reader:
+        reader.validate(deep=True)
+    test_every_flip_in_stored_planes_is_detected(tmp_path)
+
+
+def test_writer_judges_each_segments_planes_once(tmp_path, monkeypatch):
+    judged = []
+    real = treefile._plane_shrinks
+    monkeypatch.setattr(treefile, "_plane_shrinks", lambda rows: judged.append(len(rows)) or real(rows))
+    rng = np.random.default_rng(8)
+    n = 4 * 2048 + 100
+    counts = rng.integers(0, 4, n)
+    branches = {
+        "flat": rng.integers(0, 2**40, n, dtype=np.int64),
+        "jag": ColumnChunk(
+            rng.normal(size=int(counts.sum())).astype(np.float32),
+            np.concatenate([[0], np.cumsum(counts)]),
+        ),
+        "short": [[1.5]] * 200 + [[]] * (n - 200),  # elements fill no sample
+    }
+    path = tmp_path / "judged.trf"
+    write_tree(str(path), "t", branches, basket_entries=2048)
+    # flat, jag's table and elements, short's table: once each, on the first
+    # basket; short's elements, never a full sample: on every basket
+    first_jag = len(branches["jag"].slice(0, 2048).values)
+    assert judged == [2048, 2049, first_jag, 2049, 200] + [0] * 4
+    raw = path.read_bytes()
+    with open_file(str(path)) as reader:
+        reader.validate(deep=True)
+        for name, meta in reader.tree("t").branches.items():
+            n_flags = 8 + itemsize(meta.dtype) if meta.is_jagged else itemsize(meta.dtype)
+            flags = {
+                raw[b.offset : b.offset + n_flags]
+                for b in meta.baskets
+                if b.codec == Codec.PLANES and b.n_entries == 2048
+            }
+            assert len(flags) <= 1 or name == "short", name
+        got = reader.read_column("t", "jag")
+        assert got.values.tobytes() == branches["jag"].values.tobytes()
+
+
+def test_two_threads_write_files_that_decode_alike(deflater, tmp_path):
+    rng = np.random.default_rng(43)
+    n = 30_000
+    counts = rng.integers(0, 6, n)
+    branches = {
+        "f": ColumnChunk(rng.normal(size=n)),
+        "i": ColumnChunk(rng.integers(0, 1000, n, dtype=np.int32)),
+        "j": ColumnChunk(
+            rng.normal(size=int(counts.sum())).astype(np.float32),
+            np.concatenate([[0], np.cumsum(counts)]),
+        ),
+    }
+
+    def write_some(index, barrier):
+        barrier.wait(timeout=10)
+        paths = []
+        for k in range(3):
+            path = tmp_path / f"w{index}-{k}.trf"
+            write_tree(str(path), "t", branches, basket_entries=2000)
+            paths.append(path)
+        return paths
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        barrier = threading.Barrier(2)
+        with ThreadPoolExecutor(2) as pool:
+            futures = [pool.submit(write_some, index, barrier) for index in range(2)]
+            paths = [path for future in futures for path in future.result(timeout=60)]
+    finally:
+        sys.setswitchinterval(interval)
+    for path in paths:
+        with open_file(str(path)) as reader:
+            assert {b.codec for m in reader.tree("t").branches.values() for b in m.baskets} == {
+                Codec.PLANES
+            }
+            for name, want in branches.items():
+                got = reader.read_column("t", name)
+                assert got.values.tobytes() == want.values.tobytes()
+                if want.offsets is not None:
+                    assert np.array_equal(got.offsets, want.offsets)
+
+
 def test_header_magic_and_version_checked():
     good = struct.pack(">4sIQQQ", b"TRF1", 1, 32, 0, 32)
     with pytest.raises(CorruptFileError):
@@ -975,6 +1140,11 @@ def _assert_round_trip(tmp_path, branches, basket_entries, codec):
 def test_round_trip_random_trees(tmp_path, contents):
     branches, basket_entries, codec = contents
     _assert_round_trip(tmp_path, branches, basket_entries, codec)
+
+
+@given(tree_contents())
+def test_random_trees_round_trip_under_each_deflater(deflater, tmp_path, contents):
+    _assert_round_trip(tmp_path, *contents)
 
 
 @settings(max_examples=30)
