@@ -155,30 +155,37 @@ class Bin:
         )
 
     def _route(self, q: np.ndarray):
+        """Each value's bin, or ``num`` for a value outside ``[low, high)`` or NaN.
+
+        The bins are computed over the whole chunk and the few values
+        outside masked after: a kept event's quantity is nearly always
+        inside, and boolean indexing on so dense a mask costs more than
+        the arithmetic it saves.
+        """
         nan = np.isnan(q)
         under = q < self.low
         over = q >= self.high
         inside = ~(nan | under | over)
-        idx = np.zeros(len(q), dtype=np.int64)
-        if inside.any():
-            scaled = (q[inside] - self.low) / (self.high - self.low) * self.num
-            idx[inside] = np.minimum(np.floor(scaled).astype(np.int64), self.num - 1)
-        return idx, inside, under, over, nan
+        # values outside may overflow or be NaN or inf, which cast to no int; masked below
+        with np.errstate(over="ignore", invalid="ignore"):
+            scaled = (q - self.low) / (self.high - self.low) * self.num
+            idx = np.minimum(np.floor(scaled).astype(np.int64), self.num - 1)
+        return np.where(inside, idx, self.num), under, over, nan
 
     def fill_chunk(self, columns: dict[str, ColumnChunk], n: int, weights=None) -> None:
         w = _as_weights(n, weights)
         q = _scalar_quantity(self.quantity, columns, n)
-        idx, inside, under, over, nan = self._route(q)
+        idx, under, over, nan = self._route(q)
         self.entries += float(np.sum(w))
 
         children_plain = all(isinstance(v, Count) for v in self.values)
         if children_plain:
-            per_bin = np.bincount(idx[inside], weights=w[inside], minlength=self.num)
+            per_bin = np.bincount(idx, weights=w, minlength=self.num + 1)
             for k in range(self.num):
                 self.values[k].entries += float(per_bin[k])
         else:
             for k in range(self.num):
-                mask = inside & (idx == k)
+                mask = idx == k
                 if mask.any():
                     self._fill_child(self.values[k], columns, mask, w)
         for agg, mask in ((self.underflow, under), (self.overflow, over), (self.nanflow, nan)):

@@ -15,9 +15,12 @@ Jagged basket payload: (n_entries + 1) u64 basket-local element offsets
 Codec 2 (shuffle) stores a basket payload regrouped into byte planes
 (plane k holds byte k of every element) and deflated at level 1. Codec 3
 (planes) regroups the same way, deflates only the planes whose sampled byte
-entropy says they will shrink, stores the others raw under a CRC32, and is
-what writers use by default. Its stream is deflated by libdeflate where the
-library loads and by zlib otherwise; every other stream by zlib.
+entropy says they will shrink, and stores the others raw under a CRC32.
+Codec 4 (delta planes), what writers use by default, is codec 3 with a
+jagged basket's offset table replaced by each entry's element count and a
+plane of one repeated byte stored as that byte. The flagged planes of
+codecs 3 and 4 are deflated by libdeflate where the library loads and by
+zlib otherwise; every other stream by zlib.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from typing import BinaryIO, Iterable, Sequence
 
 import numpy as np
 
-from .sources import ByteSource, BytesSource, FileSource
+from .sources import ByteSource, FileSource
 
 MAGIC = b"TRF1"
 VERSION = 1
@@ -48,9 +51,9 @@ _CRC = struct.Struct(">I")
 # Compression must pay for itself; equal-size output keeps the raw bytes.
 _DEFLATE_LEVEL = 6
 # On the demo job's part-file baskets, shuffled level 6 stores only 1.4%
-# fewer bytes than level 1 and takes 1.8x as long. Codecs 2 and 3 both use it.
+# fewer bytes than level 1 and takes 1.8x as long. Codecs 2, 3 and 4 use it.
 _SHUFFLE_LEVEL = 1
-# Codec 3 deflates a plane when the byte histogram of its first
+# Codecs 3 and 4 deflate a plane when the byte histogram of its first
 # _PLANE_SAMPLE bytes estimates under _PLANE_MAX_ENTROPY bits per byte. On
 # the part files of a seed-1 demo reduce (144 baskets, 1,296 planes of
 # mostly 8 KiB, 2-core VM) the histograms take 8 ms where a level-1 zlib
@@ -85,6 +88,7 @@ class Codec(IntEnum):
     DEFLATE = 1
     SHUFFLE = 2
     PLANES = 3
+    DELTA_PLANES = 4
 
 
 _DTYPE_BE = {
@@ -167,7 +171,8 @@ _LIBDEFLATE = _load_libdeflate(
     }
 )
 
-# Deflates codec 3's flagged planes when loaded; None selects the zlib module.
+# Deflates the flagged planes of codecs 3 and 4 when loaded; None selects the
+# zlib module.
 # Codecs 1 and 2 and the directory record always use the zlib module, so the
 # generator's bytes do not depend on which library loaded.
 _LIBDEFLATE_DEFLATE = _load_libdeflate(
@@ -182,7 +187,7 @@ _LIBDEFLATE_DEFLATE = _load_libdeflate(
 
 
 class _Compressor:
-    """One libdeflate compressor at codec 3's level, freed with its owner."""
+    """One libdeflate compressor at the planes codecs' level, freed with its owner."""
 
     def __init__(self, lib: ctypes.CDLL):
         self.lib = lib
@@ -337,6 +342,9 @@ class TreeMeta:
 Planes = tuple[int, int]
 _NO_PLANES: Planes = (0, 1)
 
+# A plane's flag under PLANES and DELTA_PLANES; only the latter has constants.
+_STORED, _DEFLATED, _CONSTANT = 0, 1, 2
+
 
 def _basket_planes(dtype: Dtype, shape: Shape, n_entries: int) -> Planes:
     head = (n_entries + 1) * 8 if shape is Shape.JAGGED else 0
@@ -388,100 +396,161 @@ def _plane_shrinks(elements: np.ndarray) -> np.ndarray:
 
 
 def _deflate_planes(
-    raw: bytes | memoryview, planes: Planes, verdicts: list | None = None
+    raw: bytes | memoryview, planes: Planes, codec: Codec, verdicts: list | None = None
 ) -> np.ndarray | None:
-    """Codec 3 payload: flags | crc32 of stored planes | deflated planes | stored planes.
+    """Codec 3 or 4 payload: flags | crc32 of the stored section | deflated
+    planes | stored section.
 
-    None when it would be no smaller than ``raw``, as it always is when no
-    plane is flagged.
+    None when it would be no smaller than ``raw``, as it always is when every
+    plane is stored.
 
-    ``verdicts`` carries flags from one payload of a branch to the next: one
-    entry per segment, None until a segment of at least ``_PLANE_SAMPLE``
-    elements has been judged, and that judgement afterwards. An empty
-    segment is stored whatever its verdict.
+    ``verdicts`` carries the deflate-or-store flags from one payload of a
+    branch to the next: one entry per segment, None until a segment of at
+    least ``_PLANE_SAMPLE`` elements has been judged, and that judgement
+    afterwards. An empty segment is stored whatever its verdict. Codec 4
+    judges a jagged payload's offset table as its entries' counts, and
+    flags a non-empty plane of one repeated byte constant in every payload.
 
-    Each plane is copied out of ``raw`` once: a flagged plane into the
-    deflater's input, a stored plane into the payload behind the stream,
-    which the deflater writes in place.
+    Each plane is copied out of ``raw`` once: a deflated plane into the
+    deflater's input, a stored plane, or a constant plane's one byte, into
+    the payload behind the stream, which the deflater writes in place.
+    Codec 4 reads an offset table's planes from its counts, one copy more.
     """
     src = np.frombuffer(raw, dtype=np.uint8)
     segments = _segments(len(src), planes)
     if verdicts is None:
         verdicts = [None] * len(segments)
+    delta = codec is Codec.DELTA_PLANES
     rows, flags = [], []  # each segment's planes as rows (views), and its flags
     for i, (lo, hi, w) in enumerate(segments):
-        elements = src[lo:hi].reshape(-1, w)
+        segment = src[lo:hi]
+        if delta and planes[0] and i == 0:
+            segment = _offsets_to_counts(segment)
+        elements = segment.reshape(-1, w)
         shrinks = verdicts[i] if len(elements) else None
         if shrinks is None:
             shrinks = _plane_shrinks(elements)
             if len(elements) >= _PLANE_SAMPLE:
                 verdicts[i] = shrinks
+        seg_flags = shrinks.astype(np.uint8)
+        if delta and len(elements):
+            seg_flags[_constant_planes(segment, w)] = _CONSTANT
         rows.append(elements.T)
-        flags.append(shrinks)
+        flags.append(seg_flags)
     mask = np.concatenate(flags)
     if not mask.any():
         return None
-    deflated_len = sum(int(f.sum()) * r.shape[1] for r, f in zip(rows, flags))
-    kept_len = len(src) - deflated_len
-    deflate_in = np.empty(deflated_len, dtype=np.uint8)
-    _gather_planes(rows, flags, True, deflate_in)
+    plane_lens = np.repeat([r.shape[1] for r in rows], [w for _, _, w in segments])
+    n_constant = int(np.count_nonzero(mask == _CONSTANT))
+    deflated_len = int(plane_lens[mask == _DEFLATED].sum())
+    kept_len = int(plane_lens[mask == _STORED].sum()) + n_constant
     head = len(mask) + _CRC.size
-    lib = _LIBDEFLATE_DEFLATE
-    if lib is None:
-        stream = zlib.compress(deflate_in, _SHUFFLE_LEVEL)
-        stream_len = len(stream)
-        out = np.empty(head + stream_len + kept_len, dtype=np.uint8)
-        out[head : head + stream_len] = np.frombuffer(stream, dtype=np.uint8)
-    else:
-        state = _PER_THREAD
-        if state.compressor is None:
-            state.compressor = _Compressor(lib)
-        compressor = state.compressor.handle
-        bound = lib.libdeflate_zlib_compress_bound(compressor, deflated_len)
-        out = np.empty(head + bound + kept_len, dtype=np.uint8)
-        stream_len = lib.libdeflate_zlib_compress(
-            compressor, deflate_in.ctypes.data, deflated_len, out.ctypes.data + head, bound
-        )
-        if not stream_len:  # pragma: no cover - the bound always has room
-            raise RuntimeError("libdeflate_zlib_compress overran its bound")
+    deflate_in = np.empty(deflated_len, dtype=np.uint8)
+    _gather_planes(rows, flags, _DEFLATED, deflate_in)
+    out, stream_len = _deflate_between(deflate_in, head, kept_len)
     end = head + stream_len + kept_len
     if end >= len(src):
         return None
     kept = out[head + stream_len : end]
-    _gather_planes(rows, flags, False, kept)
+    if n_constant:
+        firsts = [r[f == _CONSTANT, :1].ravel() for r, f in zip(rows, flags)]
+        kept[:n_constant] = np.concatenate(firsts)
+    _gather_planes(rows, flags, _STORED, kept[n_constant:])
     out[: len(mask)] = mask
     _CRC.pack_into(out, len(mask), zlib.crc32(kept))
     return out[:end]
 
 
-def _gather_planes(rows: list, flags: list, flagged: bool, out: np.ndarray) -> None:
-    """Copy the flagged (or the stored) planes of every segment, in order, into ``out``."""
+def _deflate_between(data: np.ndarray, head: int, tail: int) -> tuple[np.ndarray, int]:
+    """A buffer of ``head`` bytes, the level-1 zlib stream of ``data`` (none
+    when ``data`` is empty) and ``tail`` bytes; and the stream's length.
+
+    libdeflate writes the stream into the buffer, zlib's is copied in.
+    """
+    if not len(data):
+        return np.empty(head + tail, dtype=np.uint8), 0
+    lib = _LIBDEFLATE_DEFLATE
+    if lib is None:
+        stream = zlib.compress(data, _SHUFFLE_LEVEL)
+        stream_len = len(stream)
+        out = np.empty(head + stream_len + tail, dtype=np.uint8)
+        out[head : head + stream_len] = np.frombuffer(stream, dtype=np.uint8)
+        return out, stream_len
+    state = _PER_THREAD
+    if state.compressor is None:
+        state.compressor = _Compressor(lib)
+    compressor = state.compressor.handle
+    bound = lib.libdeflate_zlib_compress_bound(compressor, len(data))
+    out = np.empty(head + bound + tail, dtype=np.uint8)
+    stream_len = lib.libdeflate_zlib_compress(
+        compressor, data.ctypes.data, len(data), out.ctypes.data + head, bound
+    )
+    if not stream_len:  # pragma: no cover - the bound always has room
+        raise RuntimeError("libdeflate_zlib_compress overran its bound")
+    return out, stream_len
+
+
+def _offsets_to_counts(table: np.ndarray) -> np.ndarray:
+    """A u64 offset table's bytes with each entry after the first replaced by
+    its difference from the entry before: the entries' element counts."""
+    offsets = table.view(">u8")
+    counts = np.empty_like(offsets)
+    counts[:1] = offsets[:1]
+    np.subtract(offsets[1:], offsets[:-1], out=counts[1:])
+    return counts.view(np.uint8)
+
+
+def _constant_planes(segment: np.ndarray, width: int) -> np.ndarray:
+    """Which byte planes of a non-empty segment of ``width``-byte elements
+    hold one repeated byte.
+
+    All planes at once: a bit that every element has alike is set in both
+    the OR and the AND of the elements, or in neither.
+    """
+    elements = segment.view(np.dtype(f"u{width}"))
+    differ = np.bitwise_or.reduce(elements) ^ np.bitwise_and.reduce(elements)
+    return np.frombuffer(differ.tobytes(), dtype=np.uint8) == 0
+
+
+def _gather_planes(rows: list, flags: list, flag: int, out: np.ndarray) -> None:
+    """Copy the whole planes of every segment flagged ``flag``, in order, into ``out``."""
     pos = 0
-    for planes, shrinks in zip(rows, flags):
+    for planes, seg_flags in zip(rows, flags):
         n = planes.shape[1]
-        for j in np.flatnonzero(shrinks == flagged).tolist():
+        for j in np.flatnonzero(seg_flags == flag).tolist():
             out[pos : pos + n] = planes[j]
             pos += n
 
 
-def _inflate_planes(stored: bytes | memoryview, raw_len: int, planes: Planes) -> np.ndarray:
-    """Decode a codec-3 payload straight into the unshuffled ``raw_len`` bytes."""
+def _inflate_planes(
+    stored: bytes | memoryview, raw_len: int, planes: Planes, codec: Codec
+) -> np.ndarray:
+    """Decode a codec-3 or codec-4 payload straight into the unshuffled ``raw_len`` bytes."""
     segments = _segments(raw_len, planes)
-    n_flags = sum(w for _, _, w in segments)
+    widths = [w for _, _, w in segments]
+    n_flags = sum(widths)
     if len(stored) < n_flags + _CRC.size:
         raise CorruptFileError(f"planes payload of {len(stored)} bytes has no room for its flags")
     flags = np.frombuffer(stored, dtype=np.uint8, count=n_flags)
-    if np.any(flags > 1):
-        raise CorruptFileError("plane flags must be 0 (stored) or 1 (deflated)")
-    mask = flags.astype(bool)
-    seg_masks = np.split(mask, np.cumsum([w for _, _, w in segments])[:-1])
-    plane_lens = [(hi - lo) // w for lo, hi, w in segments]
-    deflated_len = sum(int(m.sum()) * n for m, n in zip(seg_masks, plane_lens))
-    stream_len = len(stored) - n_flags - _CRC.size - (raw_len - deflated_len)
-    if stream_len < 0 or (stream_len > 0) != mask.any():
+    delta = codec is Codec.DELTA_PLANES
+    if np.any(flags > (_CONSTANT if delta else _DEFLATED)):
         raise CorruptFileError(
-            f"planes payload of {len(stored)} bytes cannot hold {raw_len - deflated_len} "
-            f"stored bytes and a deflate stream for {int(mask.sum())} planes"
+            "plane flags must be 0 (stored), 1 (deflated) or 2 (constant)"
+            if delta
+            else "plane flags must be 0 (stored) or 1 (deflated)"
+        )
+    plane_lens = np.repeat([(hi - lo) // w for lo, hi, w in segments], widths)
+    if np.any((flags == _CONSTANT) & (plane_lens == 0)):
+        raise CorruptFileError("an empty plane cannot be constant")
+    deflated = flags == _DEFLATED
+    deflated_len = int(plane_lens[deflated].sum())
+    n_constant = int(np.count_nonzero(flags == _CONSTANT))
+    kept_len = int(plane_lens[flags == _STORED].sum()) + n_constant
+    stream_len = len(stored) - n_flags - _CRC.size - kept_len
+    if stream_len < 0 or (stream_len > 0) != deflated.any():
+        raise CorruptFileError(
+            f"planes payload of {len(stored)} bytes cannot hold {kept_len} "
+            f"stored bytes and a deflate stream for {int(deflated.sum())} planes"
         )
     body = memoryview(stored)[n_flags + _CRC.size :]
     kept = body[stream_len:]
@@ -490,15 +559,22 @@ def _inflate_planes(stored: bytes | memoryview, raw_len: int, planes: Planes) ->
     inflated_planes = np.empty(0, dtype=np.uint8)
     if stream_len:
         inflated_planes = _inflate(body[:stream_len], deflated_len)
-    stored_planes = np.frombuffer(kept, dtype=np.uint8)
+    constants = np.frombuffer(kept, dtype=np.uint8, count=n_constant)
+    stored_planes = np.frombuffer(kept, dtype=np.uint8, offset=n_constant)
     out = np.empty(raw_len, dtype=np.uint8)
-    d = s = 0  # bytes placed so far from the inflated and from the stored planes
-    for (lo, hi, w), seg_mask, n in zip(segments, seg_masks, plane_lens):
-        k = int(seg_mask.sum())
+    d = s = c = 0  # bytes placed so far from the inflated planes, stored planes and constants
+    for (lo, hi, w), seg_flags in zip(segments, np.split(flags, np.cumsum(widths)[:-1])):
+        n = (hi - lo) // w
         plane_rows = out[lo:hi].reshape(-1, w).T  # row j is plane j, a view into out
-        plane_rows[seg_mask] = inflated_planes[d : d + k * n].reshape(k, n)
-        plane_rows[~seg_mask] = stored_planes[s : s + (w - k) * n].reshape(w - k, n)
-        d, s = d + k * n, s + (w - k) * n
+        inflated, kept_raw, constant = (seg_flags == f for f in (_DEFLATED, _STORED, _CONSTANT))
+        k_d, k_s, k_c = (int(np.count_nonzero(m)) for m in (inflated, kept_raw, constant))
+        plane_rows[inflated] = inflated_planes[d : d + k_d * n].reshape(k_d, n)
+        plane_rows[kept_raw] = stored_planes[s : s + k_s * n].reshape(k_s, n)
+        plane_rows[constant] = constants[c : c + k_c, None]
+        d, s, c = d + k_d * n, s + k_s * n, c + k_c
+    if delta and planes[0]:
+        table = out[: planes[0]].view(">u8")
+        table[...] = np.cumsum(table, dtype=np.uint64)
     return out
 
 
@@ -510,17 +586,17 @@ def compress_record(
 ) -> tuple[Codec, bytes | memoryview | np.ndarray]:
     """Encode a payload, falling back to NONE when compression does not shrink it.
 
-    ``planes`` gives the payload's byte-plane layout for SHUFFLE and PLANES,
-    and ``verdicts`` PLANES' flags from earlier payloads (see
-    :func:`_deflate_planes`). The NONE fallback always stores ``raw`` as
-    given, never shuffled.
+    ``planes`` gives the payload's byte-plane layout for SHUFFLE, PLANES and
+    DELTA_PLANES, and ``verdicts`` the latter two's flags from earlier
+    payloads (see :func:`_deflate_planes`). The NONE fallback always stores
+    ``raw`` as given, never shuffled or delta-coded.
     """
     if codec is Codec.DEFLATE:
         packed = zlib.compress(raw, _DEFLATE_LEVEL)
     elif codec is Codec.SHUFFLE:
         packed = zlib.compress(_shuffle(raw, planes), _SHUFFLE_LEVEL)
-    elif codec is Codec.PLANES:
-        packed = _deflate_planes(raw, planes, verdicts)
+    elif codec in (Codec.PLANES, Codec.DELTA_PLANES):
+        packed = _deflate_planes(raw, planes, codec, verdicts)
     else:
         return Codec.NONE, raw
     if packed is not None and len(packed) < len(raw):
@@ -540,8 +616,8 @@ def decompress_record(
         return _inflate(stored, raw_len)
     if codec is Codec.SHUFFLE:
         return _unshuffle(_inflate(stored, raw_len), planes)
-    if codec is Codec.PLANES:
-        return _inflate_planes(stored, raw_len, planes)
+    if codec in (Codec.PLANES, Codec.DELTA_PLANES):
+        return _inflate_planes(stored, raw_len, planes, codec)
     raise CorruptFileError(f"unknown codec {codec}")  # pragma: no cover - callers validate codec
 
 
@@ -637,15 +713,6 @@ class ColumnChunk:
         offsets = np.zeros(len(kept_counts) + 1, dtype=np.int64)
         np.cumsum(kept_counts, out=offsets[1:])
         return ColumnChunk(keep_values, offsets)
-
-    def to_lists(self):
-        """Python-native view, for oracles and small tests."""
-        if self.offsets is None:
-            return self.values.tolist()
-        return [
-            self.values[self.offsets[i] : self.offsets[i + 1]].tolist()
-            for i in range(self.n_entries)
-        ]
 
     @classmethod
     def from_lists(cls, data, dtype: np.dtype | type, jagged: bool | None = None) -> "ColumnChunk":
@@ -771,7 +838,7 @@ class TreeFileWriter:
         self,
         path: str | Path,
         *,
-        codec: Codec = Codec.PLANES,
+        codec: Codec = Codec.DELTA_PLANES,
         basket_entries: int = DEFAULT_BASKET_ENTRIES,
     ):
         if basket_entries < 1:
@@ -785,7 +852,7 @@ class TreeFileWriter:
         self._current: TreeMeta | None = None
         self._pending: dict[str, list[ColumnChunk]] = {}
         self._pending_entries = 0
-        # codec 3's plane flags per branch and segment, judged once (see _deflate_planes)
+        # deflate-or-store plane flags per branch and segment, judged once (see _deflate_planes)
         self._verdicts: dict[str, list] = {}
         self._fh.write(bytes(HEADER_LEN))  # placeholder, patched at close
         self._pos = HEADER_LEN
@@ -930,7 +997,7 @@ def write_tree(
     name: str,
     branches: dict,
     *,
-    codec: Codec = Codec.PLANES,
+    codec: Codec = Codec.DELTA_PLANES,
     basket_entries: int = DEFAULT_BASKET_ENTRIES,
 ) -> None:
     """One-shot writer for a single tree.
@@ -1278,10 +1345,6 @@ def open_file(path_or_source: str | Path | ByteSource) -> TreeFileReader:
     return TreeFileReader(path_or_source, own_source=False)
 
 
-def open_bytes(data: bytes) -> TreeFileReader:
-    return TreeFileReader(BytesSource(data), own_source=True)
-
-
 # ---------------------------------------------------------------------------
 # concatenation
 
@@ -1290,7 +1353,7 @@ def concat_files(
     inputs: Iterable[str | Path],
     output: str | Path,
     *,
-    codec: Codec = Codec.PLANES,
+    codec: Codec = Codec.DELTA_PLANES,
     basket_entries: int = DEFAULT_BASKET_ENTRIES,
 ) -> int:
     """Merge single-tree files with identical schemas into one file.

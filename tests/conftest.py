@@ -37,7 +37,7 @@ def _library(lib) -> str:
 def pytest_report_header(config):
     policy = "applied" if memory.keep_task_memory() else "not applied (no glibc mallopt)"
     return (
-        f"treefile inflates with {_library(treefile._LIBDEFLATE)} and deflates codec 3 "
+        f"treefile inflates with {_library(treefile._LIBDEFLATE)} and deflates codecs 3 and 4 "
         f"with {_library(treefile._LIBDEFLATE_DEFLATE)}; engine allocator policy {policy}"
     )
 
@@ -58,7 +58,7 @@ def inflater(request, monkeypatch):
 
 @pytest.fixture(params=["libdeflate", "zlib"])
 def deflater(request, monkeypatch):
-    """Run a test once per deflater of codec 3's planes; the zlib case forces the fallback."""
+    """Run a test once per deflater of the planes of codecs 3 and 4; the zlib case forces the fallback."""
     return _one_per_library(request, monkeypatch, "_LIBDEFLATE_DEFLATE")
 
 

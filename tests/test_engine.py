@@ -518,7 +518,7 @@ def test_part_files_use_shuffle_and_beat_deflate(tmp_path):
     for entry in result.manifest.entries:
         with open_file(entry.path) as reader:
             for branch in reader.tree(DEMO_TREE).branches.values():
-                assert {b.codec for b in branch.baskets} <= {Codec.PLANES, Codec.NONE}
+                assert {b.codec for b in branch.baskets} <= {Codec.DELTA_PLANES, Codec.NONE}
         rewritten = tmp_path / f"deflate-{entry.task_id}.trf"
         concat_files([entry.path], rewritten, codec=Codec.DEFLATE)
         part_bytes += Path(entry.path).stat().st_size

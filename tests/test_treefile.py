@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import os
 import struct
 import sys
@@ -37,11 +38,24 @@ from treeduce.treefile import (
     decode_basket,
     encode_basket,
     itemsize,
-    open_bytes,
     open_file,
     read_directory,
     write_tree,
 )
+
+
+def open_bytes(data: bytes) -> TreeFileReader:
+    return TreeFileReader(BytesSource(data), own_source=True)
+
+
+def to_lists(chunk: ColumnChunk) -> list:
+    """A chunk's entries as Python lists (jagged) or scalars (flat)."""
+    if chunk.offsets is None:
+        return chunk.values.tolist()
+    return [
+        chunk.values[chunk.offsets[i] : chunk.offsets[i + 1]].tolist()
+        for i in range(chunk.n_entries)
+    ]
 
 
 class CountingSource:
@@ -148,42 +162,72 @@ def plane_lens_by_hand(raw_len: int, head: int, width: int) -> list[int]:
     return [head // 8] * (8 if head else 0) + [(raw_len - head) // width] * width
 
 
+def counts_by_hand(payload: bytes, head: int) -> bytes:
+    """Codec 4's table coding: each offset after the first minus the one before it."""
+    offsets = struct.unpack(f">{head // 8}Q", payload[:head])
+    counts = offsets[:1] + tuple((b - a) % 2**64 for a, b in zip(offsets, offsets[1:]))
+    return struct.pack(f">{len(counts)}Q", *counts) + payload[head:]
+
+
+def offsets_by_hand(coded: bytes, head: int) -> bytes:
+    """Undo :func:`counts_by_hand` with a running sum."""
+    sums = itertools.accumulate(struct.unpack(f">{head // 8}Q", coded[:head]))
+    return struct.pack(f">{head // 8}Q", *(x % 2**64 for x in sums)) + coded[head:]
+
+
 def split_planes_by_hand(
     payload: bytes, head: int, width: int, flags: list[int]
 ) -> tuple[bytes, bytes]:
-    """The flagged planes of a payload, and its other planes, each in plane order."""
+    """The deflated planes of a payload, and its stored section: the one
+    byte of each constant plane, then the stored planes, each in plane order."""
     segments = [(payload[:head], 8), (payload[head:], width)] if head else [(payload, width)]
     planes = [segment[k::w] for segment, w in segments for k in range(w)]
     assert len(flags) == len(planes)
-    deflated = b"".join(plane for plane, flag in zip(planes, flags) if flag)
-    stored = b"".join(plane for plane, flag in zip(planes, flags) if not flag)
-    return deflated, stored
+    deflated = b"".join(plane for plane, flag in zip(planes, flags) if flag == 1)
+    constants = bytes(plane[0] for plane, flag in zip(planes, flags) if flag == 2)
+    stored = b"".join(plane for plane, flag in zip(planes, flags) if flag == 0)
+    return deflated, constants + stored
 
 
-def planes_payload_by_hand(payload: bytes, head: int, width: int, flags: list[int]) -> bytes:
-    """A codec-3 basket: flags | crc32 of the stored planes
-    | one level-1 zlib stream of the flagged planes | the stored planes."""
+def planes_payload_by_hand(
+    payload: bytes, head: int, width: int, flags: list[int], delta: bool = False
+) -> bytes:
+    """A codec-3 basket, or with ``delta`` a codec-4 one: flags | crc32 of
+    the stored section | one level-1 zlib stream of the deflated planes |
+    the stored section. Codec 4 first turns the offset table into counts."""
+    if delta and head:
+        payload = counts_by_hand(payload, head)
     deflated, stored = split_planes_by_hand(payload, head, width, flags)
-    stream = zlib.compress(deflated, 1) if any(flags) else b""
+    stream = zlib.compress(deflated, 1) if 1 in flags else b""
     return bytes(flags) + struct.pack(">I", zlib.crc32(stored)) + stream + stored
 
 
-def unplanes_by_hand(stored: bytes, raw_len: int, head: int, width: int) -> bytes:
-    """Decode a codec-3 basket with slicing, ``struct`` and ``zlib`` only."""
+def unplanes_by_hand(
+    stored: bytes, raw_len: int, head: int, width: int, delta: bool = False
+) -> bytes:
+    """Decode a codec-3 (or with ``delta`` codec-4) basket with slicing,
+    ``struct`` and ``zlib`` only."""
     lens = plane_lens_by_hand(raw_len, head, width)
     flags = stored[: len(lens)]
     (crc,) = struct.unpack(">I", stored[len(lens) : len(lens) + 4])
-    kept_len = sum(n for n, flag in zip(lens, flags) if not flag)
+    n_constant = flags.count(2)
+    kept_len = n_constant + sum(n for n, flag in zip(lens, flags) if flag == 0)
     stream = stored[len(lens) + 4 : len(stored) - kept_len]
     kept = stored[len(stored) - kept_len :]
     assert zlib.crc32(kept) == crc
-    sources = {1: zlib.decompress(stream) if stream else b"", 0: kept}
+    sources = {1: zlib.decompress(stream) if stream else b"", 0: kept[n_constant:]}
+    constants = kept[:n_constant]
     shuffled = b""
     for n, flag in zip(lens, flags):
-        shuffled += sources[flag][:n]
-        sources[flag] = sources[flag][n:]
-    assert sources == {1: b"", 0: b""}
-    return unshuffle_by_hand(shuffled, head, width)
+        if flag == 2:
+            shuffled += constants[:1] * n
+            constants = constants[1:]
+        else:
+            shuffled += sources[flag][:n]
+            sources[flag] = sources[flag][n:]
+    assert sources == {1: b"", 0: b""} and constants == b""
+    payload = unshuffle_by_hand(shuffled, head, width)
+    return offsets_by_hand(payload, head) if delta and head else payload
 
 
 def pack_name(name: str) -> bytes:
@@ -372,7 +416,7 @@ def test_planes_basket_payload_exact_bytes(tmp_path):
         offsets=np.concatenate([[0], np.sort(rng.integers(0, 3000, 2047)), [3000]]),
     )
     path = tmp_path / "planes.trf"
-    write_tree(str(path), "t", {"flat": flat, "jag": jag})  # default codec
+    write_tree(str(path), "t", {"flat": flat, "jag": jag}, codec=Codec.PLANES)
     raw = path.read_bytes()
     _, _, dir_offset, dir_len, _ = struct.unpack(">4sIQQQ", raw[:32])
     _, branches = DirWalker(parse_record(raw[dir_offset : dir_offset + dir_len])).walk()["t"]
@@ -398,6 +442,47 @@ def test_planes_basket_payload_exact_bytes(tmp_path):
         assert unplanes_by_hand(stored, raw_len, head, width) == payload
 
 
+def test_delta_planes_basket_payload_exact_bytes(tmp_path):
+    """A jagged basket under the default codec 4: its offset table is coded
+    as counts, whose 7 high planes are constant and whose low plane is
+    deflated; its f64 elements, f32 values widened, have a deflated sign and
+    exponent plane, stored mantissa noise and constant zero low planes. As
+    for codec 3, the stream is pinned under zlib and inflated under libdeflate."""
+    rng = np.random.default_rng(12)
+    counts = rng.integers(2, 11, 2048)
+    jag = ColumnChunk(
+        values=rng.normal(size=int(counts.sum())).astype(np.float32).astype(np.float64),
+        offsets=np.concatenate([[0], np.cumsum(counts)]),
+    )
+    path = tmp_path / "delta-planes.trf"
+    write_tree(str(path), "t", {"jag": jag})  # default codec
+    raw = path.read_bytes()
+    _, _, dir_offset, dir_len, _ = struct.unpack(">4sIQQQ", raw[:32])
+    _, branches = DirWalker(parse_record(raw[dir_offset : dir_offset + dir_len])).walk()["t"]
+    head = 2049 * 8
+    payload = jag.offsets.astype(">u8").tobytes() + jag.values.astype(">f8").tobytes()
+    ((first_entry, n, offset, stored_len, raw_len, codec),) = branches["jag"][2]
+    assert (first_entry, n, codec, raw_len) == (0, 2048, 4, len(payload))
+    stored = raw[offset : offset + stored_len]
+    flags = list(stored[:16])
+    assert flags[:8] == [2] * 7 + [1]  # counts of 2 to 10: one deflated low byte
+    # sign and exponent deflated, mantissa noise stored, the 3 bytes below
+    # an f32's 23-bit mantissa constant
+    assert flags[8] == 1 and 0 in flags[9:13] and flags[13:] == [2] * 3
+    coded = counts_by_hand(payload, head)
+    planes = [coded[k:head:8] for k in range(8)] + [coded[head + k :: 8] for k in range(8)]
+    assert [flag == 2 for flag in flags] == [len(set(plane)) == 1 for plane in planes]
+    want = planes_payload_by_hand(payload, head, 8, flags, delta=True)
+    if treefile._LIBDEFLATE_DEFLATE is None:
+        assert stored == want
+    else:
+        flagged, kept = split_planes_by_hand(coded, head, 8, flags)
+        assert stored[:20] == want[:20]  # flags and CRC32
+        assert stored[len(stored) - len(kept) :] == kept
+        assert zlib.decompress(stored[20 : len(stored) - len(kept)]) == flagged
+    assert unplanes_by_hand(stored, raw_len, head, 8, delta=True) == payload
+
+
 HAND_BUILT_PLANES = {
     "flat-f64-mixed": (Dtype.F64, Shape.FLAT, [0.5 * i for i in range(16)], [1, 0, 1, 0, 0, 1, 1, 0]),
     "jagged-f32": (
@@ -412,17 +497,47 @@ HAND_BUILT_PLANES = {
     "dtype, shape, rows, flags", list(HAND_BUILT_PLANES.values()), ids=list(HAND_BUILT_PLANES)
 )
 def test_hand_built_planes_baskets_decode(dtype, shape, rows, flags):
+    assert_hand_built_basket_decodes(dtype, shape, rows, flags, Codec.PLANES)
+
+
+HAND_BUILT_DELTA_PLANES = {
+    # counts 0 1 0 2 1: seven zero planes and a low one; the f32 values'
+    # two low bytes are zero
+    "jagged-f32": (
+        Dtype.F32, Shape.JAGGED, [[1.5], [], [2.5, -3.0], [0.5]], [2] * 7 + [1] + [1, 0, 2, 2]
+    ),
+    "flat-f64-all-constant": (Dtype.F64, Shape.FLAT, [1.0] * 5, [2] * 8),  # no stream
+    "bool-constant": (Dtype.BOOL, Shape.FLAT, [True] * 3, [2]),
+    "jagged-no-elements": (Dtype.F64, Shape.JAGGED, [[], [], []], [2] * 8 + [0] * 8),
+    "flat-f64-mixed": HAND_BUILT_PLANES["flat-f64-mixed"],  # no constant plane
+}
+
+
+@pytest.mark.parametrize(
+    "dtype, shape, rows, flags",
+    list(HAND_BUILT_DELTA_PLANES.values()),
+    ids=list(HAND_BUILT_DELTA_PLANES),
+)
+def test_hand_built_delta_planes_baskets_decode(dtype, shape, rows, flags):
+    assert_hand_built_basket_decodes(dtype, shape, rows, flags, Codec.DELTA_PLANES)
+
+
+def hand_built_payload(dtype, shape, rows) -> tuple[int, bytes]:
+    """(offset-table bytes, payload) of a basket holding ``rows``, packed with ``struct``."""
     fmt = {Dtype.F64: "d", Dtype.F32: "f", Dtype.BOOL: "?"}[dtype]
     if shape is Shape.FLAT:
-        head, payload = 0, struct.pack(f">{len(rows)}{fmt}", *rows)
-    else:
-        offsets = np.concatenate([[0], np.cumsum([len(row) for row in rows])]).tolist()
-        values = [x for row in rows for x in row]
-        head = 8 * len(offsets)
-        payload = struct.pack(f">{len(offsets)}Q{len(values)}{fmt}", *offsets, *values)
-    stored = planes_payload_by_hand(payload, head, itemsize(dtype), flags)
-    reader = open_bytes(hand_built_file(dtype, shape, len(rows), 3, stored, len(payload)))
-    assert reader.read_column("t", "v").to_lists() == rows
+        return 0, struct.pack(f">{len(rows)}{fmt}", *rows)
+    offsets = np.concatenate([[0], np.cumsum([len(row) for row in rows])]).tolist()
+    values = [x for row in rows for x in row]
+    return 8 * len(offsets), struct.pack(f">{len(offsets)}Q{len(values)}{fmt}", *offsets, *values)
+
+
+def assert_hand_built_basket_decodes(dtype, shape, rows, flags, codec) -> None:
+    head, payload = hand_built_payload(dtype, shape, rows)
+    delta = codec is Codec.DELTA_PLANES
+    stored = planes_payload_by_hand(payload, head, itemsize(dtype), flags, delta)
+    reader = open_bytes(hand_built_file(dtype, shape, len(rows), codec, stored, len(payload)))
+    assert to_lists(reader.read_column("t", "v")) == rows
 
 
 def test_corrupt_planes_payloads_are_refused():
@@ -438,7 +553,7 @@ def test_corrupt_planes_payloads_are_refused():
 
     good = framed(flags, zlib.compress(flagged, 1), kept)
     assert good == planes_payload_by_hand(payload, 0, 8, flags)
-    assert open_bytes(hand_built_file(4, 0, 16, 3, good, 128)).read_column("t", "v").to_lists() == values
+    assert to_lists(open_bytes(hand_built_file(4, 0, 16, 3, good, 128)).read_column("t", "v")) == values
     cases = [
         ("plane flags must be 0", bytes([2]) + good[1:]),
         ("cannot hold", good[:12] + kept[:40]),  # fewer bytes than the stored planes
@@ -451,6 +566,48 @@ def test_corrupt_planes_payloads_are_refused():
     for match, stored in cases:
         with pytest.raises(CorruptFileError, match=match):
             open_bytes(hand_built_file(4, 0, 16, 3, stored, 128)).read_column("t", "v")
+
+
+def test_corrupt_delta_planes_payloads_are_refused():
+    dtype, shape, rows, flags = HAND_BUILT_DELTA_PLANES["jagged-f32"]
+    head, payload = hand_built_payload(dtype, shape, rows)
+    good = planes_payload_by_hand(payload, head, 4, flags, delta=True)
+
+    def read(codec, stored, rows=rows, raw_len=len(payload)):
+        return open_bytes(hand_built_file(dtype, shape, len(rows), codec, stored, raw_len)).read_column("t", "v")
+
+    assert to_lists(read(4, good)) == rows
+    n_flags, kept_len = len(flags), 9 + 4  # 9 constant bytes, one stored plane of 4 elements
+    constants_only = planes_payload_by_hand(payload, head, 4, [2] * 7 + [0] * 3 + [2, 2], delta=True)
+    assert to_lists(read(4, constants_only)) == rows  # no stream
+    table = struct.unpack(f">{head // 8}Q", counts_by_hand(payload, head)[:head])
+    cases = [
+        ("plane flags must be 0", 3, good),  # flag 2 is codec 4's own
+        ("plane flags must be 0", 4, bytes([3]) + good[1:]),
+        ("CRC32", 4, good[:-kept_len] + bytes([good[-kept_len] ^ 1]) + good[1 - kept_len :]),
+        ("CRC32", 4, good[:-1] + bytes([good[-1] ^ 1])),  # a stored plane's byte
+        ("cannot hold", 4, good[: n_flags + 4] + good[-kept_len:]),  # flagged, no stream
+        (
+            "cannot hold", 4,  # nothing flagged deflated, a stream
+            constants_only[: n_flags + 4] + zlib.compress(b"") + constants_only[n_flags + 4 :],
+        ),
+    ]
+    for match, codec, stored in cases:
+        with pytest.raises(CorruptFileError, match=match):
+            read(codec, stored)
+    # the summed table meets decode_basket's checks
+    for match, counts in [
+        ("start at 0", (1,) + table[1:]),
+        ("non-decreasing", table[:2] + (2**64 - 1,) + table[3:]),
+    ]:
+        coded = struct.pack(f">{len(counts)}Q", *counts) + payload[head:]
+        stored = planes_payload_by_hand(offsets_by_hand(coded, head), head, 4, [0] * 12, delta=True)
+        with pytest.raises(CorruptFileError, match=match):
+            read(4, stored)
+    # an f64 jagged basket without elements: 8 table planes and 8 empty ones
+    empty_plane_constant = bytes([2] * 9 + [0] * 7) + struct.pack(">I", zlib.crc32(bytes(9))) + bytes(9)
+    with pytest.raises(CorruptFileError, match="empty plane cannot be constant"):
+        open_bytes(hand_built_file(4, 1, 3, 4, empty_plane_constant, 32)).read_column("t", "v")
 
 
 def test_planes_deflates_a_constant_plane_and_stores_a_random_one(tmp_path):
@@ -487,7 +644,7 @@ ALL_DTYPES = {
 }
 
 
-@pytest.mark.parametrize("codec", [Codec.NONE, Codec.DEFLATE, Codec.SHUFFLE, Codec.PLANES])
+@pytest.mark.parametrize("codec", list(Codec))
 def test_round_trip_every_dtype(tmp_path, codec):
     path = tmp_path / "all.trf"
     write_tree(str(path), "t", ALL_DTYPES, codec=codec)
@@ -509,7 +666,7 @@ def test_round_trip_jagged_offsets_and_empty_events(tmp_path):
         got = reader.read_column("t", "x")
     assert got.offsets.tolist() == [0, 0, 2, 2, 3, 3]
     assert got.values.tolist() == [1.0, 2.0, 3.0]
-    assert got.to_lists() == lists
+    assert to_lists(got) == lists
 
 
 def test_zero_entry_tree_round_trips(tmp_path):
@@ -562,13 +719,13 @@ def test_select_keeps_the_masked_entries(indexed):
         if indexed and chunk.is_jagged:
             chunk.events()
         n = chunk.n_entries
-        lists = chunk.to_lists()
+        lists = to_lists(chunk)
         for mask in (np.zeros(n, bool), np.ones(n, bool), rng.random(n) < 0.5):
             got = chunk.select(mask)
             assert got.is_jagged == chunk.is_jagged
             assert got.values.dtype == chunk.values.dtype
             want = _select_by_hand(lists, mask.tolist())
-            assert str(got.to_lists()) == str(want)  # NaN- and sign-aware
+            assert str(to_lists(got)) == str(want)  # NaN- and sign-aware
             if got.is_jagged:
                 assert got.offsets.dtype == np.int64 and got.offsets[0] == 0
                 assert len(got.values) == got.offsets[-1]
@@ -621,7 +778,7 @@ def test_partial_range_reads_slice_mid_basket(tmp_path):
             got = reader.read_column("t", "f", start, stop)
             assert got.values.tobytes() == flat[start:stop].tobytes()
             got = reader.read_column("t", "j", start, stop)
-            assert got.to_lists() == lists[start:stop]
+            assert to_lists(got) == lists[start:stop]
         with pytest.raises(TreeFileError):
             reader.read_column("t", "f", 5, 20)
         with pytest.raises(TreeFileError):
@@ -691,7 +848,7 @@ def test_reader_on_a_planned_directory_rejects_a_changed_file(tmp_path):
     raw = small_file_bytes(tmp_path)
     directory = read_directory(BytesSource(raw))
     reader = TreeFileReader(BytesSource(raw), directory=directory)
-    assert reader.read_column("t", "jag").to_lists() == [[1, 2], [3], [], [4, 5, 6]]
+    assert to_lists(reader.read_column("t", "jag")) == [[1, 2], [3], [], [4, 5, 6]]
     with pytest.raises(CorruptFileError):
         TreeFileReader(BytesSource(raw + b"appended"), directory=directory)
 
@@ -767,6 +924,32 @@ def planes_file_bytes(tmp_path) -> bytes:
     return raw
 
 
+def delta_planes_file_bytes(tmp_path) -> bytes:
+    """A small file whose every basket is stored with codec 4, with
+    constant, deflated and stored planes in each basket."""
+    rng = np.random.default_rng(7)
+    path = tmp_path / "small-delta-planes.trf"
+    counts = rng.integers(0, 4, 256)
+    write_tree(
+        str(path), "t",
+        {
+            "flat": rng.normal(size=256).astype(np.float32).astype(np.float64),
+            "jag": ColumnChunk(
+                rng.normal(size=int(counts.sum())).astype(np.float32),
+                np.concatenate([[0], np.cumsum(counts)]),
+            ),
+        },
+    )
+    raw = path.read_bytes()
+    with open_bytes(raw) as reader:
+        for meta in reader.tree("t").branches.values():
+            (basket,) = meta.baskets
+            assert basket.codec == Codec.DELTA_PLANES
+            n_flags = 8 + itemsize(meta.dtype) if meta.is_jagged else itemsize(meta.dtype)
+            assert set(raw[basket.offset : basket.offset + n_flags]) == {0, 1, 2}
+    return raw
+
+
 def assert_every_truncation_detected(raw: bytes) -> None:
     for cut in range(len(raw)):
         with pytest.raises(TreeFileError):
@@ -816,8 +999,9 @@ def test_single_byte_flips_in_a_planes_file_never_crash(tmp_path):
     assert_byte_flips_never_crash(planes_file_bytes(tmp_path))
 
 
-def test_every_flip_in_stored_planes_is_detected(tmp_path):
-    raw = planes_file_bytes(tmp_path)
+def flip_every_stored_byte(raw: bytes) -> int:
+    """Flip each byte of each basket's stored section, constant bytes
+    included, and require the CRC32 to catch it; returns the flips made."""
     with open_bytes(raw) as reader:
         branches = reader.tree("t").branches
     flipped = 0
@@ -827,14 +1011,30 @@ def test_every_flip_in_stored_planes_is_detected(tmp_path):
         lens = plane_lens_by_hand(basket.raw_len, head, itemsize(meta.dtype))
         flags = raw[basket.offset : basket.offset + len(lens)]
         end = basket.offset + basket.stored_len
-        kept_len = sum(n for n, flag in zip(lens, flags) if not flag)
+        kept_len = flags.count(2) + sum(n for n, flag in zip(lens, flags) if flag == 0)
         for pos in range(end - kept_len, end):
             mutated = bytearray(raw)
             mutated[pos] ^= 0x01
             with pytest.raises(CorruptFileError, match="CRC32"):
                 open_bytes(bytes(mutated)).read_column("t", name)
             flipped += 1
-    assert flipped > 1000
+    return flipped
+
+
+def test_every_flip_in_stored_planes_is_detected(tmp_path):
+    assert flip_every_stored_byte(planes_file_bytes(tmp_path)) > 1000
+
+
+def test_every_flip_in_a_delta_planes_stored_section_is_detected(tmp_path):
+    assert flip_every_stored_byte(delta_planes_file_bytes(tmp_path)) > 1000
+
+
+def test_every_truncation_of_a_delta_planes_file_is_detected(tmp_path):
+    assert_every_truncation_detected(delta_planes_file_bytes(tmp_path))
+
+
+def test_single_byte_flips_in_a_delta_planes_file_never_crash(tmp_path):
+    assert_byte_flips_never_crash(delta_planes_file_bytes(tmp_path))
 
 
 # --- both inflaters -------------------------------------------------------
@@ -849,6 +1049,8 @@ def test_codecs_round_trip_under_each_inflater(inflater, tmp_path):
     test_round_trip_jagged_offsets_and_empty_events(tmp_path)
     for case in HAND_BUILT_PLANES.values():
         test_hand_built_planes_baskets_decode(*case)
+    for case in HAND_BUILT_DELTA_PLANES.values():
+        test_hand_built_delta_planes_baskets_decode(*case)
 
 
 def test_corruption_is_detected_under_each_inflater(inflater, tmp_path):
@@ -856,12 +1058,15 @@ def test_corruption_is_detected_under_each_inflater(inflater, tmp_path):
         small_file_bytes(tmp_path, codec=Codec.DEFLATE),
         shuffle_file_bytes(tmp_path),
         planes_file_bytes(tmp_path),
+        delta_planes_file_bytes(tmp_path),
     ):
         assert_every_truncation_detected(raw)
         assert_byte_flips_never_crash(raw)
     test_shuffle_payload_of_partial_elements_is_corrupt()
     test_corrupt_planes_payloads_are_refused()
+    test_corrupt_delta_planes_payloads_are_refused()
     test_every_flip_in_stored_planes_is_detected(tmp_path)
+    test_every_flip_in_a_delta_planes_stored_section_is_detected(tmp_path)
 
 
 def spoiled_stream(payload: bytes, fault: str) -> tuple[bytes, int]:
@@ -888,7 +1093,7 @@ def spoiled_stream(payload: bytes, fault: str) -> tuple[bytes, int]:
     ["adler32", "truncated", "trailing-bytes", "raw_len+1", "raw_len-1", "raw_len-2**32-1"],
 )
 def test_spoiled_deflate_streams_are_corrupt_under_each_inflater(inflater, fault):
-    """Codecs 1 and 2, the flagged planes of codec 3, and the directory record all refuse it."""
+    """Codecs 1 and 2, the flagged planes of codecs 3 and 4, and the directory record all refuse it."""
     payload = bytes([1, 0, 0, 1] * 32)  # 128 bools: one byte plane, shuffled as is
     stored, raw_len = spoiled_stream(payload, fault)
     # a length no stream of these few bytes can reach is refused before any allocation
@@ -897,6 +1102,7 @@ def test_spoiled_deflate_streams_are_corrupt_under_each_inflater(inflater, fault
         (1, stored),
         (2, stored),
         (3, b"\1" + struct.pack(">I", 0) + stored),  # the one plane flagged, none stored
+        (4, b"\1" + struct.pack(">I", 0) + stored),
     ]
     for codec, basket in baskets:
         with pytest.raises(CorruptFileError, match=match):
@@ -957,9 +1163,9 @@ def test_two_threads_read_one_files_columns_alike(inflater, tmp_path):
 
 
 # --- both deflaters --------------------------------------------------------
-# Codec 3 deflates its flagged planes with libdeflate where it loads and with
-# zlib otherwise (the ``deflater`` fixture in conftest.py); every other
-# deflate uses zlib.
+# Codecs 3 and 4 deflate their flagged planes with libdeflate where it loads
+# and with zlib otherwise (the ``deflater`` fixture in conftest.py); every
+# other deflate uses zlib.
 
 
 def test_codec3_round_trips_under_each_deflater(deflater, tmp_path):
@@ -971,6 +1177,15 @@ def test_codec3_round_trips_under_each_deflater(deflater, tmp_path):
     with open_bytes(raw) as reader:
         reader.validate(deep=True)
     test_every_flip_in_stored_planes_is_detected(tmp_path)
+
+
+def test_codec4_round_trips_under_each_deflater(deflater, tmp_path):
+    test_delta_planes_basket_payload_exact_bytes(tmp_path)
+    test_round_trip_every_dtype(tmp_path, Codec.DELTA_PLANES)
+    raw = delta_planes_file_bytes(tmp_path)
+    with open_bytes(raw) as reader:
+        reader.validate(deep=True)
+    test_every_flip_in_a_delta_planes_stored_section_is_detected(tmp_path)
 
 
 def test_writer_judges_each_segments_planes_once(tmp_path, monkeypatch):
@@ -1002,7 +1217,7 @@ def test_writer_judges_each_segments_planes_once(tmp_path, monkeypatch):
             flags = {
                 raw[b.offset : b.offset + n_flags]
                 for b in meta.baskets
-                if b.codec == Codec.PLANES and b.n_entries == 2048
+                if b.codec == Codec.DELTA_PLANES and b.n_entries == 2048
             }
             assert len(flags) <= 1 or name == "short", name
         got = reader.read_column("t", "jag")
@@ -1043,7 +1258,7 @@ def test_two_threads_write_files_that_decode_alike(deflater, tmp_path):
     for path in paths:
         with open_file(str(path)) as reader:
             assert {b.codec for m in reader.tree("t").branches.values() for b in m.baskets} == {
-                Codec.PLANES
+                Codec.DELTA_PLANES
             }
             for name, want in branches.items():
                 got = reader.read_column("t", name)
@@ -1180,7 +1395,7 @@ def test_concat_files_preserves_content(tmp_path):
         assert reader.tree("t").n_entries == 15
         got = reader.read_column("t", "f")
         assert got.values.tobytes() == np.concatenate(all_flat).tobytes()
-        assert reader.read_column("t", "j").to_lists() == all_lists
+        assert to_lists(reader.read_column("t", "j")) == all_lists
 
 
 def test_concat_rejects_schema_mismatch(tmp_path):
