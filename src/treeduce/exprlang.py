@@ -599,7 +599,7 @@ def _apply_binary(op: str, a: np.ndarray, b: np.ndarray, offset: int) -> np.ndar
                 raise EvalError(f"integer division by zero (operator at offset {offset})")
             with np.errstate(over="ignore"):  # INT64_MIN / -1 wraps, as + - * do
                 return a // b
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # IEEE f64
             return a / b
     func = {"+": np.add, "-": np.subtract, "*": np.multiply}[op]
     with np.errstate(over="ignore", invalid="ignore"):  # i64 wraps; inf - inf is NaN

@@ -50,19 +50,28 @@ _CRC = struct.Struct(">I")
 
 # Compression must pay for itself; equal-size output keeps the raw bytes.
 _DEFLATE_LEVEL = 6
-# On the demo job's part-file baskets, shuffled level 6 stores only 1.4%
-# fewer bytes than level 1 and takes 1.8x as long. Codecs 2, 3 and 4 use it.
+# On the part files of a seed-1 demo reduce (48 baskets of up to 65,536
+# entries, 2-core VM), codec 4 at level 6 stores only 1.7% fewer bytes than
+# at level 1 and takes 3.1x as long under libdeflate (1.2% and 4.4x under
+# zlib). Codecs 2, 3 and 4 use it.
 _SHUFFLE_LEVEL = 1
 # Codecs 3 and 4 deflate a plane when the byte histogram of its first
 # _PLANE_SAMPLE bytes estimates under _PLANE_MAX_ENTROPY bits per byte. On
-# the part files of a seed-1 demo reduce (144 baskets, 1,296 planes of
-# mostly 8 KiB, 2-core VM) the histograms take 8 ms where a level-1 zlib
-# probe of each plane's first 4 KiB takes 58 ms, and they pick the same
-# planes as deflating each plane in full on 1,232 of the 1,296.
+# the part files of a seed-1 demo reduce (48 baskets, 448 planes of 25 to
+# 79 KB, 2-core VM) the histograms take 3 ms where a level-1 zlib probe of
+# each plane's first 4 KiB takes 32 ms, and they pick the same planes as
+# deflating each plane in full on all 448.
 _PLANE_SAMPLE = 1024
 _PLANE_MAX_ENTROPY = 7.0
 
-DEFAULT_BASKET_ENTRIES = 8192
+# A writer's baskets, part files' included. Each basket pays a fixed toll of
+# plane bookkeeping besides its deflate: replaying the part files of a seed-1
+# demo reduce (16 tasks of about 25,000 entries, 2-core VM), the writer took
+# 102 ms per job at 8,192 entries, 88 at 16,384, 80 at 32,768 and 78 at
+# 65,536, before the list-kept flags and the libdeflate CRC-32 below took
+# it to 67-70 ms. At the engine's default task size a task writes one basket
+# per branch. The dataset generator sets its own size (GenSpec).
+DEFAULT_BASKET_ENTRIES = 65536
 
 # Deflate codes at most 258 bytes per two bits (a one-bit length code and a
 # one-bit distance code), so no stream of n bytes inflates to more than
@@ -184,6 +193,23 @@ _LIBDEFLATE_DEFLATE = _load_libdeflate(
         "libdeflate_zlib_compress": ([_VOID_P, _VOID_P, _SIZE_T, _VOID_P, _SIZE_T], _SIZE_T),
     }
 )
+
+
+# Computes the CRC-32 of the stored section of codecs 3 and 4 when loaded
+# (14 us against zlib's 90 us on 200 KB); None selects zlib.crc32. Both
+# compute the same CRC-32.
+_LIBDEFLATE_CRC = _load_libdeflate(
+    {"libdeflate_crc32": ([ctypes.c_uint32, _VOID_P, _SIZE_T], ctypes.c_uint32)}
+)
+
+
+def _crc32(data: bytes | memoryview | np.ndarray) -> int:
+    """The CRC-32 of ``data`` (a contiguous buffer), as zlib.crc32 computes it."""
+    lib = _LIBDEFLATE_CRC
+    if lib is None:
+        return zlib.crc32(data)
+    buf = np.frombuffer(data, dtype=np.uint8)  # data may be read-only
+    return lib.libdeflate_crc32(0, buf.ctypes.data, len(buf))
 
 
 class _Compressor:
@@ -378,21 +404,28 @@ def _unshuffle(src: np.ndarray, planes: Planes) -> np.ndarray:
     return out
 
 
-def _plane_shrinks(elements: np.ndarray) -> np.ndarray:
-    """For each byte plane of an (n, width) u8 element array: will deflate shrink it?
+# c * log2(c) for each count a plane's sample histogram can hold, 0 for 0
+_C_LOG2_C = np.arange(_PLANE_SAMPLE + 1) * np.log2(np.maximum(np.arange(_PLANE_SAMPLE + 1), 1))
+# the first histogram key of each byte plane of an element, up to 8 bytes wide
+_PLANE_KEYS = np.arange(0, 256 * 8, 256)
 
-    Judged from the byte histogram of the plane's first ``_PLANE_SAMPLE``
-    bytes, all planes in one ``bincount``. An empty plane is stored.
+
+def _plane_shrinks(elements: np.ndarray) -> tuple[list[bool], bool]:
+    """For each byte plane of an (n, width) u8 element array: will deflate
+    shrink it? And might any plane hold one repeated byte?
+
+    Judged from the byte histogram of the planes' first ``_PLANE_SAMPLE``
+    bytes, all planes in one ``bincount``; a plane is constant only if its
+    sample is. An empty plane is stored.
     """
     sample = elements[:_PLANE_SAMPLE]
     n, width = sample.shape
     if n == 0:
-        return np.zeros(width, dtype=bool)
-    keys = (sample + np.arange(0, 256 * width, 256)).ravel()
+        return [False] * width, False
+    keys = (sample + _PLANE_KEYS[:width]).ravel()
     counts = np.bincount(keys, minlength=256 * width).reshape(width, 256)
-    c_log_c = counts * np.log2(counts, out=np.zeros(counts.shape), where=counts > 0)
-    entropy = np.log2(n) - c_log_c.sum(axis=1) / n
-    return entropy < _PLANE_MAX_ENTROPY
+    entropy = np.log2(n) - _C_LOG2_C[counts].sum(axis=1) / n
+    return (entropy < _PLANE_MAX_ENTROPY).tolist(), bool((counts == n).any())
 
 
 def _deflate_planes(
@@ -414,36 +447,46 @@ def _deflate_planes(
     Each plane is copied out of ``raw`` once: a deflated plane into the
     deflater's input, a stored plane, or a constant plane's one byte, into
     the payload behind the stream, which the deflater writes in place.
-    Codec 4 reads an offset table's planes from its counts, one copy more.
+    Codec 4 reads an offset table's planes from its counts, which take a
+    subtraction and two byte-order copies.
     """
     src = np.frombuffer(raw, dtype=np.uint8)
     segments = _segments(len(src), planes)
     if verdicts is None:
         verdicts = [None] * len(segments)
     delta = codec is Codec.DELTA_PLANES
-    rows, flags = [], []  # each segment's planes as rows (views), and its flags
+    # each segment's planes as rows (views), and its flags; a few planes
+    # each, so the flags are kept in lists, not in small numpy arrays
+    rows, flags = [], []
     for i, (lo, hi, w) in enumerate(segments):
         segment = src[lo:hi]
         if delta and planes[0] and i == 0:
             segment = _offsets_to_counts(segment)
         elements = segment.reshape(-1, w)
-        shrinks = verdicts[i] if len(elements) else None
-        if shrinks is None:
-            shrinks = _plane_shrinks(elements)
+        shrinks, maybe_constant = verdicts[i], True
+        if shrinks is None or not len(elements):
+            shrinks, maybe_constant = _plane_shrinks(elements)
             if len(elements) >= _PLANE_SAMPLE:
                 verdicts[i] = shrinks
-        seg_flags = shrinks.astype(np.uint8)
-        if delta and len(elements):
-            seg_flags[_constant_planes(segment, w)] = _CONSTANT
+        seg_flags = [_DEFLATED if shrink else _STORED for shrink in shrinks]
+        if delta and maybe_constant and len(elements):
+            for j in np.flatnonzero(_constant_planes(segment, w)).tolist():
+                seg_flags[j] = _CONSTANT
         rows.append(elements.T)
         flags.append(seg_flags)
-    mask = np.concatenate(flags)
-    if not mask.any():
+    mask = [flag for seg_flags in flags for flag in seg_flags]
+    if not any(mask):
         return None
-    plane_lens = np.repeat([r.shape[1] for r in rows], [w for _, _, w in segments])
-    n_constant = int(np.count_nonzero(mask == _CONSTANT))
-    deflated_len = int(plane_lens[mask == _DEFLATED].sum())
-    kept_len = int(plane_lens[mask == _STORED].sum()) + n_constant
+    deflated_len = kept_len = 0
+    constants = []  # each constant plane's byte: its first element's
+    for plane_rows, seg_flags in zip(rows, flags):
+        n = plane_rows.shape[1]
+        deflated_len += n * seg_flags.count(_DEFLATED)
+        kept_len += n * seg_flags.count(_STORED)
+        if _CONSTANT in seg_flags:
+            firsts = plane_rows[:, 0].tolist()
+            constants += [firsts[j] for j, flag in enumerate(seg_flags) if flag == _CONSTANT]
+    kept_len += len(constants)
     head = len(mask) + _CRC.size
     deflate_in = np.empty(deflated_len, dtype=np.uint8)
     _gather_planes(rows, flags, _DEFLATED, deflate_in)
@@ -452,12 +495,10 @@ def _deflate_planes(
     if end >= len(src):
         return None
     kept = out[head + stream_len : end]
-    if n_constant:
-        firsts = [r[f == _CONSTANT, :1].ravel() for r, f in zip(rows, flags)]
-        kept[:n_constant] = np.concatenate(firsts)
-    _gather_planes(rows, flags, _STORED, kept[n_constant:])
+    kept[: len(constants)] = constants
+    _gather_planes(rows, flags, _STORED, kept[len(constants) :])
     out[: len(mask)] = mask
-    _CRC.pack_into(out, len(mask), zlib.crc32(kept))
+    _CRC.pack_into(out, len(mask), _crc32(kept))
     return out[:end]
 
 
@@ -492,12 +533,16 @@ def _deflate_between(data: np.ndarray, head: int, tail: int) -> tuple[np.ndarray
 
 def _offsets_to_counts(table: np.ndarray) -> np.ndarray:
     """A u64 offset table's bytes with each entry after the first replaced by
-    its difference from the entry before: the entries' element counts."""
-    offsets = table.view(">u8")
+    its difference from the entry before: the entries' element counts.
+
+    Subtracted in native byte order: on a 25,000-entry table that and two
+    converting copies take half as long as subtracting big-endian views.
+    """
+    offsets = table.view(">u8").astype(np.uint64)
     counts = np.empty_like(offsets)
     counts[:1] = offsets[:1]
     np.subtract(offsets[1:], offsets[:-1], out=counts[1:])
-    return counts.view(np.uint8)
+    return counts.astype(">u8").view(np.uint8)
 
 
 def _constant_planes(segment: np.ndarray, width: int) -> np.ndarray:
@@ -517,9 +562,10 @@ def _gather_planes(rows: list, flags: list, flag: int, out: np.ndarray) -> None:
     pos = 0
     for planes, seg_flags in zip(rows, flags):
         n = planes.shape[1]
-        for j in np.flatnonzero(seg_flags == flag).tolist():
-            out[pos : pos + n] = planes[j]
-            pos += n
+        for j, plane_flag in enumerate(seg_flags):
+            if plane_flag == flag:
+                out[pos : pos + n] = planes[j]
+                pos += n
 
 
 def _inflate_planes(
@@ -554,7 +600,7 @@ def _inflate_planes(
         )
     body = memoryview(stored)[n_flags + _CRC.size :]
     kept = body[stream_len:]
-    if zlib.crc32(kept) != _CRC.unpack_from(stored, n_flags)[0]:
+    if _crc32(kept) != _CRC.unpack_from(stored, n_flags)[0]:
         raise CorruptFileError("stored planes do not match their CRC32")
     inflated_planes = np.empty(0, dtype=np.uint8)
     if stream_len:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import os
+import statistics
 from pathlib import Path
 
 import numpy as np
@@ -61,19 +62,37 @@ def _verdict(num: int, name: str, ok: bool, detail: str) -> None:
 
 
 # The 1x point must last long enough that a competing process cannot bend
-# the fit: each file's event count is sized from a measured per-event cost.
+# the fit: each file's event count is sized from a measured per-event cost,
+# then checked at the size picked.
 SIZE_MIN_WALL_S = 0.1
+SIZE_PROBE_EVENTS, SIZE_MAX_EVENTS = 16384, 1 << 17
+
+
+def _one_x_wall(base, n_events: int, n_files: int, engine: EngineConfig) -> float:
+    """Median wall of three runs of the size sweep's job over ``n_files`` files of ``n_events``."""
+    data = base / f"probe-{n_events}"
+    probe = generate(GenSpec(seed=101, n_events=n_events, n_files=n_files), data)
+    job = demo_job(probe.file_paths(data), str(base / "probe-out"), partition_entries=4096)
+    return statistics.median(run(job, engine).metrics.total_wall_s for _ in range(3))
 
 
 def _size_events_per_file(base, n_files: int, engine: EngineConfig) -> int:
-    """Events per file, a power of two, for a 1x wall of at least ``SIZE_MIN_WALL_S``."""
-    probe = generate(GenSpec(seed=101, n_events=16384, n_files=n_files), base / "probe")
-    inputs = probe.file_paths(base / "probe")
-    job = demo_job(inputs, str(base / "probe-out"), partition_entries=4096)
-    walls = sorted(run(job, engine).metrics.total_wall_s for _ in range(3))
-    per_event = walls[1] / (probe.n_events * n_files)
-    wanted = SIZE_MIN_WALL_S / per_event / n_files
-    return min(1 << 17, max(16384, 1 << math.ceil(math.log2(wanted))))
+    """Events per file, a power of two, for a 1x wall of at least ``SIZE_MIN_WALL_S``.
+
+    A probe at ``SIZE_PROBE_EVENTS`` estimates the size. Fixed costs weigh
+    more in the probe, so the 1x wall is measured again at the size picked,
+    which doubles while that wall falls short, up to ``SIZE_MAX_EVENTS``.
+    """
+    wall = _one_x_wall(base, SIZE_PROBE_EVENTS, n_files, engine)
+    wanted = SIZE_MIN_WALL_S / wall * SIZE_PROBE_EVENTS
+    n_events = min(SIZE_MAX_EVENTS, max(SIZE_PROBE_EVENTS, 1 << math.ceil(math.log2(wanted))))
+    while n_events < SIZE_MAX_EVENTS:
+        if n_events > SIZE_PROBE_EVENTS:
+            wall = _one_x_wall(base, n_events, n_files, engine)
+        if wall >= SIZE_MIN_WALL_S:
+            break
+        n_events *= 2
+    return n_events
 
 
 @pytest.fixture(scope="module")

@@ -43,6 +43,7 @@ from treeduce.engine.metrics import SPANS
 from treeduce.engine.planner import parse_job_exprs, tasks_from_counts
 from treeduce.exprlang import parse
 from treeduce.treefile import (
+    DEFAULT_BASKET_ENTRIES,
     Codec,
     ColumnChunk,
     ColumnChunk as Chunk,
@@ -524,6 +525,46 @@ def test_part_files_use_shuffle_and_beat_deflate(tmp_path):
         part_bytes += Path(entry.path).stat().st_size
         deflate_bytes += rewritten.stat().st_size
     assert part_bytes <= 0.9 * deflate_bytes
+
+
+@pytest.fixture(scope="module")
+def unskimmed_parts(tmp_path_factory):
+    """Part files of an unskimmed reduction whose first task keeps exactly
+    ``DEFAULT_BASKET_ENTRIES`` entries and whose second keeps 100."""
+    base = tmp_path_factory.mktemp("one-basket")
+    manifest = generate(GenSpec(seed=5, n_events=DEFAULT_BASKET_ENTRIES + 100, n_files=1), base / "data")
+    job = demo_reduction(
+        base / "data", manifest, base / "out", skim=None, partition_entries=DEFAULT_BASKET_ENTRIES
+    )
+    result = run(job, EngineConfig(cores_per_executor=2))
+    assert [e.entries for e in result.manifest.entries] == [DEFAULT_BASKET_ENTRIES, 100]
+    return base, result.manifest
+
+
+def test_a_task_writes_one_basket_per_branch(unskimmed_parts):
+    _, manifest = unskimmed_parts
+    for entry in manifest.entries:
+        with open_file(entry.path) as reader:
+            branches = reader.tree(DEMO_TREE).branches
+            assert set(branches) == set(KEEP) | {name for name, _ in DERIVED}
+            for branch in branches.values():
+                assert [(b.first_entry, b.n_entries) for b in branch.baskets] == [(0, entry.entries)]
+
+
+def test_part_files_rewritten_in_smaller_baskets_decode_alike(unskimmed_parts):
+    base, manifest = unskimmed_parts
+    for entry in manifest.entries:
+        rewritten = base / f"small-baskets-{entry.task_id}.trf"
+        concat_files([entry.path], rewritten, basket_entries=8192)
+        with open_file(entry.path) as part, open_file(rewritten) as small:
+            for name, branch in small.tree(DEMO_TREE).branches.items():
+                starts = range(0, entry.entries, 8192)
+                assert [b.first_entry for b in branch.baskets] == list(starts)
+                got, want = small.read_column(DEMO_TREE, name), part.read_column(DEMO_TREE, name)
+                assert got.values.tobytes() == want.values.tobytes()
+                assert (got.offsets is None) == (want.offsets is None)
+                if want.offsets is not None:
+                    assert np.array_equal(got.offsets, want.offsets)
 
 
 # --- histogram filling ----------------------------------------------------------------

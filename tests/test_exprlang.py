@@ -210,6 +210,15 @@ def test_float_division_follows_ieee():
     assert np.isnan(_scalar("0.0 / 0.0")[0])
 
 
+def test_float_quotient_beyond_the_f64_range_is_inf_without_a_warning():
+    cols = {"x": ColumnChunk(np.array([1e308, -1e308])), "y": ColumnChunk(np.array([1e-308, 1e-308]))}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _scalar("1e308 / 1e-308")[0] == np.inf
+        assert evaluate(parse("x / y"), cols).values.tolist() == [np.inf, -np.inf]
+    assert eval_events(parse("x / y"), events_from_columns(cols)) == [np.inf, -np.inf]
+
+
 def test_sqrt_of_negative_is_nan():
     assert np.isnan(_scalar("sqrt(0.0 - 1.0)")[0])
     assert _scalar("sqrt(9)")[0] == 3.0

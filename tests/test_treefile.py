@@ -768,6 +768,23 @@ def test_streaming_writer_flushes_fixed_baskets(tmp_path):
         assert reader.read_column("t", "v").values.tolist() == total.tolist()
 
 
+def test_default_baskets_split_every_branch_at_the_same_entries(tmp_path):
+    n = 2 * DEFAULT_BASKET_ENTRIES + 100
+    rng = np.random.default_rng(45)
+    counts = rng.integers(0, 4, n)
+    path = tmp_path / "default-baskets.trf"
+    jag = ColumnChunk(rng.normal(size=int(counts.sum())), np.concatenate([[0], np.cumsum(counts)]))
+    write_tree(str(path), "t", {"f": np.arange(n, dtype=np.int32), "j": jag})
+    expected = [(0, DEFAULT_BASKET_ENTRIES), (DEFAULT_BASKET_ENTRIES, DEFAULT_BASKET_ENTRIES),
+                (2 * DEFAULT_BASKET_ENTRIES, 100)]
+    with open_file(str(path)) as reader:
+        for meta in reader.tree("t").branches.values():
+            assert [(b.first_entry, b.n_entries) for b in meta.baskets] == expected
+        assert reader.read_column("t", "f").values.tolist() == list(range(n))
+        got = reader.read_column("t", "j")
+        assert np.array_equal(got.offsets, jag.offsets) and np.array_equal(got.values, jag.values)
+
+
 def test_partial_range_reads_slice_mid_basket(tmp_path):
     path = tmp_path / "range.trf"
     flat = np.arange(19, dtype=np.float64) * 0.5
@@ -1185,6 +1202,28 @@ def test_codec4_round_trips_under_each_deflater(deflater, tmp_path):
     raw = delta_planes_file_bytes(tmp_path)
     with open_bytes(raw) as reader:
         reader.validate(deep=True)
+    test_every_flip_in_a_delta_planes_stored_section_is_detected(tmp_path)
+
+
+# --- both CRC-32s ----------------------------------------------------------
+# The stored sections of codecs 3 and 4 are checked with libdeflate_crc32
+# where it loads and with zlib.crc32 otherwise (the ``crc`` fixture in
+# conftest.py). Both must compute the same CRC-32, so the exact-bytes pins
+# hold unedited and every flip in a stored section is caught under either.
+
+
+def test_crc32_matches_zlib_under_each_library(crc):
+    noise = np.random.default_rng(44).integers(0, 256, 200_000, dtype=np.uint8)
+    read_only = memoryview(noise.tobytes())
+    inputs = [b"", memoryview(b""), noise, noise[:1], noise[7:1007], read_only, read_only[3:70_003]]
+    for data in inputs:
+        assert treefile._crc32(data) == zlib.crc32(data)
+
+
+def test_codec3_and_4_pins_hold_under_each_crc(crc, tmp_path):
+    test_planes_basket_payload_exact_bytes(tmp_path)
+    test_delta_planes_basket_payload_exact_bytes(tmp_path)
+    test_every_flip_in_stored_planes_is_detected(tmp_path)
     test_every_flip_in_a_delta_planes_stored_section_is_detected(tmp_path)
 
 
