@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import signal
 import sys
 import time
 from pathlib import Path
@@ -69,16 +70,25 @@ def _cmd_serve(args) -> int:
         port=args.port,
         bandwidth_cap=parse_bytes(args.bandwidth_cap) if args.bandwidth_cap else None,
     )
+    signal.signal(signal.SIGTERM, _interrupt)
     server = XrdServer(config).start()
-    host, port = server.address
-    print(f"serving {args.root} on {host}:{port}"
-          + (f" capped at {config.bandwidth_cap} B/s" if config.bandwidth_cap else ""))
     try:
+        host, port = server.address
+        print(f"serving {args.root} on {host}:{port}"
+              + (f" capped at {config.bandwidth_cap} B/s" if config.bandwidth_cap else ""))
         while True:
             time.sleep(3600)
     except KeyboardInterrupt:
+        pass
+    finally:
         server.stop()
+    print(f"stopped: {server.counters().summary()}")
     return 0
+
+
+def _interrupt(signum, frame):
+    """Stop ``serve`` on SIGTERM as on SIGINT."""
+    raise KeyboardInterrupt
 
 
 def _load_job(args) -> engine.JobSpec:

@@ -8,6 +8,7 @@ from typing import NamedTuple
 from .. import exprlang
 from ..sources import open_source
 from ..treefile import Directory, Dtype, Shape, open_file
+from ..xrdlite import ConnectionPool
 from .job import EngineConfig, EngineError, JobSpec
 
 Schema = dict[str, tuple[Dtype, Shape]]
@@ -107,17 +108,22 @@ def check_job(job: JobSpec, schema: Schema, exprs: JobExprs) -> dict[str, Dtype]
 
 
 def probe_inputs(
-    job: JobSpec, engine: EngineConfig, columns: tuple[str, ...]
+    job: JobSpec,
+    engine: EngineConfig,
+    columns: tuple[str, ...],
+    connections: ConnectionPool | None = None,
 ) -> tuple[Schema, list[Directory]]:
     """Read each input's directory; reject schema drift on ``columns``.
 
     Returns the schema of ``columns`` in the first input and each input's
     parsed directory, which tasks reuse instead of reading it again.
+    Remote inputs are read over the calling thread's connections from
+    ``connections`` when given, else over one connection each.
     """
     schema: Schema | None = None
     directories: list[Directory] = []
     for path in job.inputs:
-        source = open_source(path, read_ahead=engine.read_ahead)
+        source = open_source(path, read_ahead=engine.read_ahead, connections=connections)
         try:
             reader = open_file(source)
             try:

@@ -33,6 +33,16 @@ By default a task reuses the directory the planner read from its input
 and fetches the baskets it needs with one vectored read
 (``EngineConfig.planned_reads``).
 
+A run reads remote inputs over one pool of xrdlite connections, one per
+server and thread (``xrdlite.ConnectionPool``): the planner uses the
+calling thread's, and each task its worker thread's. Every task still
+opens its own handle on its input and closes it when it ends, so the
+check of a task's input against the planner's directory still sees a
+file that changed since planning. A connection that breaks mid-request
+is closed and dropped, and the task's second attempt opens a fresh one.
+Every connection closes when ``run`` or ``fill`` returns or raises.
+Local inputs are opened as one file per task.
+
 Tasks run on a ``ThreadPoolExecutor`` of ``worker_count`` threads, and
 each records when it started and stopped. The run's timeline is derived
 once every task has returned, on a grid that cuts the run's wall time into
@@ -63,6 +73,7 @@ from .. import exprlang, histagg
 from ..iostats import IoStats
 from ..sources import open_source
 from ..treefile import Shape, TreeFileError, TreeFileReader, TreeFileWriter, open_file
+from ..xrdlite import ConnectionPool
 from .job import EngineConfig, EngineError, JobSpec
 from .memory import keep_task_memory, thread_minor_faults, worker_pool
 from .metrics import (
@@ -211,14 +222,12 @@ class _Runner:
         sink: PartSink | FillSink,
         fault_hook=None,
     ):
+        self.job = job
         self.engine = engine
         self.skim = skim
         self.sink = sink
         self.fault_hook = fault_hook
-        schema, directories = probe_inputs(job, engine, sink.columns)
-        sink.prepare(schema)
-        self.directories = dict(zip(job.inputs, directories))
-        self.tasks = tasks_from_counts(job, entry_counts(job, directories), sink.columns)
+        self.connections = ConnectionPool()
         self.io = IoStats()
 
     def execute_task(self, task: Task, attempt: int) -> tuple[TaskMetrics, object, IoStats]:
@@ -227,7 +236,9 @@ class _Runner:
             self.fault_hook(task, attempt)
         laps = _Laps()
         io = IoStats()
-        source = open_source(task.input, read_ahead=self.engine.read_ahead, stats=io)
+        source = open_source(
+            task.input, read_ahead=self.engine.read_ahead, stats=io, connections=self.connections
+        )
         try:
             if self.engine.planned_reads:
                 reader = TreeFileReader(
@@ -292,7 +303,21 @@ class _Runner:
             return start, time.perf_counter(), result, error
 
     def run(self):
-        """Execute every task; returns (the sink's result, metrics)."""
+        """Plan, then execute every task; returns (the sink's result, metrics).
+
+        The run's connections are closed before it returns or raises.
+        """
+        try:
+            job = self.job
+            schema, directories = probe_inputs(job, self.engine, self.sink.columns, self.connections)
+            self.sink.prepare(schema)
+            self.directories = dict(zip(job.inputs, directories))
+            self.tasks = tasks_from_counts(job, entry_counts(job, directories), self.sink.columns)
+            return self._execute()
+        finally:
+            self.connections.close()
+
+    def _execute(self):
         keep_task_memory()
         pool = worker_pool(self.engine.worker_count)
         t0 = time.perf_counter()

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Protocol, Sequence, runtime_checkable
+from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
 
 from .iostats import IoStats
+
+if TYPE_CHECKING:
+    from .xrdlite.client import ConnectionPool
 
 READ_AHEAD = 64 << 10  # bytes; the default least fetch of a remote read
 
@@ -87,16 +90,23 @@ class FileSource:
 
 
 def open_source(
-    path_or_url: str | Path, *, read_ahead: int = READ_AHEAD, stats: IoStats | None = None
+    path_or_url: str | Path,
+    *,
+    read_ahead: int = READ_AHEAD,
+    stats: IoStats | None = None,
+    connections: ConnectionPool | None = None,
 ) -> ByteSource:
     """Open a local path or an ``xrdl://host:port/path`` URL as a byte source.
 
     ``read_ahead`` is the least a remote read fetches; local reads ignore it.
+    A remote source opens its own connection and closes it with itself,
+    unless ``connections`` lends it the calling thread's connection to the
+    server; it opens its own handle either way and closes that with itself.
     """
     text = str(path_or_url)
     if text.startswith("xrdl://"):
         from .xrdlite.client import connector_open, parse_url
 
         host, port, remote_path = parse_url(text)
-        return connector_open((host, port), remote_path, read_ahead, stats)
+        return connector_open((host, port), remote_path, read_ahead, stats, connections)
     return FileSource(text, stats=stats)

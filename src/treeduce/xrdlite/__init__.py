@@ -3,6 +3,7 @@ read-ahead connector with LRU window caching and I/O accounting."""
 
 from ..iostats import IoStats
 from .client import (
+    ConnectionPool,
     RemoteByteSource,
     XrdConnection,
     XrdError,
@@ -25,11 +26,12 @@ from .protocol import (
     ST_SERVER_ERROR,
     STATUS_NAMES,
 )
-from .server import ServerConfig, XrdServer, serve
+from .server import ServerConfig, ServerCounters, XrdServer, serve
 from .throttle import TokenBucket
 
 __all__ = [
     "IoStats",
+    "ConnectionPool",
     "RemoteByteSource",
     "XrdConnection",
     "XrdError",
@@ -50,6 +52,7 @@ __all__ = [
     "ST_SERVER_ERROR",
     "STATUS_NAMES",
     "ServerConfig",
+    "ServerCounters",
     "XrdServer",
     "serve",
     "TokenBucket",

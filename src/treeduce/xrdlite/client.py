@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import socket
+import threading
 from typing import Sequence
 from urllib.parse import urlsplit
 
@@ -40,21 +41,35 @@ def parse_url(url: str) -> tuple[str, int, str]:
 
 
 class XrdConnection:
-    """Synchronous RPC over one TCP connection. Single-owner, not thread-safe."""
+    """Synchronous RPC over one TCP connection. Single-owner, not thread-safe.
+
+    A request that ends in anything but a status reply, an ``OSError``
+    (timeouts included) or an :class:`XrdProtocolError`, leaves the stream
+    in an unknown state and marks the connection ``broken``: it must not
+    carry another request. A status error leaves it usable.
+    """
 
     def __init__(self, address: tuple[str, int]):
+        self.broken = False
         self._sock = socket.create_connection(address, timeout=TIMEOUT_S)
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
     def _request(self, frame: bytes) -> tuple[int, bytes]:
-        self._sock.sendall(frame)
         try:
+            self._sock.sendall(frame)
             status, payload = P.recv_frame(self._sock)
         except P.FrameError as exc:
-            raise XrdProtocolError(str(exc)) from exc
+            raise self._bad_reply(str(exc)) from exc
+        except OSError:
+            self.broken = True
+            raise
         if status == -1:
-            raise XrdProtocolError("server closed the connection")
+            raise self._bad_reply("server closed the connection")
         return status, payload
+
+    def _bad_reply(self, message: str) -> XrdProtocolError:
+        self.broken = True
+        return XrdProtocolError(message)
 
     def _expect_ok(self, frame: bytes) -> bytes:
         status, payload = self._request(frame)
@@ -65,7 +80,7 @@ class XrdConnection:
     def open(self, path: str) -> tuple[int, int]:
         payload = self._expect_ok(P.pack_open_request(path))
         if len(payload) != P.OPEN_RESPONSE.size:
-            raise XrdProtocolError(f"OPEN response payload has {len(payload)} bytes")
+            raise self._bad_reply(f"OPEN response payload has {len(payload)} bytes")
         handle, file_len = P.OPEN_RESPONSE.unpack(payload)
         return handle, file_len
 
@@ -86,7 +101,7 @@ class XrdConnection:
                 P.pack_readv_request(handle, [(off, length) for _, off, length in batch])
             )
             if len(payload) != sum(length for _, _, length in batch):
-                raise XrdProtocolError(f"READV response payload has {len(payload)} bytes")
+                raise self._bad_reply(f"READV response payload has {len(payload)} bytes")
             view = memoryview(payload)
             pos = 0
             for index, _, length in batch:
@@ -97,7 +112,7 @@ class XrdConnection:
     def stat(self, handle: int) -> int:
         payload = self._expect_ok(P.pack_frame(P.OP_STAT, P.HANDLE.pack(handle)))
         if len(payload) != P.FILE_LEN.size:
-            raise XrdProtocolError(f"STAT response payload has {len(payload)} bytes")
+            raise self._bad_reply(f"STAT response payload has {len(payload)} bytes")
         return P.FILE_LEN.unpack(payload)[0]
 
     def close_handle(self, handle: int) -> None:
@@ -148,6 +163,11 @@ class RemoteByteSource:
     Reads return views of the cached response.
     :meth:`read_ranges` fetches exactly the ranges asked for, with no
     window.
+
+    A source that ``owns_conn`` closes its connection with itself; one
+    that borrowed it from a :class:`ConnectionPool` only sends CLOSE for
+    its handle, unless the connection broke, which it then closes so the
+    pool opens a fresh one.
     """
 
     def __init__(
@@ -157,8 +177,11 @@ class RemoteByteSource:
         file_len: int,
         read_ahead: int,
         stats: IoStats | None = None,
+        *,
+        owns_conn: bool = True,
     ):
         self._conn = conn
+        self._owns_conn = owns_conn
         self._handle = handle
         self._size = file_len
         self._read_ahead = read_ahead
@@ -208,11 +231,45 @@ class RemoteByteSource:
         return parts
 
     def close(self) -> None:
-        try:
-            self._conn.close_handle(self._handle)
-        except XrdError:
-            pass
-        self._conn.close()
+        """Close the handle; raises nothing, so it cannot mask the error that broke a connection."""
+        if not self._conn.broken:
+            try:
+                self._conn.close_handle(self._handle)
+            except (XrdError, OSError):
+                pass
+        if self._owns_conn or self._conn.broken:
+            self._conn.close()
+
+
+class ConnectionPool:
+    """One connection per server address and thread, open until :meth:`close`.
+
+    :meth:`connection` lends the calling thread its connection to
+    ``address``, opened on first use and opened afresh once the last one
+    broke. A connection is only ever lent to one thread, so it stays
+    single-owner.
+    """
+
+    def __init__(self):
+        self._conns: dict[tuple[tuple[str, int], int], XrdConnection] = {}
+        self._lock = threading.Lock()
+
+    def connection(self, address: tuple[str, int]) -> XrdConnection:
+        key = (address, threading.get_ident())
+        conn = self._conns.get(key)
+        if conn is None or conn.broken:
+            if conn is not None:
+                conn.close()
+            conn = XrdConnection(address)
+            with self._lock:
+                self._conns[key] = conn
+        return conn
+
+    def close(self) -> None:
+        with self._lock:
+            conns, self._conns = list(self._conns.values()), {}
+        for conn in conns:
+            conn.close()
 
 
 def connector_open(
@@ -220,12 +277,20 @@ def connector_open(
     path: str,
     read_ahead: int,
     stats: IoStats | None = None,
+    connections: ConnectionPool | None = None,
 ) -> RemoteByteSource:
-    """Open a remote file as a byte source whose reads fetch at least ``read_ahead`` bytes."""
-    conn = XrdConnection(address)
+    """Open a remote file as a byte source whose reads fetch at least ``read_ahead`` bytes.
+
+    The source opens a connection of its own, or borrows the calling
+    thread's from ``connections``; either way it has a handle of its own.
+    """
+    conn = XrdConnection(address) if connections is None else connections.connection(address)
     try:
         handle, file_len = conn.open(path)
     except BaseException:
-        conn.close()
+        if connections is None or conn.broken:
+            conn.close()
         raise
-    return RemoteByteSource(conn, handle, file_len, read_ahead, stats)
+    return RemoteByteSource(
+        conn, handle, file_len, read_ahead, stats, owns_conn=connections is None
+    )

@@ -30,6 +30,8 @@ OP_STAT = 3
 OP_CLOSE = 4
 OP_READV = 5
 
+OP_NAMES = {OP_OPEN: "OPEN", OP_STAT: "STAT", OP_CLOSE: "CLOSE", OP_READV: "READV"}
+
 ST_OK = 0
 ST_NOT_FOUND = 1
 ST_BAD_HANDLE = 2

@@ -2,13 +2,22 @@
 
 from __future__ import annotations
 
+import contextlib
+import os
+import re
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
 from hypothesis import HealthCheck, settings
 
+import treeduce
 from treeduce import treefile
 from treeduce.bench.generate import DEMO_TREE, GenSpec, generate
 from treeduce.engine import Manifest, memory
-from treeduce.xrdlite import ServerConfig, serve
+from treeduce.xrdlite import ServerConfig, XrdServer, serve
 
 settings.register_profile(
     "suite",
@@ -115,9 +124,46 @@ def flat8_dataset(tmp_path_factory):
     return out, spec, manifest
 
 
+@contextlib.contextmanager
+def serve_process(root):
+    """A ``treeduce serve`` child process over ``root``; yields (process, (host, port)).
+
+    The process is killed on exit if it is still running.
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(treeduce.__file__).parents[1]), PYTHONUNBUFFERED="1")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "treeduce.cli", "serve", "--root", str(root), "--port", "0"],
+        stdout=subprocess.PIPE, text=True, env=env,
+    )
+    try:
+        first = proc.stdout.readline()
+        match = re.fullmatch(rf"serving {re.escape(str(root))} on ([\d.]+):(\d+)\n", first)
+        assert match, first
+        yield proc, (match.group(1), int(match.group(2)))
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+
+
+def open_connections(server: XrdServer, timeout_s: float = 2.0) -> int:
+    """The server's open client connections, once none is left or ``timeout_s`` has passed.
+
+    A server counts a connection closed when its handler sees the client
+    hang up, a moment after the client closed it.
+    """
+    deadline = time.monotonic() + timeout_s
+    while (n := server.counters().connections_open) and time.monotonic() < deadline:
+        time.sleep(0.005)
+    return n
+
+
 @pytest.fixture
 def serve_dir():
-    """Start throwaway servers on ephemeral ports; stopped on teardown."""
+    """Start throwaway servers on ephemeral ports; stopped on teardown.
+
+    Teardown fails the test if a client left a connection to one of them open.
+    """
     started = []
 
     def _start(root, bandwidth_cap=None):
@@ -126,5 +172,9 @@ def serve_dir():
         return server
 
     yield _start
-    for server in started:
-        server.stop()
+    try:
+        leaked = {server.address: open_connections(server) for server in started}
+        assert not any(leaked.values()), f"client connections left open: {leaked}"
+    finally:
+        for server in started:
+            server.stop()

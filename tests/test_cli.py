@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+import signal
+import time
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from conftest import read_parts
+from conftest import read_parts, serve_process
 from reference_interp import (
     arrays_match,
     events_from_columns,
@@ -24,6 +26,7 @@ from treeduce.engine import EngineConfig, EngineError, Manifest, fill, load_job_
 from treeduce.exprlang import parse
 from treeduce.histagg import HistError, parse_hist_spec
 from treeduce.treefile import Codec, ColumnChunk, open_file, write_tree
+from treeduce.xrdlite import XrdConnection
 
 
 @pytest.mark.parametrize(
@@ -70,6 +73,28 @@ def test_parser_defaults():
         build_parser().parse_args(["reduce", "--job", "j", "--read-ahead", "4Ki"])
     with pytest.raises(SystemExit):
         build_parser().parse_args(["generate", "--out", "d", "--schema", "csv"])
+
+
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT])
+def test_serve_prints_its_counters_when_stopped(tmp_path, signum):
+    (tmp_path / "f.bin").write_bytes(b"x" * 100)
+    with serve_process(tmp_path) as (proc, address):
+        conn = XrdConnection(address)
+        try:
+            handle, _ = conn.open("f.bin")
+            assert conn.read(handle, 0, 100) == b"x" * 100
+            conn.close_handle(handle)
+        finally:
+            conn.close()
+        t0 = time.perf_counter()
+        proc.send_signal(signum)
+        rest, _ = proc.communicate(timeout=10)
+        stopped_s = time.perf_counter() - t0
+    assert proc.returncode == 0
+    assert stopped_s < 2.0  # the server's accept loop notices a shutdown within 0.5 s
+    assert rest.startswith("stopped: connections: 1 accepted, ")
+    assert "requests: OPEN 1, CLOSE 1, READV 1; payload bytes sent: 112; " in rest
+    assert len(rest.splitlines()) == 1
 
 
 @pytest.fixture(scope="module")

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import read_parts
+from conftest import open_connections, read_parts
 from reference_interp import (
     arrays_match,
     chunks_match,
@@ -52,6 +52,9 @@ from treeduce.treefile import (
     open_file,
     write_tree,
 )
+from treeduce.xrdlite import ConnectionPool
+from treeduce.xrdlite import protocol as P
+from treeduce.xrdlite.server import _Handler
 
 KEEP = ["MET", "Muon_pt"]
 DERIVED = [("leading_pt", "max(Muon_pt)"), ("ht", "sum(Muon_pt)")]
@@ -344,6 +347,160 @@ def test_planned_remote_reads_fetch_exactly_the_baskets(demo_dataset, tmp_path, 
     assert planned.fetch_calls <= 2 * n_tasks
     # tasks no longer re-read the header and directory
     assert planned.bytes_fetched < windowed.bytes_requested < windowed.bytes_fetched
+
+
+# --- connections ----------------------------------------------------------------------
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Every connection pool the engine makes, kept alive: only its own close closes it."""
+    made = []
+
+    class Kept(ConnectionPool):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(runner, "ConnectionPool", Kept)
+    return made
+
+
+def test_remote_runs_hold_one_connection_per_thread(demo_dataset, tmp_path, serve_dir, pools):
+    data_dir, _, manifest = demo_dataset
+    server = serve_dir(data_dir)
+    urls = manifest.urls(*server.address)
+    config = EngineConfig(cores_per_executor=4)
+    local = run(demo_reduction(data_dir, manifest, tmp_path / "local"), config)
+    local_csv = histagg.render(
+        fill(demo_reduction(data_dir, manifest, tmp_path / "unused"), config,
+             histagg.parse_hist_spec(HIST_SPEC)).aggregate
+    )
+
+    def remote(label, job_run):
+        before = server.counters()
+        out = job_run(demo_reduction(data_dir, manifest, tmp_path / label, inputs=urls))
+        assert open_connections(server) == 0, label
+        after = server.counters()
+        n_tasks = len(out.metrics.tasks)
+        # the planner's connection, and one per worker thread that ran a task
+        assert after.connections_accepted - before.connections_accepted <= config.worker_count + 1
+        for opcode in (P.OP_OPEN, P.OP_CLOSE):
+            done = after.requests[opcode] - before.requests.get(opcode, 0)
+            assert done == n_tasks + len(urls), (label, opcode)
+        return out
+
+    result = remote("reduce", lambda job: run(job, config))
+    assert [Path(p).read_bytes() for p in result.manifest.paths()] == [
+        Path(p).read_bytes() for p in local.manifest.paths()
+    ]
+    filled = remote("hist", lambda job: fill(job, config, histagg.parse_hist_spec(HIST_SPEC)))
+    assert histagg.render(filled.aggregate) == local_csv
+    assert len(pools) == 4
+
+
+class _HangUpAfterFirstReadv(_Handler):
+    """Answers a connection's first READV, then hangs up."""
+
+    def _serve(self, sock, opcode, payload):
+        return super()._serve(sock, opcode, payload) and opcode != P.OP_READV
+
+
+class _HangUpOnSecondReadv(_Handler):
+    """Hangs up on a connection's second READV instead of answering it."""
+
+    def _serve(self, sock, opcode, payload):
+        if opcode == P.OP_READV:
+            self.readvs = getattr(self, "readvs", 0) + 1
+            if self.readvs == 2:
+                return False
+        return super()._serve(sock, opcode, payload)
+
+
+@pytest.mark.parametrize("handler", [_HangUpAfterFirstReadv, _HangUpOnSecondReadv])
+def test_a_run_survives_a_server_that_drops_connections(
+    demo_dataset, tmp_path, serve_dir, pools, handler
+):
+    data_dir, _, manifest = demo_dataset
+    path = manifest.file_paths(str(data_dir))[0]
+    server = serve_dir(data_dir)
+    server._server.RequestHandlerClass = handler
+    # one input, read by the planner in one READV: only the tasks meet the faults
+    config = EngineConfig(cores_per_executor=2, read_ahead=os.path.getsize(path))
+    local = run(demo_reduction(data_dir, manifest, tmp_path / "local", inputs=[path]), config)
+    attempts = []
+    lock = threading.Lock()
+
+    def count_attempts(task, attempt):
+        with lock:
+            attempts.append(attempt)
+
+    url = f"xrdl://{server.address[0]}:{server.address[1]}/{Path(path).name}"
+    job = demo_reduction(data_dir, manifest, tmp_path / "remote", inputs=[url])
+    result = run(job, config, fault_hook=count_attempts)
+    assert [Path(p).read_bytes() for p in result.manifest.paths()] == [
+        Path(p).read_bytes() for p in local.manifest.paths()
+    ]
+    n_tasks = len(result.metrics.tasks)
+    retries = attempts.count(2)
+    if handler is _HangUpAfterFirstReadv:
+        # each task's CLOSE finds its connection gone, so the next task opens a fresh one
+        assert retries == 0
+    else:
+        # a thread's later tasks meet a connection that had its READV; their retries open fresh ones
+        assert n_tasks - config.worker_count <= retries < n_tasks
+    # the planner's connection, and one per task that read
+    assert server.counters().connections_accepted == 1 + n_tasks
+    assert open_connections(server) == 0
+
+
+def test_a_run_closes_its_connections_when_it_raises(demo_dataset, tmp_path, serve_dir, pools):
+    data_dir, _, manifest = demo_dataset
+    server = serve_dir(data_dir)
+    urls = manifest.urls(*server.address)
+    config = EngineConfig(cores_per_executor=4)
+
+    def fail_task_1(task, attempt):
+        if task.task_id == 1:
+            raise EngineError("deterministic failure")
+
+    job = demo_reduction(data_dir, manifest, tmp_path / "out", inputs=urls)
+    with pytest.raises(TaskFailure):
+        run(job, config, fault_hook=fail_task_1)
+    assert open_connections(server) == 0
+    with pytest.raises(TaskFailure):
+        fill(job, config, histagg.parse_hist_spec(HIST_SPEC), fault_hook=fail_task_1)
+    assert open_connections(server) == 0
+    bad = demo_reduction(data_dir, manifest, tmp_path / "bad", inputs=urls, keep_columns=["Nope"])
+    with pytest.raises(EngineError, match="required column 'Nope' missing"):
+        run(bad, config)
+    assert open_connections(server) == 0
+    assert server.counters().requests[P.OP_OPEN] == server.counters().requests[P.OP_CLOSE]
+    assert len(pools) == 3
+
+
+def test_remote_input_changed_since_planning_fails_without_retry(demo_dataset, tmp_path, serve_dir):
+    data_dir, _, manifest = demo_dataset
+    (tmp_path / "input.trf").write_bytes(Path(manifest.file_paths(str(data_dir))[0]).read_bytes())
+    server = serve_dir(tmp_path)
+    attempts = []
+    lock = threading.Lock()
+
+    def fault_hook(task, attempt):
+        with lock:
+            if not attempts:
+                with open(tmp_path / "input.trf", "ab") as fh:
+                    fh.write(b"appended after planning")
+            attempts.append(attempt)
+
+    url = f"xrdl://{server.address[0]}:{server.address[1]}/input.trf"
+    job = demo_reduction(data_dir, manifest, tmp_path / "out", inputs=[url])
+    with pytest.raises(TaskFailure) as exc:
+        run(job, EngineConfig(cores_per_executor=2), fault_hook=fault_hook)
+    # every task opened its own handle, so every task saw the new length
+    assert len(exc.value.failures) == len(attempts)
+    assert all("CorruptFileError" in reason for _, reason in exc.value.failures)
+    assert attempts == [1] * len(attempts)
 
 
 def test_expressions_are_parsed_and_typechecked_once_per_run(

@@ -5,6 +5,8 @@ from __future__ import annotations
 import os
 import socket
 import struct
+import sys
+import threading
 import time
 
 import numpy as np
@@ -12,12 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import open_connections, serve_process
 from reference_interp import simulate_cache
 from treeduce.iostats import IoStats
 from treeduce.xrdlite import (
+    ConnectionPool,
     ServerConfig,
     TokenBucket,
     XrdConnection,
+    XrdProtocolError,
     XrdStatusError,
     connector_open,
     parse_url,
@@ -30,9 +35,14 @@ CONTENT = bytes(range(256)) * 40  # 10240 bytes
 
 
 @pytest.fixture
-def served_file(tmp_path, serve_dir):
+def server(tmp_path, serve_dir):
+    """A server whose root holds ``data.bin`` with ``CONTENT``."""
     (tmp_path / "data.bin").write_bytes(CONTENT)
-    server = serve_dir(tmp_path)
+    return serve_dir(tmp_path)
+
+
+@pytest.fixture
+def served_file(server):
     return server.address
 
 
@@ -312,6 +322,190 @@ def test_open_path_with_nul_byte_is_not_found(served_file):
         assert conn.read(handle, 0, 4) == CONTENT[:4]
     finally:
         conn.close()
+
+
+def test_simultaneous_connects_are_served_promptly(tmp_path):
+    # past the listen backlog, a connect waits on SYN retransmits: 1 s and more.
+    # A server in this process would accept only as fast as its clients
+    # take turns on the interpreter lock, so it runs in a process of its own.
+    (tmp_path / "data.bin").write_bytes(CONTENT)
+    n = 16
+    start = threading.Barrier(n)
+    elapsed: list[float] = []
+
+    def connect_and_open(address):
+        start.wait()
+        t0 = time.perf_counter()
+        conn = XrdConnection(address)
+        try:
+            conn.open("data.bin")
+            elapsed.append(time.perf_counter() - t0)
+        finally:
+            conn.close()
+
+    with serve_process(tmp_path) as (_, address):
+        threads = [threading.Thread(target=connect_and_open, args=(address,)) for _ in range(n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert len(elapsed) == n
+    assert max(elapsed) < 0.5, sorted(elapsed)[-3:]
+
+
+def test_server_counts_connections_requests_bytes_and_throttle_wait(tmp_path, serve_dir):
+    (tmp_path / "data.bin").write_bytes(CONTENT)
+    server = serve_dir(tmp_path, bandwidth_cap=64 << 10)  # 655-byte chunks
+    first, second = XrdConnection(server.address), XrdConnection(server.address)
+    try:
+        handle, _ = first.open("data.bin")
+        assert first.read(handle, 0, 4096) == CONTENT[:4096]
+        assert first.stat(handle) == len(CONTENT)
+        first.close_handle(handle)
+        with pytest.raises(XrdStatusError):
+            second.open("missing.bin")
+        counters = server.counters()
+        assert (counters.connections_accepted, counters.connections_open) == (2, 2)
+    finally:
+        first.close()
+        second.close()
+    assert open_connections(server) == 0
+    counters = server.counters()
+    assert counters.connections_accepted == 2
+    assert counters.requests == {P.OP_OPEN: 2, P.OP_READV: 1, P.OP_STAT: 1, P.OP_CLOSE: 1}
+    # OPEN's handle and length, the range, STAT's length, CLOSE's nothing, the missing path
+    assert counters.payload_bytes_sent == 12 + 4096 + 8 + 0 + len("missing.bin")
+    # all but the bucket's two-tick burst waits for tokens at 64 KiB/s
+    assert counters.throttle_wait_s > 0.5 * (4096 - 2 * 655) / (64 << 10)
+    assert counters.summary() == (
+        "connections: 2 accepted, 0 open; requests: OPEN 2, STAT 1, CLOSE 1, READV 1; "
+        f"payload bytes sent: 4127; throttle wait: {counters.throttle_wait_s:.3f} s"
+    )
+
+
+# --- connection pool --------------------------------------------------------------
+
+
+def test_pool_lends_each_thread_one_connection_and_closes_them(server):
+    address = server.address
+    pool = ConnectionPool()
+    try:
+        def read(offset):
+            src = connector_open(address, "data.bin", 64, connections=pool)
+            assert src.read_at(offset, 100) == CONTENT[offset : offset + 100]
+            src.close()  # closes its handle, not the pooled connection
+
+        conn = pool.connection(address)
+        assert pool.connection(address) is conn
+        elsewhere = []
+
+        def read_elsewhere():
+            read(100)
+            elsewhere.append(pool.connection(address))
+
+        thread = threading.Thread(target=read_elsewhere)
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert elsewhere[0] is not conn
+        for offset in (0, 5000, 10000):
+            read(offset)
+        assert pool.connection(address) is conn and not conn.broken
+        counters = server.counters()
+        assert (counters.connections_accepted, counters.connections_open) == (2, 2)
+        assert counters.requests[P.OP_OPEN] == counters.requests[P.OP_CLOSE] == 4
+    finally:
+        pool.close()
+    assert open_connections(server) == 0
+
+
+def test_pool_and_counters_hold_under_thread_contention(server):
+    n_threads, per_thread = 8, 20
+    pool = ConnectionPool()
+    lent: dict[int, set[int]] = {}
+    errors: list[BaseException] = []
+
+    def work(index: int):
+        try:
+            for i in range(per_thread):
+                src = connector_open(server.address, "data.bin", 16, connections=pool)
+                try:
+                    offset = (index * per_thread + i) * 48 % len(CONTENT)  # whole 16-byte reads
+                    assert src.read_at(offset, 16) == CONTENT[offset : offset + 16]
+                finally:
+                    src.close()
+                lent.setdefault(index, set()).add(id(pool.connection(server.address)))
+        except BaseException as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+        pool.close()
+    assert errors == []
+    assert all(len(ids) == 1 for ids in lent.values()) and len(lent) == n_threads
+    assert open_connections(server) == 0
+    counters = server.counters()
+    assert counters.connections_accepted == n_threads
+    n = n_threads * per_thread
+    assert counters.requests == {P.OP_OPEN: n, P.OP_READV: n, P.OP_CLOSE: n}
+    assert counters.payload_bytes_sent == n * (12 + 16)
+
+
+def test_a_status_error_keeps_the_pooled_connection(server):
+    pool = ConnectionPool()
+    try:
+        conn = pool.connection(server.address)
+        with pytest.raises(XrdStatusError):
+            connector_open(server.address, "missing.bin", 64, connections=pool)
+        src = connector_open(server.address, "data.bin", 64, connections=pool)
+        with pytest.raises(XrdStatusError):
+            conn.stat(999)  # BadHandle
+        assert src.read_at(0, 8) == CONTENT[:8]
+        src.close()
+        assert pool.connection(server.address) is conn and not conn.broken
+    finally:
+        pool.close()
+    assert server.counters().connections_accepted == 1
+
+
+@pytest.mark.parametrize("break_it", ["hang up", "time out"])
+def test_a_broken_pooled_connection_is_closed_and_replaced(tmp_path, serve_dir, break_it):
+    (tmp_path / "data.bin").write_bytes(CONTENT)
+    # at 1000 B/s the server sends a 10-byte chunk every 10 ms after a 20-byte burst
+    server = serve_dir(tmp_path, bandwidth_cap=1000)
+    pool = ConnectionPool()
+    try:
+        src = connector_open(server.address, "data.bin", 16, connections=pool)
+        conn = pool.connection(server.address)
+        if break_it == "hang up":
+            conn._sock.shutdown(socket.SHUT_RDWR)
+            expected = (OSError, XrdProtocolError)
+        else:  # the next chunk is due well after the receive timeout
+            conn._sock.settimeout(0.001)
+            expected = TimeoutError
+        with pytest.raises(expected):
+            src.read_at(0, 5000)
+        assert conn.broken
+        src.close()  # raises nothing over the read's error, and closes the connection
+        fresh = pool.connection(server.address)
+        assert fresh is not conn
+        src = connector_open(server.address, "data.bin", 16, connections=pool)
+        assert src.read_at(0, 10) == CONTENT[:10]
+        src.close()
+    finally:
+        pool.close()
+    assert open_connections(server) == 0
+    assert server.counters().connections_accepted == 2
 
 
 # --- vectored reads -------------------------------------------------------------
