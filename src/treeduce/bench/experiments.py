@@ -183,17 +183,24 @@ def _run_size(spec: ExperimentSpec, result: SizeScalingResult) -> None:
     manifest = ensure_dataset(pool, spec.data_dir)
     paths = manifest.file_paths(spec.data_dir)
     engine = EngineConfig(executors=spec.executors, cores_per_executor=spec.cores_per_executor)
-    for m in spec.multiples:
-        used = manifest.files[: m * spec.n_files]
-        inputs = paths[: m * spec.n_files]
-        nbytes = sum(f.bytes for f in used)
-
-        def job_for_rep(rep: int, _inputs=inputs, _m=m) -> JobSpec:
-            out = str(Path(spec.out_dir) / "runs" / f"size-x{_m}")
-            return demo_job(_inputs, out, partition_entries=spec.partition_entries)
-
-        median_wall, last = _repeat(job_for_rep, engine, spec.repetitions)
-        result.rows.append(SizeRow(m, nbytes, median_wall, last.manifest.total_entries))
+    points = [
+        (paths[: m * spec.n_files], str(Path(spec.out_dir) / "runs" / f"size-x{m}"))
+        for m in spec.multiples
+    ]
+    # Repetitions go round the multiples, so a slow stretch of the host
+    # costs every point one repetition instead of bending one point's median.
+    walls: list[list[float]] = [[] for _ in spec.multiples]
+    lasts: list[RunResult | None] = [None] * len(spec.multiples)
+    for _ in range(spec.repetitions):
+        for i, (inputs, out) in enumerate(points):
+            lasts[i] = run(demo_job(inputs, out, partition_entries=spec.partition_entries), engine)
+            walls[i].append(lasts[i].metrics.total_wall_s)
+    for m, point_walls, last in zip(spec.multiples, walls, lasts):
+        assert last is not None
+        nbytes = sum(f.bytes for f in manifest.files[: m * spec.n_files])
+        result.rows.append(
+            SizeRow(m, nbytes, statistics.median(point_walls), last.manifest.total_entries)
+        )
         result.metrics = last.metrics
     if len(result.rows) >= 2:
         result.slope, result.intercept, result.r2 = linear_fit(

@@ -12,15 +12,14 @@ Flat basket payload: n_entries elements, big-endian.
 Jagged basket payload: (n_entries + 1) u64 basket-local element offsets
 (first is 0), then the flattened elements, big-endian.
 
-Codec 2 (shuffle) stores a basket payload regrouped into byte planes
-(plane k holds byte k of every element) and deflated at level 1. Codec 3
-(planes) regroups the same way, deflates only the planes whose sampled byte
-entropy says they will shrink, and stores the others raw under a CRC32.
-Codec 4 (delta planes), what writers use by default, is codec 3 with a
-jagged basket's offset table replaced by each entry's element count and a
-plane of one repeated byte stored as that byte. The flagged planes of
-codecs 3 and 4 are deflated by libdeflate where the library loads and by
-zlib otherwise; every other stream by zlib.
+Basket codecs: 0 stores the payload, 1 deflates it whole, and 4 (delta
+planes), what writers use by default, regroups it into byte planes (plane k
+holds byte k of every element, a jagged basket's offset table first, coded
+as each entry's element count). Codec 4 keeps a plane of one repeated byte
+as that byte, deflates at level 1 the planes whose sampled byte entropy
+says they will shrink, and stores the others raw under a CRC32. Its stream
+is deflated by libdeflate where the library loads and by zlib otherwise;
+every other stream by zlib. Codec bytes 2 and 3 are retired.
 """
 
 from __future__ import annotations
@@ -53,9 +52,9 @@ _DEFLATE_LEVEL = 6
 # On the part files of a seed-1 demo reduce (48 baskets of up to 65,536
 # entries, 2-core VM), codec 4 at level 6 stores only 1.7% fewer bytes than
 # at level 1 and takes 3.1x as long under libdeflate (1.2% and 4.4x under
-# zlib). Codecs 2, 3 and 4 use it.
-_SHUFFLE_LEVEL = 1
-# Codecs 3 and 4 deflate a plane when the byte histogram of its first
+# zlib). Codec 4 uses it.
+_PLANES_LEVEL = 1
+# Codec 4 deflates a plane when the byte histogram of its first
 # _PLANE_SAMPLE bytes estimates under _PLANE_MAX_ENTROPY bits per byte. On
 # the part files of a seed-1 demo reduce (48 baskets, 448 planes of 25 to
 # 79 KB, 2-core VM) the histograms take 3 ms where a level-1 zlib probe of
@@ -95,8 +94,6 @@ class Shape(IntEnum):
 class Codec(IntEnum):
     NONE = 0
     DEFLATE = 1
-    SHUFFLE = 2
-    PLANES = 3
     DELTA_PLANES = 4
 
 
@@ -180,9 +177,8 @@ _LIBDEFLATE = _load_libdeflate(
     }
 )
 
-# Deflates the flagged planes of codecs 3 and 4 when loaded; None selects the
-# zlib module.
-# Codecs 1 and 2 and the directory record always use the zlib module, so the
+# Deflates codec 4's stream of planes when loaded; None selects the zlib
+# module. Codec 1 and the directory record always use the zlib module, so the
 # generator's bytes do not depend on which library loaded.
 _LIBDEFLATE_DEFLATE = _load_libdeflate(
     {
@@ -195,7 +191,7 @@ _LIBDEFLATE_DEFLATE = _load_libdeflate(
 )
 
 
-# Computes the CRC-32 of the stored section of codecs 3 and 4 when loaded
+# Computes the CRC-32 of the stored section of codec 4 when loaded
 # (14 us against zlib's 90 us on 200 KB); None selects zlib.crc32. Both
 # compute the same CRC-32.
 _LIBDEFLATE_CRC = _load_libdeflate(
@@ -213,11 +209,11 @@ def _crc32(data: bytes | memoryview | np.ndarray) -> int:
 
 
 class _Compressor:
-    """One libdeflate compressor at the planes codecs' level, freed with its owner."""
+    """One libdeflate compressor at the planes codec's level, freed with its owner."""
 
     def __init__(self, lib: ctypes.CDLL):
         self.lib = lib
-        self.handle = lib.libdeflate_alloc_compressor(_SHUFFLE_LEVEL)
+        self.handle = lib.libdeflate_alloc_compressor(_PLANES_LEVEL)
         if not self.handle:
             raise MemoryError("libdeflate_alloc_compressor failed")
 
@@ -362,13 +358,13 @@ class TreeMeta:
 # records
 
 
-# Byte-plane layout of a payload for SHUFFLE and PLANES: (offset-table
-# bytes, element width). The offset table is u64, so its planes are 8 wide.
-# (0, 1) is a payload without structure, for which shuffling is the identity.
+# Byte-plane layout of a payload for DELTA_PLANES: (offset-table bytes,
+# element width). The offset table is u64, so its planes are 8 wide.
+# (0, 1) is a payload without structure: one plane, the bytes as they are.
 Planes = tuple[int, int]
 _NO_PLANES: Planes = (0, 1)
 
-# A plane's flag under PLANES and DELTA_PLANES; only the latter has constants.
+# A plane's flag under DELTA_PLANES
 _STORED, _DEFLATED, _CONSTANT = 0, 1, 2
 
 
@@ -382,26 +378,10 @@ def _segments(size: int, planes: Planes) -> list[tuple[int, int, int]]:
     head, width = planes
     if head > size or (size - head) % width:
         raise CorruptFileError(
-            f"shuffled payload of {size} bytes does not split into a "
+            f"planes payload of {size} bytes does not split into a "
             f"{head}-byte offset table and {width}-byte elements"
         )
     return [(0, head, 8), (head, size, width)] if head else [(0, size, width)]
-
-
-def _shuffle(raw: bytes, planes: Planes) -> np.ndarray:
-    """Plane k of each segment holds byte k of every element in it."""
-    src = np.frombuffer(raw, dtype=np.uint8)
-    out = np.empty_like(src)
-    for lo, hi, w in _segments(len(src), planes):
-        out[lo:hi].reshape(w, -1)[...] = src[lo:hi].reshape(-1, w).T
-    return out
-
-
-def _unshuffle(src: np.ndarray, planes: Planes) -> np.ndarray:
-    out = np.empty_like(src)
-    for lo, hi, w in _segments(len(src), planes):
-        out[lo:hi].reshape(-1, w)[...] = src[lo:hi].reshape(w, -1).T
-    return out
 
 
 # c * log2(c) for each count a plane's sample histogram can hold, 0 for 0
@@ -428,48 +408,35 @@ def _plane_shrinks(elements: np.ndarray) -> tuple[list[bool], bool]:
     return (entropy < _PLANE_MAX_ENTROPY).tolist(), bool((counts == n).any())
 
 
-def _deflate_planes(
-    raw: bytes | memoryview, planes: Planes, codec: Codec, verdicts: list | None = None
-) -> np.ndarray | None:
-    """Codec 3 or 4 payload: flags | crc32 of the stored section | deflated
+def _deflate_planes(raw: bytes | memoryview, planes: Planes) -> np.ndarray | None:
+    """Codec-4 payload: flags | crc32 of the stored section | deflated
     planes | stored section.
 
     None when it would be no smaller than ``raw``, as it always is when every
     plane is stored.
 
-    ``verdicts`` carries the deflate-or-store flags from one payload of a
-    branch to the next: one entry per segment, None until a segment of at
-    least ``_PLANE_SAMPLE`` elements has been judged, and that judgement
-    afterwards. An empty segment is stored whatever its verdict. Codec 4
-    judges a jagged payload's offset table as its entries' counts, and
-    flags a non-empty plane of one repeated byte constant in every payload.
+    Each segment is judged on its own sample (see :func:`_plane_shrinks`),
+    a jagged payload's offset table as its entries' counts; a non-empty
+    plane of one repeated byte is flagged constant, and an empty one stored.
 
     Each plane is copied out of ``raw`` once: a deflated plane into the
     deflater's input, a stored plane, or a constant plane's one byte, into
-    the payload behind the stream, which the deflater writes in place.
-    Codec 4 reads an offset table's planes from its counts, which take a
+    the payload behind the stream, which the deflater writes in place. An
+    offset table's planes are read from its counts, which take a
     subtraction and two byte-order copies.
     """
     src = np.frombuffer(raw, dtype=np.uint8)
-    segments = _segments(len(src), planes)
-    if verdicts is None:
-        verdicts = [None] * len(segments)
-    delta = codec is Codec.DELTA_PLANES
     # each segment's planes as rows (views), and its flags; a few planes
     # each, so the flags are kept in lists, not in small numpy arrays
     rows, flags = [], []
-    for i, (lo, hi, w) in enumerate(segments):
+    for i, (lo, hi, w) in enumerate(_segments(len(src), planes)):
         segment = src[lo:hi]
-        if delta and planes[0] and i == 0:
+        if planes[0] and i == 0:
             segment = _offsets_to_counts(segment)
         elements = segment.reshape(-1, w)
-        shrinks, maybe_constant = verdicts[i], True
-        if shrinks is None or not len(elements):
-            shrinks, maybe_constant = _plane_shrinks(elements)
-            if len(elements) >= _PLANE_SAMPLE:
-                verdicts[i] = shrinks
+        shrinks, maybe_constant = _plane_shrinks(elements)
         seg_flags = [_DEFLATED if shrink else _STORED for shrink in shrinks]
-        if delta and maybe_constant and len(elements):
+        if maybe_constant:
             for j in np.flatnonzero(_constant_planes(segment, w)).tolist():
                 seg_flags[j] = _CONSTANT
         rows.append(elements.T)
@@ -512,7 +479,7 @@ def _deflate_between(data: np.ndarray, head: int, tail: int) -> tuple[np.ndarray
         return np.empty(head + tail, dtype=np.uint8), 0
     lib = _LIBDEFLATE_DEFLATE
     if lib is None:
-        stream = zlib.compress(data, _SHUFFLE_LEVEL)
+        stream = zlib.compress(data, _PLANES_LEVEL)
         stream_len = len(stream)
         out = np.empty(head + stream_len + tail, dtype=np.uint8)
         out[head : head + stream_len] = np.frombuffer(stream, dtype=np.uint8)
@@ -568,23 +535,16 @@ def _gather_planes(rows: list, flags: list, flag: int, out: np.ndarray) -> None:
                 pos += n
 
 
-def _inflate_planes(
-    stored: bytes | memoryview, raw_len: int, planes: Planes, codec: Codec
-) -> np.ndarray:
-    """Decode a codec-3 or codec-4 payload straight into the unshuffled ``raw_len`` bytes."""
+def _inflate_planes(stored: bytes | memoryview, raw_len: int, planes: Planes) -> np.ndarray:
+    """Decode a codec-4 payload straight into the ``raw_len`` payload bytes."""
     segments = _segments(raw_len, planes)
     widths = [w for _, _, w in segments]
     n_flags = sum(widths)
     if len(stored) < n_flags + _CRC.size:
         raise CorruptFileError(f"planes payload of {len(stored)} bytes has no room for its flags")
     flags = np.frombuffer(stored, dtype=np.uint8, count=n_flags)
-    delta = codec is Codec.DELTA_PLANES
-    if np.any(flags > (_CONSTANT if delta else _DEFLATED)):
-        raise CorruptFileError(
-            "plane flags must be 0 (stored), 1 (deflated) or 2 (constant)"
-            if delta
-            else "plane flags must be 0 (stored) or 1 (deflated)"
-        )
+    if np.any(flags > _CONSTANT):
+        raise CorruptFileError("plane flags must be 0 (stored), 1 (deflated) or 2 (constant)")
     plane_lens = np.repeat([(hi - lo) // w for lo, hi, w in segments], widths)
     if np.any((flags == _CONSTANT) & (plane_lens == 0)):
         raise CorruptFileError("an empty plane cannot be constant")
@@ -618,31 +578,25 @@ def _inflate_planes(
         plane_rows[kept_raw] = stored_planes[s : s + k_s * n].reshape(k_s, n)
         plane_rows[constant] = constants[c : c + k_c, None]
         d, s, c = d + k_d * n, s + k_s * n, c + k_c
-    if delta and planes[0]:
+    if planes[0]:
         table = out[: planes[0]].view(">u8")
         table[...] = np.cumsum(table, dtype=np.uint64)
     return out
 
 
 def compress_record(
-    raw: bytes | memoryview,
-    codec: Codec,
-    planes: Planes = _NO_PLANES,
-    verdicts: list | None = None,
+    raw: bytes | memoryview, codec: Codec, planes: Planes = _NO_PLANES
 ) -> tuple[Codec, bytes | memoryview | np.ndarray]:
     """Encode a payload, falling back to NONE when compression does not shrink it.
 
-    ``planes`` gives the payload's byte-plane layout for SHUFFLE, PLANES and
-    DELTA_PLANES, and ``verdicts`` the latter two's flags from earlier
-    payloads (see :func:`_deflate_planes`). The NONE fallback always stores
-    ``raw`` as given, never shuffled or delta-coded.
+    ``planes`` gives the payload's byte-plane layout for DELTA_PLANES. The
+    NONE fallback always stores ``raw`` as given, never split into planes
+    or delta-coded.
     """
     if codec is Codec.DEFLATE:
         packed = zlib.compress(raw, _DEFLATE_LEVEL)
-    elif codec is Codec.SHUFFLE:
-        packed = zlib.compress(_shuffle(raw, planes), _SHUFFLE_LEVEL)
-    elif codec in (Codec.PLANES, Codec.DELTA_PLANES):
-        packed = _deflate_planes(raw, planes, codec, verdicts)
+    elif codec is Codec.DELTA_PLANES:
+        packed = _deflate_planes(raw, planes)
     else:
         return Codec.NONE, raw
     if packed is not None and len(packed) < len(raw):
@@ -660,10 +614,8 @@ def decompress_record(
         return np.frombuffer(stored, dtype=np.uint8)
     if codec is Codec.DEFLATE:
         return _inflate(stored, raw_len)
-    if codec is Codec.SHUFFLE:
-        return _unshuffle(_inflate(stored, raw_len), planes)
-    if codec in (Codec.PLANES, Codec.DELTA_PLANES):
-        return _inflate_planes(stored, raw_len, planes, codec)
+    if codec is Codec.DELTA_PLANES:
+        return _inflate_planes(stored, raw_len, planes)
     raise CorruptFileError(f"unknown codec {codec}")  # pragma: no cover - callers validate codec
 
 
@@ -676,7 +628,7 @@ def _parse_record(buf: bytes) -> bytes:
     if len(buf) < 5:
         raise CorruptFileError(f"record truncated: {len(buf)} bytes")
     codec_byte, raw_len = struct.unpack_from(">BI", buf, 0)
-    if codec_byte not in (Codec.NONE, Codec.DEFLATE):  # SHUFFLE and PLANES are for baskets only
+    if codec_byte not in (Codec.NONE, Codec.DEFLATE):  # DELTA_PLANES is for baskets only
         raise CorruptFileError(f"codec byte {codec_byte} not allowed in a record")
     return decompress_record(memoryview(buf)[5:], Codec(codec_byte), raw_len).tobytes()
 
@@ -898,8 +850,6 @@ class TreeFileWriter:
         self._current: TreeMeta | None = None
         self._pending: dict[str, list[ColumnChunk]] = {}
         self._pending_entries = 0
-        # deflate-or-store plane flags per branch and segment, judged once (see _deflate_planes)
-        self._verdicts: dict[str, list] = {}
         self._fh.write(bytes(HEADER_LEN))  # placeholder, patched at close
         self._pos = HEADER_LEN
         self._closed = False
@@ -918,7 +868,6 @@ class TreeFileWriter:
         self._current = TreeMeta(name, 0, branches)
         self._pending = {bname: [] for bname in branches}
         self._pending_entries = 0
-        self._verdicts = {bname: [None, None] for bname in branches}
 
     def extend(self, columns: dict[str, ColumnChunk]) -> None:
         tree = self._current
@@ -965,7 +914,7 @@ class TreeFileWriter:
             self._pending[name] = [rest] if rest.n_entries else []
             raw = encode_basket(head, meta.dtype, meta.shape)
             planes = _basket_planes(meta.dtype, meta.shape, n)
-            codec, stored = compress_record(raw, self._codec, planes, self._verdicts[name])
+            codec, stored = compress_record(raw, self._codec, planes)
             first_entry = tree.n_entries - self._pending_entries
             meta.baskets.append(
                 BasketIndexEntry(first_entry, n, self._pos, len(stored), len(raw), codec)

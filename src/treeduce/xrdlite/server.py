@@ -15,6 +15,11 @@ from . import protocol as P
 from .throttle import TokenBucket
 
 DEFAULT_PORT = 1094
+# How often the accept loop checks for a stop request, in seconds: stop()
+# waits up to this long. socketserver's default of 0.5 s made every stop take
+# about 0.45 s. An idle server's 20 wake-ups a second took 0.27% of a core
+# (0.03% at 0.5 s) on a 2-core VM, about 0.2% of a reduce-remote job's CPU.
+_POLL_INTERVAL_S = 0.05
 
 
 @dataclass
@@ -272,7 +277,9 @@ class XrdServer:
     def start(self) -> "XrdServer":
         if self._thread is not None:
             return self
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        self._thread = threading.Thread(
+            target=self._server.serve_forever, args=(_POLL_INTERVAL_S,), daemon=True
+        )
         self._thread.start()
         return self
 

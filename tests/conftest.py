@@ -46,7 +46,7 @@ def _library(lib) -> str:
 def pytest_report_header(config):
     policy = "applied" if memory.keep_task_memory() else "not applied (no glibc mallopt)"
     return (
-        f"treefile inflates with {_library(treefile._LIBDEFLATE)}, deflates codecs 3 and 4 "
+        f"treefile inflates with {_library(treefile._LIBDEFLATE)}, deflates codec 4's planes "
         f"with {_library(treefile._LIBDEFLATE_DEFLATE)} and computes their CRC-32 with "
         f"{_library(treefile._LIBDEFLATE_CRC)}; engine allocator policy {policy}"
     )
@@ -68,13 +68,13 @@ def inflater(request, monkeypatch):
 
 @pytest.fixture(params=["libdeflate", "zlib"])
 def deflater(request, monkeypatch):
-    """Run a test once per deflater of the planes of codecs 3 and 4; the zlib case forces the fallback."""
+    """Run a test once per deflater of codec 4's planes; the zlib case forces the fallback."""
     return _one_per_library(request, monkeypatch, "_LIBDEFLATE_DEFLATE")
 
 
 @pytest.fixture(params=["libdeflate", "zlib"])
 def crc(request, monkeypatch):
-    """Run a test once per CRC-32 of the stored planes of codecs 3 and 4; the zlib case forces the fallback."""
+    """Run a test once per CRC-32 of codec 4's stored planes; the zlib case forces the fallback."""
     return _one_per_library(request, monkeypatch, "_LIBDEFLATE_CRC")
 
 

@@ -106,7 +106,8 @@ def size_result(tmp_path_factory):
         seed=101,
         n_events=_size_events_per_file(base, 2, engine),
         n_files=2,
-        repetitions=3,
+        # a median of five: one slow repetition on a loaded host moves no point
+        repetitions=5,
         multiples=(1, 2, 4, 8),
         partition_entries=4096,
         executors=engine.executors,

@@ -144,7 +144,7 @@ class DirWalker:
 
 
 def unshuffle_by_hand(buf: bytes, head: int, width: int) -> bytes:
-    """Undo codec 2's regrouping: in each segment, plane k holds byte k of every element."""
+    """Undo the byte-plane regrouping: in each segment, plane k holds byte k of every element."""
     out = b""
     for segment, w in ((buf[:head], 8), (buf[head:], width)):
         n = len(segment) // w
@@ -189,24 +189,19 @@ def split_planes_by_hand(
     return deflated, constants + stored
 
 
-def planes_payload_by_hand(
-    payload: bytes, head: int, width: int, flags: list[int], delta: bool = False
-) -> bytes:
-    """A codec-3 basket, or with ``delta`` a codec-4 one: flags | crc32 of
-    the stored section | one level-1 zlib stream of the deflated planes |
-    the stored section. Codec 4 first turns the offset table into counts."""
-    if delta and head:
+def planes_payload_by_hand(payload: bytes, head: int, width: int, flags: list[int]) -> bytes:
+    """A codec-4 basket: flags | crc32 of the stored section | one level-1
+    zlib stream of the deflated planes | the stored section, with the offset
+    table, if any, first turned into counts."""
+    if head:
         payload = counts_by_hand(payload, head)
     deflated, stored = split_planes_by_hand(payload, head, width, flags)
     stream = zlib.compress(deflated, 1) if 1 in flags else b""
     return bytes(flags) + struct.pack(">I", zlib.crc32(stored)) + stream + stored
 
 
-def unplanes_by_hand(
-    stored: bytes, raw_len: int, head: int, width: int, delta: bool = False
-) -> bytes:
-    """Decode a codec-3 (or with ``delta`` codec-4) basket with slicing,
-    ``struct`` and ``zlib`` only."""
+def unplanes_by_hand(stored: bytes, raw_len: int, head: int, width: int) -> bytes:
+    """Decode a codec-4 basket with slicing, ``struct`` and ``zlib`` only."""
     lens = plane_lens_by_hand(raw_len, head, width)
     flags = stored[: len(lens)]
     (crc,) = struct.unpack(">I", stored[len(lens) : len(lens) + 4])
@@ -227,7 +222,7 @@ def unplanes_by_hand(
             sources[flag] = sources[flag][n:]
     assert sources == {1: b"", 0: b""} and constants == b""
     payload = unshuffle_by_hand(shuffled, head, width)
-    return offsets_by_hand(payload, head) if delta and head else payload
+    return offsets_by_hand(payload, head) if head else payload
 
 
 def pack_name(name: str) -> bytes:
@@ -334,53 +329,20 @@ def test_deflate_basket_decompresses_to_plain_payload(tmp_path):
     assert payload == values.astype(">i8").tobytes()
 
 
-SHUFFLE_FLAT = [0.5 * i for i in range(64)]
-SHUFFLE_JAG = [[i, -i] if i % 3 else [] for i in range(64)]
-
-
-def test_shuffle_basket_payload_exact_bytes(tmp_path):
-    path = tmp_path / "shuffle.trf"
-    branches = {"flat": np.array(SHUFFLE_FLAT), "jag": SHUFFLE_JAG}
-    write_tree(str(path), "t", branches, codec=Codec.SHUFFLE)
-    raw = path.read_bytes()
-    _, _, dir_offset, dir_len, _ = struct.unpack(">4sIQQQ", raw[:32])
-    _, branches = DirWalker(parse_record(raw[dir_offset : dir_offset + dir_len])).walk()["t"]
-
-    def shuffled_payload(name):
-        ((first_entry, n, offset, stored_len, raw_len, codec),) = branches[name][2]
-        assert (first_entry, codec) == (0, 2)
-        stored = raw[offset : offset + stored_len]
-        assert stored[:2] == b"\x78\x01"  # zlib header of level 1
-        payload = zlib.decompress(stored)
-        assert len(payload) == raw_len
-        return n, payload
-
-    assert branches["flat"][:2] == (4, 0)  # f64, flat: one segment of 8-byte elements
-    n, payload = shuffled_payload("flat")
-    expected = struct.pack(">64d", *SHUFFLE_FLAT)
-    assert n == 64
-    assert payload[:64] == bytes(expected[8 * i] for i in range(64))  # plane 0: sign/exponent bytes
-    assert unshuffle_by_hand(payload, 0, 8) == expected
-
-    assert branches["jag"][:2] == (2, 1)  # i64, jagged: offset table, then values
-    n, payload = shuffled_payload("jag")
-    offsets = np.concatenate([[0], np.cumsum([len(row) for row in SHUFFLE_JAG])]).tolist()
-    values = [x for row in SHUFFLE_JAG for x in row]
-    table = struct.pack(f">{n + 1}Q", *offsets)
-    assert unshuffle_by_hand(payload, len(table), 8) == table + struct.pack(f">{len(values)}q", *values)
-
-
 def test_shuffle_payload_of_partial_elements_is_corrupt():
+    """A codec-4 basket whose declared length does not split into its planes."""
+    # the stored bytes are never looked at: the layout is checked first
+    stored = bytes(8) + struct.pack(">I", zlib.crc32(b""))
     # 7 bytes cannot be regrouped into the planes of one f64
-    raw = hand_built_file(4, 0, 1, 2, zlib.compress(bytes(7), 1), 7)
+    raw = hand_built_file(4, 0, 1, 4, stored, 7)
     with pytest.raises(CorruptFileError, match="does not split"):
         open_bytes(raw).read_column("t", "v")
     # a whole 16-byte offset table, then 5 bytes that are no i64
-    raw = hand_built_file(2, 1, 1, 2, zlib.compress(bytes(21), 1), 21)
+    raw = hand_built_file(2, 1, 1, 4, stored, 21)
     with pytest.raises(CorruptFileError, match="does not split"):
         open_bytes(raw).read_column("t", "v")
     # an offset table longer than the payload
-    raw = hand_built_file(2, 1, 3, 2, zlib.compress(bytes(16), 1), 16)
+    raw = hand_built_file(2, 1, 3, 4, stored, 16)
     with pytest.raises(CorruptFileError, match="does not split"):
         open_bytes(raw).read_column("t", "v")
 
@@ -389,15 +351,18 @@ def test_shuffle_codec_is_refused_for_the_directory_record():
     stored = struct.pack(">2d", 1.0, 2.0)
     deflated = open_bytes(hand_built_file(4, 0, 2, 0, stored, 16, dir_codec=1))
     assert deflated.read_column("t", "v").values.tolist() == [1.0, 2.0]
-    for basket_only in (Codec.SHUFFLE, Codec.PLANES):
+    # codec 4 is for baskets only; 2 and 3 are retired
+    for codec_byte in (2, 3, Codec.DELTA_PLANES):
         with pytest.raises(CorruptFileError, match="not allowed in a record"):
-            open_bytes(hand_built_file(4, 0, 2, 0, stored, 16, dir_codec=basket_only))
+            open_bytes(hand_built_file(4, 0, 2, 0, stored, 16, dir_codec=codec_byte))
 
 
 def test_shuffle_falls_back_to_unshuffled_raw_when_not_smaller(tmp_path):
+    # 64 samples cannot show 7 bits of entropy, so every plane is deflated,
+    # and the stream of 512 random bytes is larger than they are
     path = tmp_path / "noise.trf"
     values = np.random.default_rng(3).integers(-(2**62), 2**62, 64, dtype=np.int64)
-    write_tree(str(path), "t", {"v": values}, codec=Codec.SHUFFLE)
+    write_tree(str(path), "t", {"v": values})
     with open_file(str(path)) as reader:
         (basket,) = reader.tree("t").branches["v"].baskets
     assert basket.codec == Codec.NONE
@@ -405,49 +370,15 @@ def test_shuffle_falls_back_to_unshuffled_raw_when_not_smaller(tmp_path):
     assert stored == struct.pack(">64q", *values.tolist())
 
 
-def test_planes_basket_payload_exact_bytes(tmp_path):
-    """Under zlib the whole payload is pinned. libdeflate writes a different
-    stream, so under it everything around the stream is pinned, and the
-    stream must inflate to exactly the flagged planes."""
-    rng = np.random.default_rng(11)
-    flat = rng.normal(size=2048)
-    jag = ColumnChunk(
-        values=rng.normal(size=3000).astype(np.float32),
-        offsets=np.concatenate([[0], np.sort(rng.integers(0, 3000, 2047)), [3000]]),
-    )
-    path = tmp_path / "planes.trf"
-    write_tree(str(path), "t", {"flat": flat, "jag": jag}, codec=Codec.PLANES)
-    raw = path.read_bytes()
-    _, _, dir_offset, dir_len, _ = struct.unpack(">4sIQQQ", raw[:32])
-    _, branches = DirWalker(parse_record(raw[dir_offset : dir_offset + dir_len])).walk()["t"]
-    expected = {
-        "flat": (0, 8, struct.pack(">2048d", *flat)),
-        "jag": (2049 * 8, 4, jag.offsets.astype(">u8").tobytes() + jag.values.astype(">f4").tobytes()),
-    }
-    for name, (head, width, payload) in expected.items():
-        ((first_entry, n, offset, stored_len, raw_len, codec),) = branches[name][2]
-        assert (first_entry, n, codec, raw_len) == (0, 2048, 3, len(payload))
-        stored = raw[offset : offset + stored_len]
-        flags = list(stored[: len(plane_lens_by_hand(raw_len, head, width))])
-        assert set(flags) == {0, 1}  # sign/exponent planes deflated, mantissa noise stored
-        want = planes_payload_by_hand(payload, head, width, flags)
-        if treefile._LIBDEFLATE_DEFLATE is None:
-            assert stored == want
-        else:
-            flagged, kept = split_planes_by_hand(payload, head, width, flags)
-            n_head = len(flags) + 4  # flags and CRC32
-            assert stored[:n_head] == want[:n_head]
-            assert stored[len(stored) - len(kept) :] == kept
-            assert zlib.decompress(stored[n_head : len(stored) - len(kept)]) == flagged
-        assert unplanes_by_hand(stored, raw_len, head, width) == payload
-
-
 def test_delta_planes_basket_payload_exact_bytes(tmp_path):
     """A jagged basket under the default codec 4: its offset table is coded
     as counts, whose 7 high planes are constant and whose low plane is
     deflated; its f64 elements, f32 values widened, have a deflated sign and
-    exponent plane, stored mantissa noise and constant zero low planes. As
-    for codec 3, the stream is pinned under zlib and inflated under libdeflate."""
+    exponent plane, stored mantissa noise and constant zero low planes.
+
+    Under zlib the whole payload is pinned. libdeflate writes a different
+    stream, so under it everything around the stream is pinned, and the
+    stream must inflate to exactly the flagged planes."""
     rng = np.random.default_rng(12)
     counts = rng.integers(2, 11, 2048)
     jag = ColumnChunk(
@@ -472,7 +403,7 @@ def test_delta_planes_basket_payload_exact_bytes(tmp_path):
     coded = counts_by_hand(payload, head)
     planes = [coded[k:head:8] for k in range(8)] + [coded[head + k :: 8] for k in range(8)]
     assert [flag == 2 for flag in flags] == [len(set(plane)) == 1 for plane in planes]
-    want = planes_payload_by_hand(payload, head, 8, flags, delta=True)
+    want = planes_payload_by_hand(payload, head, 8, flags)
     if treefile._LIBDEFLATE_DEFLATE is None:
         assert stored == want
     else:
@@ -480,9 +411,11 @@ def test_delta_planes_basket_payload_exact_bytes(tmp_path):
         assert stored[:20] == want[:20]  # flags and CRC32
         assert stored[len(stored) - len(kept) :] == kept
         assert zlib.decompress(stored[20 : len(stored) - len(kept)]) == flagged
-    assert unplanes_by_hand(stored, raw_len, head, 8, delta=True) == payload
+    assert unplanes_by_hand(stored, raw_len, head, 8) == payload
 
 
+# codec-4 baskets whose planes are only deflated or stored, as a writer
+# flags them when no plane holds one repeated byte
 HAND_BUILT_PLANES = {
     "flat-f64-mixed": (Dtype.F64, Shape.FLAT, [0.5 * i for i in range(16)], [1, 0, 1, 0, 0, 1, 1, 0]),
     "jagged-f32": (
@@ -497,9 +430,10 @@ HAND_BUILT_PLANES = {
     "dtype, shape, rows, flags", list(HAND_BUILT_PLANES.values()), ids=list(HAND_BUILT_PLANES)
 )
 def test_hand_built_planes_baskets_decode(dtype, shape, rows, flags):
-    assert_hand_built_basket_decodes(dtype, shape, rows, flags, Codec.PLANES)
+    assert_hand_built_basket_decodes(dtype, shape, rows, flags)
 
 
+# codec-4 baskets with constant planes
 HAND_BUILT_DELTA_PLANES = {
     # counts 0 1 0 2 1: seven zero planes and a low one; the f32 values'
     # two low bytes are zero
@@ -519,7 +453,7 @@ HAND_BUILT_DELTA_PLANES = {
     ids=list(HAND_BUILT_DELTA_PLANES),
 )
 def test_hand_built_delta_planes_baskets_decode(dtype, shape, rows, flags):
-    assert_hand_built_basket_decodes(dtype, shape, rows, flags, Codec.DELTA_PLANES)
+    assert_hand_built_basket_decodes(dtype, shape, rows, flags)
 
 
 def hand_built_payload(dtype, shape, rows) -> tuple[int, bytes]:
@@ -532,11 +466,10 @@ def hand_built_payload(dtype, shape, rows) -> tuple[int, bytes]:
     return 8 * len(offsets), struct.pack(f">{len(offsets)}Q{len(values)}{fmt}", *offsets, *values)
 
 
-def assert_hand_built_basket_decodes(dtype, shape, rows, flags, codec) -> None:
+def assert_hand_built_basket_decodes(dtype, shape, rows, flags) -> None:
     head, payload = hand_built_payload(dtype, shape, rows)
-    delta = codec is Codec.DELTA_PLANES
-    stored = planes_payload_by_hand(payload, head, itemsize(dtype), flags, delta)
-    reader = open_bytes(hand_built_file(dtype, shape, len(rows), codec, stored, len(payload)))
+    stored = planes_payload_by_hand(payload, head, itemsize(dtype), flags)
+    reader = open_bytes(hand_built_file(dtype, shape, len(rows), 4, stored, len(payload)))
     assert to_lists(reader.read_column("t", "v")) == rows
 
 
@@ -553,9 +486,9 @@ def test_corrupt_planes_payloads_are_refused():
 
     good = framed(flags, zlib.compress(flagged, 1), kept)
     assert good == planes_payload_by_hand(payload, 0, 8, flags)
-    assert to_lists(open_bytes(hand_built_file(4, 0, 16, 3, good, 128)).read_column("t", "v")) == values
+    assert to_lists(open_bytes(hand_built_file(4, 0, 16, 4, good, 128)).read_column("t", "v")) == values
     cases = [
-        ("plane flags must be 0", bytes([2]) + good[1:]),
+        ("plane flags must be 0", bytes([3]) + good[1:]),
         ("cannot hold", good[:12] + kept[:40]),  # fewer bytes than the stored planes
         ("cannot hold", framed([0] * 8, zlib.compress(b""), payload)),  # a stream, nothing flagged
         ("cannot hold", framed([1] + [0] * 7, b"", b"".join(planes[1:]))),  # flagged, no stream
@@ -565,60 +498,69 @@ def test_corrupt_planes_payloads_are_refused():
     ]
     for match, stored in cases:
         with pytest.raises(CorruptFileError, match=match):
-            open_bytes(hand_built_file(4, 0, 16, 3, stored, 128)).read_column("t", "v")
+            open_bytes(hand_built_file(4, 0, 16, 4, stored, 128)).read_column("t", "v")
 
 
 def test_corrupt_delta_planes_payloads_are_refused():
     dtype, shape, rows, flags = HAND_BUILT_DELTA_PLANES["jagged-f32"]
     head, payload = hand_built_payload(dtype, shape, rows)
-    good = planes_payload_by_hand(payload, head, 4, flags, delta=True)
+    good = planes_payload_by_hand(payload, head, 4, flags)
 
-    def read(codec, stored, rows=rows, raw_len=len(payload)):
-        return open_bytes(hand_built_file(dtype, shape, len(rows), codec, stored, raw_len)).read_column("t", "v")
+    def hand_built(stored, codec=4):
+        return hand_built_file(dtype, shape, len(rows), codec, stored, len(payload))
 
-    assert to_lists(read(4, good)) == rows
+    def read(stored):
+        return open_bytes(hand_built(stored)).read_column("t", "v")
+
+    assert to_lists(read(good)) == rows
+    # codec bytes 2 and 3 are retired: unknown, refused when the file opens
+    for retired in (2, 3):
+        with pytest.raises(CorruptFileError, match=f"unknown codec byte {retired}"):
+            open_bytes(hand_built(good, codec=retired))
     n_flags, kept_len = len(flags), 9 + 4  # 9 constant bytes, one stored plane of 4 elements
-    constants_only = planes_payload_by_hand(payload, head, 4, [2] * 7 + [0] * 3 + [2, 2], delta=True)
-    assert to_lists(read(4, constants_only)) == rows  # no stream
+    constants_only = planes_payload_by_hand(payload, head, 4, [2] * 7 + [0] * 3 + [2, 2])
+    assert to_lists(read(constants_only)) == rows  # no stream
     table = struct.unpack(f">{head // 8}Q", counts_by_hand(payload, head)[:head])
     cases = [
-        ("plane flags must be 0", 3, good),  # flag 2 is codec 4's own
-        ("plane flags must be 0", 4, bytes([3]) + good[1:]),
-        ("CRC32", 4, good[:-kept_len] + bytes([good[-kept_len] ^ 1]) + good[1 - kept_len :]),
-        ("CRC32", 4, good[:-1] + bytes([good[-1] ^ 1])),  # a stored plane's byte
-        ("cannot hold", 4, good[: n_flags + 4] + good[-kept_len:]),  # flagged, no stream
+        ("plane flags must be 0", bytes([3]) + good[1:]),
+        ("CRC32", good[:-kept_len] + bytes([good[-kept_len] ^ 1]) + good[1 - kept_len :]),
+        ("CRC32", good[:-1] + bytes([good[-1] ^ 1])),  # a stored plane's byte
+        ("cannot hold", good[: n_flags + 4] + good[-kept_len:]),  # flagged, no stream
         (
-            "cannot hold", 4,  # nothing flagged deflated, a stream
+            "cannot hold",  # nothing flagged deflated, a stream
             constants_only[: n_flags + 4] + zlib.compress(b"") + constants_only[n_flags + 4 :],
         ),
     ]
-    for match, codec, stored in cases:
+    for match, stored in cases:
         with pytest.raises(CorruptFileError, match=match):
-            read(codec, stored)
+            read(stored)
     # the summed table meets decode_basket's checks
     for match, counts in [
         ("start at 0", (1,) + table[1:]),
         ("non-decreasing", table[:2] + (2**64 - 1,) + table[3:]),
     ]:
         coded = struct.pack(f">{len(counts)}Q", *counts) + payload[head:]
-        stored = planes_payload_by_hand(offsets_by_hand(coded, head), head, 4, [0] * 12, delta=True)
+        stored = planes_payload_by_hand(offsets_by_hand(coded, head), head, 4, [0] * 12)
         with pytest.raises(CorruptFileError, match=match):
-            read(4, stored)
+            read(stored)
     # an f64 jagged basket without elements: 8 table planes and 8 empty ones
     empty_plane_constant = bytes([2] * 9 + [0] * 7) + struct.pack(">I", zlib.crc32(bytes(9))) + bytes(9)
     with pytest.raises(CorruptFileError, match="empty plane cannot be constant"):
         open_bytes(hand_built_file(4, 1, 3, 4, empty_plane_constant, 32)).read_column("t", "v")
 
 
-def test_planes_deflates_a_constant_plane_and_stores_a_random_one(tmp_path):
+def test_planes_keep_a_constant_plane_as_its_byte_and_store_random_ones(tmp_path):
     path = tmp_path / "rule.trf"
     values = np.random.default_rng(5).integers(0, 2**56, 4096, dtype=np.int64)  # byte 0 is always 0
-    write_tree(str(path), "t", {"v": values}, codec=Codec.PLANES)
+    write_tree(str(path), "t", {"v": values})
     with open_file(str(path)) as reader:
         (basket,) = reader.tree("t").branches["v"].baskets
         assert reader.read_column("t", "v").values.tobytes() == values.tobytes()
-    assert basket.codec == Codec.PLANES
-    assert path.read_bytes()[basket.offset : basket.offset + 8] == bytes([1, 0, 0, 0, 0, 0, 0, 0])
+    assert basket.codec == Codec.DELTA_PLANES
+    # flags, the CRC32, no stream, the constant byte 0 and 7 stored planes
+    assert basket.stored_len == 8 + 4 + 1 + 7 * 4096
+    stored = path.read_bytes()[basket.offset : basket.offset + basket.stored_len]
+    assert stored[:8] == bytes([2, 0, 0, 0, 0, 0, 0, 0]) and stored[12] == 0
 
 
 def test_deflate_falls_back_to_none_when_not_smaller():
@@ -905,42 +847,6 @@ def test_writer_requires_lockstep_branches(tmp_path):
 # --- corruption and truncation ------------------------------------------
 
 
-def shuffle_file_bytes(tmp_path) -> bytes:
-    """A small file whose every basket is stored with codec 2."""
-    path = tmp_path / "small-shuffle.trf"
-    write_tree(
-        str(path), "t",
-        {"jag": SHUFFLE_JAG[:12], "flat": np.array(SHUFFLE_FLAT[:12])},
-        codec=Codec.SHUFFLE,
-    )
-    raw = path.read_bytes()
-    with open_bytes(raw) as reader:
-        codecs = {b.codec for m in reader.tree("t").branches.values() for b in m.baskets}
-    assert codecs == {Codec.SHUFFLE}
-    return raw
-
-
-def planes_file_bytes(tmp_path) -> bytes:
-    """A small file whose every basket is stored with codec 3, with deflated and stored planes."""
-    rng = np.random.default_rng(7)
-    path = tmp_path / "small-planes.trf"
-    write_tree(
-        str(path), "t",
-        {
-            "flat": rng.integers(0, 2**56, 256, dtype=np.int64),
-            "jag": ColumnChunk(rng.normal(size=256).astype(np.float32), np.arange(257)),
-        },
-        codec=Codec.PLANES,
-    )
-    raw = path.read_bytes()
-    with open_bytes(raw) as reader:
-        for meta in reader.tree("t").branches.values():
-            (basket,) = meta.baskets
-            assert basket.codec == Codec.PLANES
-            assert set(raw[basket.offset : basket.offset + 8]) == {0, 1}
-    return raw
-
-
 def delta_planes_file_bytes(tmp_path) -> bytes:
     """A small file whose every basket is stored with codec 4, with
     constant, deflated and stored planes in each basket."""
@@ -990,14 +896,6 @@ def test_every_truncation_is_detected(tmp_path):
     assert_every_truncation_detected(small_file_bytes(tmp_path, codec=Codec.DEFLATE))
 
 
-def test_every_truncation_of_a_shuffle_file_is_detected(tmp_path):
-    assert_every_truncation_detected(shuffle_file_bytes(tmp_path))
-
-
-def test_every_truncation_of_a_planes_file_is_detected(tmp_path):
-    assert_every_truncation_detected(planes_file_bytes(tmp_path))
-
-
 def test_trailing_garbage_is_detected(tmp_path):
     raw = small_file_bytes(tmp_path)
     with pytest.raises(CorruptFileError):
@@ -1006,14 +904,6 @@ def test_trailing_garbage_is_detected(tmp_path):
 
 def test_single_byte_flips_never_crash(tmp_path):
     assert_byte_flips_never_crash(small_file_bytes(tmp_path, codec=Codec.DEFLATE))
-
-
-def test_single_byte_flips_in_a_shuffle_file_never_crash(tmp_path):
-    assert_byte_flips_never_crash(shuffle_file_bytes(tmp_path))
-
-
-def test_single_byte_flips_in_a_planes_file_never_crash(tmp_path):
-    assert_byte_flips_never_crash(planes_file_bytes(tmp_path))
 
 
 def flip_every_stored_byte(raw: bytes) -> int:
@@ -1036,10 +926,6 @@ def flip_every_stored_byte(raw: bytes) -> int:
                 open_bytes(bytes(mutated)).read_column("t", name)
             flipped += 1
     return flipped
-
-
-def test_every_flip_in_stored_planes_is_detected(tmp_path):
-    assert flip_every_stored_byte(planes_file_bytes(tmp_path)) > 1000
 
 
 def test_every_flip_in_a_delta_planes_stored_section_is_detected(tmp_path):
@@ -1073,8 +959,6 @@ def test_codecs_round_trip_under_each_inflater(inflater, tmp_path):
 def test_corruption_is_detected_under_each_inflater(inflater, tmp_path):
     for raw in (
         small_file_bytes(tmp_path, codec=Codec.DEFLATE),
-        shuffle_file_bytes(tmp_path),
-        planes_file_bytes(tmp_path),
         delta_planes_file_bytes(tmp_path),
     ):
         assert_every_truncation_detected(raw)
@@ -1082,7 +966,6 @@ def test_corruption_is_detected_under_each_inflater(inflater, tmp_path):
     test_shuffle_payload_of_partial_elements_is_corrupt()
     test_corrupt_planes_payloads_are_refused()
     test_corrupt_delta_planes_payloads_are_refused()
-    test_every_flip_in_stored_planes_is_detected(tmp_path)
     test_every_flip_in_a_delta_planes_stored_section_is_detected(tmp_path)
 
 
@@ -1110,16 +993,14 @@ def spoiled_stream(payload: bytes, fault: str) -> tuple[bytes, int]:
     ["adler32", "truncated", "trailing-bytes", "raw_len+1", "raw_len-1", "raw_len-2**32-1"],
 )
 def test_spoiled_deflate_streams_are_corrupt_under_each_inflater(inflater, fault):
-    """Codecs 1 and 2, the flagged planes of codecs 3 and 4, and the directory record all refuse it."""
-    payload = bytes([1, 0, 0, 1] * 32)  # 128 bools: one byte plane, shuffled as is
+    """Codec 1, the flagged planes of codec 4, and the directory record all refuse it."""
+    payload = bytes([1, 0, 0, 1] * 32)  # 128 bools: one byte plane
     stored, raw_len = spoiled_stream(payload, fault)
     # a length no stream of these few bytes can reach is refused before any allocation
     match = "more than 1032x" if raw_len == 2**32 - 1 else "deflate stream"
     baskets = [
         (1, stored),
-        (2, stored),
-        (3, b"\1" + struct.pack(">I", 0) + stored),  # the one plane flagged, none stored
-        (4, b"\1" + struct.pack(">I", 0) + stored),
+        (4, b"\1" + struct.pack(">I", 0) + stored),  # the one plane flagged, none stored
     ]
     for codec, basket in baskets:
         with pytest.raises(CorruptFileError, match=match):
@@ -1160,7 +1041,7 @@ def test_two_threads_read_one_files_columns_alike(inflater, tmp_path):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        for codec in (Codec.DEFLATE, Codec.SHUFFLE, Codec.PLANES):
+        for codec in (Codec.DEFLATE, Codec.DELTA_PLANES):
             path = tmp_path / f"threads-{int(codec)}.trf"
             write_tree(str(path), "t", branches, codec=codec, basket_entries=1000)
             with open_file(str(path)) as reader:
@@ -1180,25 +1061,17 @@ def test_two_threads_read_one_files_columns_alike(inflater, tmp_path):
 
 
 # --- both deflaters --------------------------------------------------------
-# Codecs 3 and 4 deflate their flagged planes with libdeflate where it loads
-# and with zlib otherwise (the ``deflater`` fixture in conftest.py); every
+# Codec 4 deflates its flagged planes with libdeflate where it loads and
+# with zlib otherwise (the ``deflater`` fixture in conftest.py); every
 # other deflate uses zlib.
-
-
-def test_codec3_round_trips_under_each_deflater(deflater, tmp_path):
-    test_planes_basket_payload_exact_bytes(tmp_path)
-    test_round_trip_every_dtype(tmp_path, Codec.PLANES)
-    test_round_trip_jagged_offsets_and_empty_events(tmp_path)
-    test_planes_deflates_a_constant_plane_and_stores_a_random_one(tmp_path)
-    raw = planes_file_bytes(tmp_path)
-    with open_bytes(raw) as reader:
-        reader.validate(deep=True)
-    test_every_flip_in_stored_planes_is_detected(tmp_path)
 
 
 def test_codec4_round_trips_under_each_deflater(deflater, tmp_path):
     test_delta_planes_basket_payload_exact_bytes(tmp_path)
     test_round_trip_every_dtype(tmp_path, Codec.DELTA_PLANES)
+    test_round_trip_jagged_offsets_and_empty_events(tmp_path)
+    test_planes_keep_a_constant_plane_as_its_byte_and_store_random_ones(tmp_path)
+    test_writer_judges_each_baskets_planes_on_its_own_sample(tmp_path)
     raw = delta_planes_file_bytes(tmp_path)
     with open_bytes(raw) as reader:
         reader.validate(deep=True)
@@ -1206,7 +1079,7 @@ def test_codec4_round_trips_under_each_deflater(deflater, tmp_path):
 
 
 # --- both CRC-32s ----------------------------------------------------------
-# The stored sections of codecs 3 and 4 are checked with libdeflate_crc32
+# The stored sections of codec 4 are checked with libdeflate_crc32
 # where it loads and with zlib.crc32 otherwise (the ``crc`` fixture in
 # conftest.py). Both must compute the same CRC-32, so the exact-bytes pins
 # hold unedited and every flip in a stored section is caught under either.
@@ -1220,47 +1093,28 @@ def test_crc32_matches_zlib_under_each_library(crc):
         assert treefile._crc32(data) == zlib.crc32(data)
 
 
-def test_codec3_and_4_pins_hold_under_each_crc(crc, tmp_path):
-    test_planes_basket_payload_exact_bytes(tmp_path)
+def test_codec4_pins_hold_under_each_crc(crc, tmp_path):
     test_delta_planes_basket_payload_exact_bytes(tmp_path)
-    test_every_flip_in_stored_planes_is_detected(tmp_path)
     test_every_flip_in_a_delta_planes_stored_section_is_detected(tmp_path)
 
 
-def test_writer_judges_each_segments_planes_once(tmp_path, monkeypatch):
-    judged = []
-    real = treefile._plane_shrinks
-    monkeypatch.setattr(treefile, "_plane_shrinks", lambda rows: judged.append(len(rows)) or real(rows))
+def test_writer_judges_each_baskets_planes_on_its_own_sample(tmp_path):
+    # random 64-bit values, then values below 4: the second basket's low
+    # plane is deflated and its seven high planes are constant, whatever
+    # the first basket's planes were judged
     rng = np.random.default_rng(8)
-    n = 4 * 2048 + 100
-    counts = rng.integers(0, 4, n)
-    branches = {
-        "flat": rng.integers(0, 2**40, n, dtype=np.int64),
-        "jag": ColumnChunk(
-            rng.normal(size=int(counts.sum())).astype(np.float32),
-            np.concatenate([[0], np.cumsum(counts)]),
-        ),
-        "short": [[1.5]] * 200 + [[]] * (n - 200),  # elements fill no sample
-    }
+    values = np.concatenate(
+        [rng.integers(-(2**63), 2**63 - 1, 2048, dtype=np.int64), rng.integers(0, 4, 2048)]
+    )
     path = tmp_path / "judged.trf"
-    write_tree(str(path), "t", branches, basket_entries=2048)
-    # flat, jag's table and elements, short's table: once each, on the first
-    # basket; short's elements, never a full sample: on every basket
-    first_jag = len(branches["jag"].slice(0, 2048).values)
-    assert judged == [2048, 2049, first_jag, 2049, 200] + [0] * 4
+    write_tree(str(path), "t", {"v": values}, basket_entries=2048)
     raw = path.read_bytes()
     with open_file(str(path)) as reader:
-        reader.validate(deep=True)
-        for name, meta in reader.tree("t").branches.items():
-            n_flags = 8 + itemsize(meta.dtype) if meta.is_jagged else itemsize(meta.dtype)
-            flags = {
-                raw[b.offset : b.offset + n_flags]
-                for b in meta.baskets
-                if b.codec == Codec.DELTA_PLANES and b.n_entries == 2048
-            }
-            assert len(flags) <= 1 or name == "short", name
-        got = reader.read_column("t", "jag")
-        assert got.values.tobytes() == branches["jag"].values.tobytes()
+        first, second = reader.tree("t").branches["v"].baskets
+        assert reader.read_column("t", "v").values.tobytes() == values.tobytes()
+    assert first.codec == Codec.NONE  # every plane random: stored as it is
+    assert second.codec == Codec.DELTA_PLANES
+    assert raw[second.offset : second.offset + 8] == bytes([2] * 7 + [1])
 
 
 def test_two_threads_write_files_that_decode_alike(deflater, tmp_path):

@@ -354,6 +354,24 @@ def test_simultaneous_connects_are_served_promptly(tmp_path):
     assert max(elapsed) < 0.5, sorted(elapsed)[-3:]
 
 
+def test_stop_returns_promptly(tmp_path):
+    # the accept loop looks for a stop request every 0.05 s; at socketserver's
+    # default of 0.5 s each stop took about 0.45 s
+    (tmp_path / "data.bin").write_bytes(CONTENT)
+    waits = []
+    for _ in range(3):
+        server = serve(ServerConfig(root_dir=str(tmp_path), port=0))
+        conn = XrdConnection(server.address)
+        try:
+            conn.close_handle(conn.open("data.bin")[0])
+        finally:
+            conn.close()
+        t0 = time.perf_counter()
+        server.stop()
+        waits.append(time.perf_counter() - t0)
+    assert sorted(waits)[1] < 0.2, waits
+
+
 def test_server_counts_connections_requests_bytes_and_throttle_wait(tmp_path, serve_dir):
     (tmp_path / "data.bin").write_bytes(CONTENT)
     server = serve_dir(tmp_path, bandwidth_cap=64 << 10)  # 655-byte chunks
