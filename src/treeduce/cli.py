@@ -64,18 +64,16 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    config = ServerConfig(
-        root_dir=args.root,
-        host=args.host,
-        port=args.port,
-        bandwidth_cap=parse_bytes(args.bandwidth_cap) if args.bandwidth_cap else None,
-    )
+    try:
+        server = XrdServer(ServerConfig(args.root, args.host, args.port, args.bandwidth_cap))
+    except ValueError as exc:  # a cap of 0 or less
+        return _user_error(args.command, exc)
     signal.signal(signal.SIGTERM, _interrupt)
-    server = XrdServer(config).start()
+    server.start()
     try:
         host, port = server.address
         print(f"serving {args.root} on {host}:{port}"
-              + (f" capped at {config.bandwidth_cap} B/s" if config.bandwidth_cap else ""))
+              + (f" capped at {args.bandwidth_cap} B/s" if args.bandwidth_cap else ""))
         while True:
             time.sleep(3600)
     except KeyboardInterrupt:
@@ -212,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--root", required=True)
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=1094)
-    p.add_argument("--bandwidth-cap", default=None, help="bytes/s, e.g. 32Mi")
+    p.add_argument("--bandwidth-cap", type=parse_bytes, default=None, help="bytes/s, e.g. 32Mi")
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser("reduce", help="run a skim/slim/derive job")

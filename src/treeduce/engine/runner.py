@@ -1,12 +1,16 @@
 """Execution of planned tasks on a thread pool.
 
-The workload is I/O, inflating with libdeflate through ctypes (or zlib
-where libdeflate is not installed), deflating with zlib, and numpy
-kernels, all of which release the GIL, so threads behave like cores here. Planning probes the inputs for
-the sink's ``columns`` and lets the sink ``prepare`` against their schema.
-Every task then reads those columns, evaluates the job's skim once, and
-hands the sink the selected entries of its ``selected`` columns and of the
-values of its ``shared`` nodes:
+The workload is I/O, libdeflate (or zlib) inflating input and deflating
+part files through ctypes, and numpy kernels, all of which release the
+GIL; the Python glue between those calls holds it. On a 2-core VM, 36
+seed-1 demo jobs (4 x 262,144 events) in one process ran ``hist`` 1.62x and
+``reduce`` 1.67-2.08x as fast on 2 workers as on 1, at -1% to +4% CPU per
+job.
+
+Planning probes the inputs for the sink's ``columns`` and lets the sink
+``prepare`` against their schema. Every task then reads those columns,
+evaluates the job's skim once, and hands the sink the selected entries of
+its ``selected`` columns and of the values of its ``shared`` nodes:
 
 * :class:`PartSink` (``run``, the ``reduce`` command) derives, encodes and
   writes ``part-NNNNN.trf``. The writer only renames its file into place

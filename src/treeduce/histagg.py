@@ -19,6 +19,7 @@ from every one of them its quantities read.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -48,8 +49,8 @@ def _as_weights(n: int, weights) -> np.ndarray:
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (n,):
         raise HistError(f"weights shape {w.shape} does not match {n} entries")
-    if np.any(w < 0):
-        raise HistError("negative weights are not allowed")
+    if not np.all(np.isfinite(w) & (w >= 0)):
+        raise HistError("weights must be finite and >= 0")
     return w
 
 
@@ -133,8 +134,8 @@ class Bin:
     def __post_init__(self):
         if self.num < 1:
             raise HistError(f"Bin needs num >= 1, got {self.num}")
-        if not self.low < self.high:
-            raise HistError(f"Bin needs low < high, got [{self.low}, {self.high})")
+        if not (self.low < self.high and math.isfinite(self.high - self.low)):
+            raise HistError(f"Bin needs finite low < high, got [{self.low}, {self.high})")
         if not self.values:
             self.values = [Count() for _ in range(self.num)]
         if len(self.values) != self.num:
@@ -248,8 +249,6 @@ Aggregator = Count | Sum | Bin
 
 def fill(agg, event: dict[str, ColumnChunk], weight: float = 1.0) -> None:
     """Fill from a single-event column view (every chunk has one entry)."""
-    if weight < 0:
-        raise HistError("negative weights are not allowed")
     for name, chunk in event.items():
         if chunk.n_entries != 1:
             raise HistError(f"column {name!r} has {chunk.n_entries} entries, expected 1")

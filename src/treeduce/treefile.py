@@ -161,8 +161,12 @@ def _load_libdeflate(prototypes: dict[str, tuple[list, object]]) -> ctypes.CDLL 
 
 _VOID_P, _SIZE_T = ctypes.c_void_p, ctypes.c_size_t
 
-# Inflates every zlib stream when loaded; None selects the zlib module.
-# ctypes releases the GIL around each call, so threads inflate at once.
+# The host's libdeflate, or None, which selects the zlib module for all three
+# of its uses: inflating every zlib stream, deflating codec 4's planes and the
+# CRC-32 of codec 4's stored section (14 us against zlib's 90 us on 200 KB,
+# and the same value). Codec 1 and the directory record always deflate with
+# the zlib module, so the generator's bytes do not depend on the library.
+# ctypes releases the GIL around each call, so threads call it at once.
 _LIBDEFLATE = _load_libdeflate(
     {
         "libdeflate_alloc_decompressor": ([], _VOID_P),
@@ -174,65 +178,67 @@ _LIBDEFLATE = _load_libdeflate(
              ctypes.POINTER(_SIZE_T), ctypes.POINTER(_SIZE_T)],
             ctypes.c_int,
         ),
-    }
-)
-
-# Deflates codec 4's stream of planes when loaded; None selects the zlib
-# module. Codec 1 and the directory record always use the zlib module, so the
-# generator's bytes do not depend on which library loaded.
-_LIBDEFLATE_DEFLATE = _load_libdeflate(
-    {
         "libdeflate_alloc_compressor": ([ctypes.c_int], _VOID_P),
         "libdeflate_free_compressor": ([_VOID_P], None),
         "libdeflate_zlib_compress_bound": ([_VOID_P, _SIZE_T], _SIZE_T),
         # compressor, in, in_nbytes, out, out_nbytes_avail
         "libdeflate_zlib_compress": ([_VOID_P, _VOID_P, _SIZE_T, _VOID_P, _SIZE_T], _SIZE_T),
+        "libdeflate_crc32": ([ctypes.c_uint32, _VOID_P, _SIZE_T], ctypes.c_uint32),
     }
-)
-
-
-# Computes the CRC-32 of the stored section of codec 4 when loaded
-# (14 us against zlib's 90 us on 200 KB); None selects zlib.crc32. Both
-# compute the same CRC-32.
-_LIBDEFLATE_CRC = _load_libdeflate(
-    {"libdeflate_crc32": ([ctypes.c_uint32, _VOID_P, _SIZE_T], ctypes.c_uint32)}
 )
 
 
 def _crc32(data: bytes | memoryview | np.ndarray) -> int:
     """The CRC-32 of ``data`` (a contiguous buffer), as zlib.crc32 computes it."""
-    lib = _LIBDEFLATE_CRC
+    lib = _LIBDEFLATE
     if lib is None:
         return zlib.crc32(data)
     buf = np.frombuffer(data, dtype=np.uint8)  # data may be read-only
     return lib.libdeflate_crc32(0, buf.ctypes.data, len(buf))
 
 
-class _Compressor:
-    """One libdeflate compressor at the planes codec's level, freed with its owner."""
+class _PerThread:
+    """One thread's libdeflate state: the inflate call's two ``size_t``
+    out-parameters, and a decompressor and a compressor, each made on first
+    use (libdeflate's are not thread-safe) and freed when the thread exits
+    and its slot of ``_THREAD`` drops the state."""
 
     def __init__(self, lib: ctypes.CDLL):
         self.lib = lib
-        self.handle = lib.libdeflate_alloc_compressor(_PLANES_LEVEL)
-        if not self.handle:
-            raise MemoryError("libdeflate_alloc_compressor failed")
-
-    def __del__(self):
-        self.lib.libdeflate_free_compressor(self.handle)
-
-
-class _PerThread(threading.local):
-    """Per-thread ctypes state: the two ``size_t`` out-parameters of the
-    inflate call, made once, and a compressor, made on first use. libdeflate
-    compressors are not thread-safe; a thread's dies with it."""
-
-    def __init__(self):
         self.used_in, self.used_out = ctypes.c_size_t(), ctypes.c_size_t()
         self.refs = (ctypes.byref(self.used_in), ctypes.byref(self.used_out))
-        self.compressor: _Compressor | None = None
+        self._decompressor = self._compressor = None
+
+    def decompressor(self) -> int:
+        if self._decompressor is None:
+            self._decompressor = _allocated(self.lib.libdeflate_alloc_decompressor())
+        return self._decompressor
+
+    def compressor(self) -> int:
+        if self._compressor is None:
+            self._compressor = _allocated(self.lib.libdeflate_alloc_compressor(_PLANES_LEVEL))
+        return self._compressor
+
+    def __del__(self):  # libdeflate frees nothing for a NULL handle
+        self.lib.libdeflate_free_decompressor(self._decompressor)
+        self.lib.libdeflate_free_compressor(self._compressor)
 
 
-_PER_THREAD = _PerThread()
+def _allocated(handle: int | None) -> int:
+    if not handle:
+        raise MemoryError("libdeflate could not allocate a (de)compressor")
+    return handle
+
+
+_THREAD = threading.local()
+
+
+def _per_thread(lib: ctypes.CDLL) -> _PerThread:
+    """The calling thread's libdeflate state, made on its first call."""
+    state = getattr(_THREAD, "state", None)
+    if state is None:
+        state = _THREAD.state = _PerThread(lib)
+    return state
 
 
 def _inflate(stored: bytes | memoryview, raw_len: int) -> np.ndarray:
@@ -269,18 +275,11 @@ def _inflate(stored: bytes | memoryview, raw_len: int) -> np.ndarray:
         # a writable buffer's address is cheaper from ctypes than from numpy; an
         # empty one has none, and libdeflate writes nothing when nothing may come out
         dst = ctypes.addressof(ctypes.c_char.from_buffer(out)) if raw_len else None
-        params = _PER_THREAD
-        # libdeflate decompressors are not thread-safe: one per call
-        decompressor = lib.libdeflate_alloc_decompressor()
-        if not decompressor:
-            raise MemoryError("libdeflate_alloc_decompressor failed")
-        try:
-            result = lib.libdeflate_zlib_decompress_ex(
-                decompressor, src, n_in, dst, raw_len, *params.refs
-            )
-        finally:
-            lib.libdeflate_free_decompressor(decompressor)
-        used_in, used_out = params.used_in.value, params.used_out.value
+        state = _per_thread(lib)
+        result = lib.libdeflate_zlib_decompress_ex(
+            state.decompressor(), src, n_in, dst, raw_len, *state.refs
+        )
+        used_in, used_out = state.used_in.value, state.used_out.value
         if result == 0 and used_in == n_in and used_out == raw_len:
             return out
         # result 1 is bad data (Adler-32 included), 3 more output than raw_len
@@ -477,17 +476,14 @@ def _deflate_between(data: np.ndarray, head: int, tail: int) -> tuple[np.ndarray
     """
     if not len(data):
         return np.empty(head + tail, dtype=np.uint8), 0
-    lib = _LIBDEFLATE_DEFLATE
+    lib = _LIBDEFLATE
     if lib is None:
         stream = zlib.compress(data, _PLANES_LEVEL)
         stream_len = len(stream)
         out = np.empty(head + stream_len + tail, dtype=np.uint8)
         out[head : head + stream_len] = np.frombuffer(stream, dtype=np.uint8)
         return out, stream_len
-    state = _PER_THREAD
-    if state.compressor is None:
-        state.compressor = _Compressor(lib)
-    compressor = state.compressor.handle
+    compressor = _per_thread(lib).compressor()
     bound = lib.libdeflate_zlib_compress_bound(compressor, len(data))
     out = np.empty(head + bound + tail, dtype=np.uint8)
     stream_len = lib.libdeflate_zlib_compress(

@@ -39,43 +39,21 @@ ACCEPTANCE_LINES: list[str] = []
 ACCEPTANCE_BLOCKS: list[str] = []
 
 
-def _library(lib) -> str:
-    return "libdeflate.so.0" if lib is not None else "the zlib fallback"
-
-
 def pytest_report_header(config):
     policy = "applied" if memory.keep_task_memory() else "not applied (no glibc mallopt)"
-    return (
-        f"treefile inflates with {_library(treefile._LIBDEFLATE)}, deflates codec 4's planes "
-        f"with {_library(treefile._LIBDEFLATE_DEFLATE)} and computes their CRC-32 with "
-        f"{_library(treefile._LIBDEFLATE_CRC)}; engine allocator policy {policy}"
-    )
+    library = "libdeflate.so.0" if treefile._LIBDEFLATE is not None else "the zlib fallback"
+    return f"treefile inflates, deflates and checksums with {library}; engine allocator policy {policy}"
 
 
-def _one_per_library(request, monkeypatch, attr: str) -> str:
+@pytest.fixture(params=["libdeflate", "zlib"])
+def library(request, monkeypatch):
+    """Run a test once per library of treefile's inflate, deflate and CRC-32;
+    the zlib case forces the fallback."""
     if request.param == "zlib":
-        monkeypatch.setattr(treefile, attr, None)
-    elif getattr(treefile, attr) is None:
+        monkeypatch.setattr(treefile, "_LIBDEFLATE", None)
+    elif treefile._LIBDEFLATE is None:
         pytest.skip("libdeflate.so.0 did not load")
     return request.param
-
-
-@pytest.fixture(params=["libdeflate", "zlib"])
-def inflater(request, monkeypatch):
-    """Run a test once per inflater; the zlib case forces the fallback."""
-    return _one_per_library(request, monkeypatch, "_LIBDEFLATE")
-
-
-@pytest.fixture(params=["libdeflate", "zlib"])
-def deflater(request, monkeypatch):
-    """Run a test once per deflater of codec 4's planes; the zlib case forces the fallback."""
-    return _one_per_library(request, monkeypatch, "_LIBDEFLATE_DEFLATE")
-
-
-@pytest.fixture(params=["libdeflate", "zlib"])
-def crc(request, monkeypatch):
-    """Run a test once per CRC-32 of codec 4's stored planes; the zlib case forces the fallback."""
-    return _one_per_library(request, monkeypatch, "_LIBDEFLATE_CRC")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

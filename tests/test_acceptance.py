@@ -45,6 +45,7 @@ from treeduce.iostats import IoStats
 from treeduce.sources import BytesSource, open_source
 from treeduce.treefile import Codec, ColumnChunk, TreeFileError, open_file, write_tree
 from treeduce.xrdlite import ServerConfig, serve
+from treeduce.xrdlite.throttle import TokenBucket
 
 # every engine run the gate performs, for the accounting check in criterion 5
 RUNS: list[tuple[str, object]] = []
@@ -132,40 +133,56 @@ def test_criterion_1_size_scaling_linearity(size_result):
 #    workers past the knee buys almost nothing and the cap is saturated
 
 
+# The token bucket starts full and holds two ticks' worth of bytes at the
+# cap, so a run that moves few such bursts finishes faster than the cap
+# allows. Each file's event count is sized from an uncapped probe so that
+# a run at the cap moves at least CORES_MIN_BURSTS of them.
+CORES_MIN_BURSTS = 20
+CORES_PROBE_EVENTS, CORES_FILES = 16384, 4
+
+
 @pytest.fixture(scope="module")
 def cores_result(tmp_path_factory):
     base = tmp_path_factory.mktemp("acc-cores")
-    data_dir = base / "data"
-    manifest = generate(GenSpec(seed=102, n_events=16384, n_files=4), data_dir)
 
-    def single_worker_throughput(cap):
+    def single_worker_run(data_dir, manifest, cap):
         with serve(ServerConfig(root_dir=str(data_dir), port=0, bandwidth_cap=cap)) as srv:
             host, port = srv.address
             job = demo_job(
                 manifest.urls(host, port),
-                str(base / f"probe-{cap or 0}"),
+                str(base / f"probe-{manifest.n_events}-{cap or 0}"),
                 partition_entries=4096,
             )
             result = run(job, EngineConfig(1, 1))
         RUNS.append((f"single-worker probe cap={cap}", result.metrics))
-        return result.io.bytes_fetched / max(result.metrics.total_wall_s, 1e-9)
+        return result, result.io.bytes_fetched / max(result.metrics.total_wall_s, 1e-9)
 
     # One core serves both the workers and the server, so an uncapped run is
     # compute-bound and no thread count could double it. Throttle well below
     # that ceiling first; the capped single-worker rate is the baseline the
-    # plateau is measured against.
-    ceiling = single_worker_throughput(None)
-    single = single_worker_throughput(max(1, int(ceiling / 4)))
+    # plateau is measured against. The data grows, with a margin, until a
+    # run at the cap moves CORES_MIN_BURSTS full buckets.
+    n_events = CORES_PROBE_EVENTS
+    while True:
+        data_dir = base / f"data-{n_events}"
+        manifest = generate(GenSpec(seed=102, n_events=n_events, n_files=CORES_FILES), data_dir)
+        uncapped, ceiling = single_worker_run(data_dir, manifest, None)
+        _, single = single_worker_run(data_dir, manifest, max(1, int(ceiling / 4)))
+        cap = max(1, int(2 * single))
+        bucket_events = TokenBucket(cap).capacity / uncapped.io.bytes_fetched * n_events
+        if n_events >= CORES_MIN_BURSTS * bucket_events:
+            break
+        n_events = math.ceil(CORES_MIN_BURSTS * bucket_events)
     spec = ExperimentSpec(
         variant="cores",
         data_dir=str(data_dir),
         out_dir=str(base / "report"),
         seed=102,
-        n_events=16384,
-        n_files=4,
+        n_events=n_events,
+        n_files=CORES_FILES,
         repetitions=3,
         worker_grid=((1, 1), (1, 2), (2, 2), (2, 4)),
-        bandwidth_cap=max(1, int(2 * single)),
+        bandwidth_cap=cap,
         partition_entries=4096,
     )
     result = run_experiment(spec)
@@ -181,12 +198,13 @@ def test_criterion_2_core_scaling_plateau(cores_result):
     off4 = abs(rows[4].throughput_bytes_per_s - cap) / cap
     off8 = abs(rows[8].throughput_bytes_per_s - cap) / cap
     ok = improvement < 0.15 and off4 <= 0.10 and off8 <= 0.10
+    run_bytes = rows[4].throughput_bytes_per_s * rows[4].median_wall_s
     _verdict(
         2,
         "core-scaling plateau",
         ok,
-        f"cap={cap:.0f}B/s, 4->8 workers gain={improvement:+.1%}, "
-        f"throughput off cap: {off4:.1%} @4, {off8:.1%} @8",
+        f"cap={cap:.0f}B/s, a run moves {run_bytes / TokenBucket(cap).capacity:.0f} full buckets, "
+        f"4->8 workers gain={improvement:+.1%}, throughput off cap: {off4:.1%} @4, {off8:.1%} @8",
     )
 
 

@@ -73,6 +73,17 @@ def test_parser_defaults():
         build_parser().parse_args(["reduce", "--job", "j", "--read-ahead", "4Ki"])
     with pytest.raises(SystemExit):
         build_parser().parse_args(["generate", "--out", "d", "--schema", "csv"])
+    args = build_parser().parse_args(["serve", "--root", "x", "--bandwidth-cap", "32Mi"])
+    assert args.bandwidth_cap == 32 << 20
+
+
+def test_an_unparsable_bandwidth_cap_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["serve", "--root", "x", "--bandwidth-cap", "1.5Mi"])
+    assert exited.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --bandwidth-cap: invalid parse_bytes value: '1.5Mi'" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT])
@@ -322,9 +333,15 @@ def test_hist_typechecks_skim_and_quantity(cli_dataset, tmp_path, capsys, skim, 
         (["hist", "--job", "{corrupt_input}", "--spec", "count", "--out", "{tmp}/h.csv"], "bad magic"),
         (["hist", "--job", "{good}", "--spec", "bin(4, 0", "--out", "{tmp}/h.csv"], "bad histogram spec"),
         (["concat", "--out", "{tmp}/m.trf", "--manifest", "{tmp}/missing.jsonl"], "missing.jsonl"),
+        (["hist", "--job", "{good}", "--spec", "bin(4, 0, 1e999, 'MET')", "--out", "{tmp}/h.csv"],
+         "finite low < high"),
+        (["hist", "--job", "{good}", "--spec", "bin(4, -1e999, 0, 'MET')", "--out", "{tmp}/h.csv"],
+         "finite low < high"),
+        (["serve", "--root", "{tmp}", "--port", "0", "--bandwidth-cap", "0"], "must be positive"),
+        (["serve", "--root", "{tmp}", "--port", "0", "--bandwidth-cap", "-1"], "must be positive"),
     ],
     ids=["missing-column", "missing-job-file", "corrupt-input", "hist-corrupt-input", "bad-spec",
-         "missing-manifest"],
+         "missing-manifest", "infinite-high-edge", "infinite-low-edge", "zero-cap", "negative-cap"],
 )
 def test_user_errors_print_a_message_and_return_1(cli_dataset, tmp_path, capsys, argv, message):
     data_dir, manifest = cli_dataset

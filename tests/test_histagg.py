@@ -117,6 +117,26 @@ def test_weighted_fill_and_negative_weight_rejection():
         filled_bin([1.0, 2.0], weights=np.array([1.0]))  # length mismatch
 
 
+@pytest.mark.parametrize("weight", [-1.0, np.nan, np.inf])
+def test_weights_must_be_finite_and_not_negative(weight):
+    for agg in (Count(), Sum(quantity=X), Bin.create(4, 0.0, 8.0, X)):
+        with pytest.raises(HistError, match="finite and >= 0"):
+            agg.fill_chunk(cols([1.0, 2.0]), 2, np.array([1.0, weight]))
+        with pytest.raises(HistError, match="finite and >= 0"):
+            fill(agg, cols([1.0]), weight=weight)
+        assert agg.entries == 0
+
+
+@pytest.mark.parametrize(
+    "low, high",
+    [(0.0, np.inf), (-np.inf, 0.0), (-np.inf, np.inf), (np.nan, 1.0), (0.0, np.nan),
+     (-1e308, 1e308), (1.0, 1.0), (2.0, 1.0)],
+)
+def test_bin_edges_must_be_finite_and_increasing(low, high):
+    with pytest.raises(HistError, match="finite low < high"):
+        Bin.create(4, low, high, X)
+
+
 def test_sum_accumulates_weighted_quantity():
     agg = Sum(quantity=X)
     arr = np.array([1.5, 2.5, 4.0])

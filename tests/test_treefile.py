@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import collections
 import itertools
 import os
 import struct
 import sys
 import threading
+import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 
@@ -404,7 +406,7 @@ def test_delta_planes_basket_payload_exact_bytes(tmp_path):
     planes = [coded[k:head:8] for k in range(8)] + [coded[head + k :: 8] for k in range(8)]
     assert [flag == 2 for flag in flags] == [len(set(plane)) == 1 for plane in planes]
     want = planes_payload_by_hand(payload, head, 8, flags)
-    if treefile._LIBDEFLATE_DEFLATE is None:
+    if treefile._LIBDEFLATE is None:
         assert stored == want
     else:
         flagged, kept = split_planes_by_hand(coded, head, 8, flags)
@@ -940,13 +942,29 @@ def test_single_byte_flips_in_a_delta_planes_file_never_crash(tmp_path):
     assert_byte_flips_never_crash(delta_planes_file_bytes(tmp_path))
 
 
-# --- both inflaters -------------------------------------------------------
-# Each test here runs once per inflater: libdeflate, and the zlib fallback
-# (the ``inflater`` fixture in conftest.py). The first two rerun the codec
-# round-trip and corruption tests above under it.
+# --- both libraries -------------------------------------------------------
+# Each test here runs once per library: libdeflate, and the zlib fallback
+# (the ``library`` fixture in conftest.py). Under either, one library
+# inflates every stream, deflates codec 4's planes and computes the CRC-32
+# of its stored planes; codec 1 and the directory record always deflate with
+# zlib. The first two rerun the codec round-trip and corruption tests above.
 
 
-def test_codecs_round_trip_under_each_inflater(inflater, tmp_path):
+def three_branches(seed: int, n: int) -> dict[str, ColumnChunk]:
+    """A flat f64, a flat i32 and a jagged f32 branch of ``n`` entries."""
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(0, 6, n)
+    return {
+        "f": ColumnChunk(rng.normal(size=n)),
+        "i": ColumnChunk(rng.integers(0, 1000, n, dtype=np.int32)),
+        "j": ColumnChunk(
+            rng.normal(size=int(counts.sum())).astype(np.float32),
+            np.concatenate([[0], np.cumsum(counts)]),
+        ),
+    }
+
+
+def test_codecs_round_trip_under_each_inflater(library, tmp_path):
     for codec in Codec:
         test_round_trip_every_dtype(tmp_path, codec)
     test_round_trip_jagged_offsets_and_empty_events(tmp_path)
@@ -956,7 +974,7 @@ def test_codecs_round_trip_under_each_inflater(inflater, tmp_path):
         test_hand_built_delta_planes_baskets_decode(*case)
 
 
-def test_corruption_is_detected_under_each_inflater(inflater, tmp_path):
+def test_corruption_is_detected_under_each_inflater(library, tmp_path):
     for raw in (
         small_file_bytes(tmp_path, codec=Codec.DEFLATE),
         delta_planes_file_bytes(tmp_path),
@@ -992,7 +1010,7 @@ def spoiled_stream(payload: bytes, fault: str) -> tuple[bytes, int]:
     "fault",
     ["adler32", "truncated", "trailing-bytes", "raw_len+1", "raw_len-1", "raw_len-2**32-1"],
 )
-def test_spoiled_deflate_streams_are_corrupt_under_each_inflater(inflater, fault):
+def test_spoiled_deflate_streams_are_corrupt_under_each_inflater(library, fault):
     """Codec 1, the flagged planes of codec 4, and the directory record all refuse it."""
     payload = bytes([1, 0, 0, 1] * 32)  # 128 bools: one byte plane
     stored, raw_len = spoiled_stream(payload, fault)
@@ -1014,18 +1032,9 @@ def test_spoiled_deflate_streams_are_corrupt_under_each_inflater(inflater, fault
         open_bytes(spoiled_dir)
 
 
-def test_two_threads_read_one_files_columns_alike(inflater, tmp_path):
-    rng = np.random.default_rng(41)
+def test_two_threads_read_one_files_columns_alike(library, tmp_path):
     n = 20_000
-    counts = rng.integers(0, 6, n)
-    branches = {
-        "f": ColumnChunk(rng.normal(size=n)),
-        "i": ColumnChunk(rng.integers(0, 1000, n, dtype=np.int32)),
-        "j": ColumnChunk(
-            rng.normal(size=int(counts.sum())).astype(np.float32),
-            np.concatenate([[0], np.cumsum(counts)]),
-        ),
-    }
+    branches = three_branches(41, n)
     ranges = [(0, n), (123, 19_001), (4_500, 4_501)]
     want = [branches[name].slice(start, stop) for name in branches for start, stop in ranges]
 
@@ -1060,13 +1069,7 @@ def test_two_threads_read_one_files_columns_alike(inflater, tmp_path):
         sys.setswitchinterval(interval)
 
 
-# --- both deflaters --------------------------------------------------------
-# Codec 4 deflates its flagged planes with libdeflate where it loads and
-# with zlib otherwise (the ``deflater`` fixture in conftest.py); every
-# other deflate uses zlib.
-
-
-def test_codec4_round_trips_under_each_deflater(deflater, tmp_path):
+def test_codec4_round_trips_under_each_deflater(library, tmp_path):
     test_delta_planes_basket_payload_exact_bytes(tmp_path)
     test_round_trip_every_dtype(tmp_path, Codec.DELTA_PLANES)
     test_round_trip_jagged_offsets_and_empty_events(tmp_path)
@@ -1078,14 +1081,11 @@ def test_codec4_round_trips_under_each_deflater(deflater, tmp_path):
     test_every_flip_in_a_delta_planes_stored_section_is_detected(tmp_path)
 
 
-# --- both CRC-32s ----------------------------------------------------------
-# The stored sections of codec 4 are checked with libdeflate_crc32
-# where it loads and with zlib.crc32 otherwise (the ``crc`` fixture in
-# conftest.py). Both must compute the same CRC-32, so the exact-bytes pins
-# hold unedited and every flip in a stored section is caught under either.
+# libdeflate_crc32 and zlib.crc32 compute the same CRC-32, so the
+# exact-bytes pins above hold unedited under either.
 
 
-def test_crc32_matches_zlib_under_each_library(crc):
+def test_crc32_matches_zlib_under_each_library(library):
     noise = np.random.default_rng(44).integers(0, 256, 200_000, dtype=np.uint8)
     read_only = memoryview(noise.tobytes())
     inputs = [b"", memoryview(b""), noise, noise[:1], noise[7:1007], read_only, read_only[3:70_003]]
@@ -1093,9 +1093,78 @@ def test_crc32_matches_zlib_under_each_library(crc):
         assert treefile._crc32(data) == zlib.crc32(data)
 
 
-def test_codec4_pins_hold_under_each_crc(crc, tmp_path):
+def test_codec4_pins_hold_under_each_crc(library, tmp_path):
     test_delta_planes_basket_payload_exact_bytes(tmp_path)
     test_every_flip_in_a_delta_planes_stored_section_is_detected(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "writer, reader", [("libdeflate", "zlib"), ("zlib", "libdeflate")],
+    ids=["libdeflate-to-zlib", "zlib-to-libdeflate"],
+)
+def test_files_written_under_one_library_read_alike_under_the_other(
+    monkeypatch, tmp_path, writer, reader
+):
+    """A file one host writes, a host with the other library reads to the
+    same columns; a codec-1 file's bytes do not depend on the library."""
+    if treefile._LIBDEFLATE is None:
+        pytest.skip("libdeflate.so.0 did not load")
+    libraries = {"libdeflate": treefile._LIBDEFLATE, "zlib": None}
+    branches = three_branches(46, 5000)
+    for codec in (Codec.DEFLATE, Codec.DELTA_PLANES):
+        written = {}
+        for side in (writer, reader):
+            monkeypatch.setattr(treefile, "_LIBDEFLATE", libraries[side])
+            path = tmp_path / f"{side}-{int(codec)}.trf"
+            write_tree(str(path), "t", branches, codec=codec, basket_entries=1000)
+            written[side] = path
+        if codec == Codec.DEFLATE:
+            assert written[writer].read_bytes() == written[reader].read_bytes()
+        with open_file(str(written[writer])) as got:  # still under the reader's library
+            got.validate(deep=True)
+            assert {b.codec for b in got.tree("t").branches["f"].baskets} == {codec}
+            for name, original in branches.items():
+                column = got.read_column("t", name)
+                assert column.values.tobytes() == original.values.tobytes()
+                assert np.array_equal(column.offsets, original.offsets)
+
+
+def test_a_threads_libdeflate_state_is_made_once_and_freed_with_it(monkeypatch, tmp_path):
+    """A thread allocates one decompressor and one compressor, however many
+    streams it inflates and deflates, and frees both when it exits."""
+    lib = treefile._LIBDEFLATE
+    if lib is None:
+        pytest.skip("libdeflate.so.0 did not load")
+    calls = collections.Counter()
+
+    class Counting:
+        def __getattr__(self, name):
+            function = getattr(lib, name)
+
+            def call(*args):
+                calls[name] += 1
+                return function(*args)
+
+            return call
+
+    monkeypatch.setattr(treefile, "_LIBDEFLATE", Counting())
+    branches = three_branches(47, 5000)
+
+    def write_and_read():
+        path = tmp_path / "state.trf"
+        write_tree(str(path), "t", branches, basket_entries=1000)
+        with open_file(str(path)) as reader:
+            for name in branches:
+                reader.read_column("t", name)
+
+    with ThreadPoolExecutor(1) as pool:  # its one thread exits as the pool shuts down
+        pool.submit(write_and_read).result(timeout=60)
+    deadline = time.monotonic() + 5
+    while calls["libdeflate_free_compressor"] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert calls["libdeflate_zlib_compress"] >= 10 and calls["libdeflate_zlib_decompress_ex"] >= 10
+    made_and_freed = ("alloc_decompressor", "free_decompressor", "alloc_compressor", "free_compressor")
+    assert [calls[f"libdeflate_{name}"] for name in made_and_freed] == [1, 1, 1, 1]
 
 
 def test_writer_judges_each_baskets_planes_on_its_own_sample(tmp_path):
@@ -1117,18 +1186,8 @@ def test_writer_judges_each_baskets_planes_on_its_own_sample(tmp_path):
     assert raw[second.offset : second.offset + 8] == bytes([2] * 7 + [1])
 
 
-def test_two_threads_write_files_that_decode_alike(deflater, tmp_path):
-    rng = np.random.default_rng(43)
-    n = 30_000
-    counts = rng.integers(0, 6, n)
-    branches = {
-        "f": ColumnChunk(rng.normal(size=n)),
-        "i": ColumnChunk(rng.integers(0, 1000, n, dtype=np.int32)),
-        "j": ColumnChunk(
-            rng.normal(size=int(counts.sum())).astype(np.float32),
-            np.concatenate([[0], np.cumsum(counts)]),
-        ),
-    }
+def test_two_threads_write_files_that_decode_alike(library, tmp_path):
+    branches = three_branches(43, 30_000)
 
     def write_some(index, barrier):
         barrier.wait(timeout=10)
@@ -1251,7 +1310,7 @@ def test_round_trip_random_trees(tmp_path, contents):
 
 
 @given(tree_contents())
-def test_random_trees_round_trip_under_each_deflater(deflater, tmp_path, contents):
+def test_random_trees_round_trip_under_each_deflater(library, tmp_path, contents):
     _assert_round_trip(tmp_path, *contents)
 
 
