@@ -11,6 +11,7 @@ from .generate import (
     generate,
 )
 from .experiments import (
+    VARIANTS,
     CoreRow,
     CoreScalingResult,
     ExperimentSpec,
@@ -33,6 +34,7 @@ __all__ = [
     "demo_job",
     "ensure_dataset",
     "generate",
+    "VARIANTS",
     "CoreRow",
     "CoreScalingResult",
     "ExperimentSpec",

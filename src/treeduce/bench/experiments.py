@@ -9,8 +9,15 @@ Three variants:
 - readahead: keep 1 of 8 flat branches over a capped server; sweep the
   connector prefetch window and record read amplification.
 
-Repetitions use the median. A failed job aborts the experiment but the
-rows collected so far are still written out.
+Each point of a sweep is one job and engine setting, run ``repetitions``
+times. Repetitions go round the points: every point runs once, then every
+point again, so a slow stretch of the host costs each point about one
+repetition, and each point reports the median of its wall times. A run
+owns its output directory (``engine.runner``): before its first task it
+deletes the ``manifest.jsonl``, ``metrics.jsonl``, ``part-NNNNN.trf`` and
+``part-NNNNN.trf.tmp`` files an earlier repetition left there, so no
+repetition times its parts renamed over the last one's. A failed run
+ends the sweep with its error, and no report is written.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ _READAHEAD_DEFAULT_CAP = 32 << 20  # bytes/s; keeps transfer time decisive
 
 @dataclass
 class ExperimentSpec:
-    variant: str  # "size" | "cores" | "readahead"
+    variant: str  # a key of VARIANTS
     data_dir: str
     out_dir: str
     seed: int = 1
@@ -47,7 +54,7 @@ class ExperimentSpec:
     cores_per_executor: int = 4
 
     def __post_init__(self):
-        if self.variant not in ("size", "cores", "readahead"):
+        if self.variant not in VARIANTS:
             raise ValueError(f"unknown experiment variant {self.variant!r}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
@@ -138,42 +145,30 @@ def linear_fit(x, y) -> tuple[float, float, float]:
     return float(a), float(b), r2
 
 
-def _repeat(job_for_rep, engine: EngineConfig, repetitions: int) -> tuple[float, RunResult]:
-    walls = []
-    last: RunResult | None = None
-    for rep in range(repetitions):
-        last = run(job_for_rep(rep), engine)
-        walls.append(last.metrics.total_wall_s)
-    assert last is not None
-    return statistics.median(walls), last
+def _sweep(
+    points: list[tuple[JobSpec, EngineConfig]], repetitions: int
+) -> list[tuple[float, RunResult]]:
+    """Each point's median wall time over ``repetitions`` runs, and its last run.
+
+    Repetitions go round the points, so a slow stretch of the host costs
+    every point one repetition instead of bending one point's median.
+    """
+    walls: list[list[float]] = [[] for _ in points]
+    lasts: list[RunResult] = []
+    for _ in range(repetitions):
+        lasts = [run(job, engine) for job, engine in points]
+        for point_walls, last in zip(walls, lasts):
+            point_walls.append(last.metrics.total_wall_s)
+    return [(statistics.median(w), last) for w, last in zip(walls, lasts)]
 
 
-def run_experiment(spec: ExperimentSpec):
-    runner = {
-        "size": _run_size,
-        "cores": _run_cores,
-        "readahead": _run_readahead,
-    }[spec.variant]
-    result = _result_shell(spec.variant)
-    try:
-        runner(spec, result)
-    except BaseException:
-        from .report import write_report
-
-        write_report(spec.variant, result, spec.out_dir)
-        raise
-    return result
+def _demo_job(spec: ExperimentSpec, inputs: list[str], name: str) -> JobSpec:
+    """The demo job over ``inputs``, written to ``<out_dir>/runs/<name>``."""
+    out = str(Path(spec.out_dir) / "runs" / name)
+    return demo_job(inputs, out, partition_entries=spec.partition_entries)
 
 
-def _result_shell(variant: str):
-    return {
-        "size": SizeScalingResult,
-        "cores": CoreScalingResult,
-        "readahead": ReadaheadResult,
-    }[variant]()
-
-
-def _run_size(spec: ExperimentSpec, result: SizeScalingResult) -> None:
+def _run_size(spec: ExperimentSpec) -> SizeScalingResult:
     pool = GenSpec(
         seed=spec.seed,
         n_events=spec.n_events,
@@ -183,76 +178,53 @@ def _run_size(spec: ExperimentSpec, result: SizeScalingResult) -> None:
     manifest = ensure_dataset(pool, spec.data_dir)
     paths = manifest.file_paths(spec.data_dir)
     engine = EngineConfig(executors=spec.executors, cores_per_executor=spec.cores_per_executor)
+    counts = [m * spec.n_files for m in spec.multiples]
     points = [
-        (paths[: m * spec.n_files], str(Path(spec.out_dir) / "runs" / f"size-x{m}"))
-        for m in spec.multiples
+        (_demo_job(spec, paths[:n], f"size-x{m}"), engine) for m, n in zip(spec.multiples, counts)
     ]
-    # Repetitions go round the multiples, so a slow stretch of the host
-    # costs every point one repetition instead of bending one point's median.
-    walls: list[list[float]] = [[] for _ in spec.multiples]
-    lasts: list[RunResult | None] = [None] * len(spec.multiples)
-    for _ in range(spec.repetitions):
-        for i, (inputs, out) in enumerate(points):
-            lasts[i] = run(demo_job(inputs, out, partition_entries=spec.partition_entries), engine)
-            walls[i].append(lasts[i].metrics.total_wall_s)
-    for m, point_walls, last in zip(spec.multiples, walls, lasts):
-        assert last is not None
-        nbytes = sum(f.bytes for f in manifest.files[: m * spec.n_files])
-        result.rows.append(
-            SizeRow(m, nbytes, statistics.median(point_walls), last.manifest.total_entries)
-        )
-        result.metrics = last.metrics
-    if len(result.rows) >= 2:
+    swept = _sweep(points, spec.repetitions)
+    rows = [
+        SizeRow(m, sum(f.bytes for f in manifest.files[:n]), wall, last.manifest.total_entries)
+        for m, n, (wall, last) in zip(spec.multiples, counts, swept)
+    ]
+    result = SizeScalingResult(rows, metrics=swept[-1][1].metrics)
+    if len(rows) >= 2:
         result.slope, result.intercept, result.r2 = linear_fit(
-            [r.bytes for r in result.rows], [r.median_wall_s for r in result.rows]
+            [r.bytes for r in rows], [r.median_wall_s for r in rows]
         )
+    return result
 
 
 def _calibrate_cap(spec: ExperimentSpec, manifest) -> int:
     """Single worker against an uncapped server; cap = 2x its throughput."""
     with serve(ServerConfig(root_dir=spec.data_dir, port=0)) as srv:
-        host, port = srv.address
-        job = demo_job(
-            manifest.urls(host, port),
-            str(Path(spec.out_dir) / "runs" / "calibrate"),
-            partition_entries=spec.partition_entries,
-        )
+        job = _demo_job(spec, manifest.urls(*srv.address), "calibrate")
         result = run(job, EngineConfig(1, 1))
     throughput = result.io.bytes_fetched / max(result.metrics.total_wall_s, 1e-9)
     return max(1, int(2 * throughput))
 
 
-def _run_cores(spec: ExperimentSpec, result: CoreScalingResult) -> None:
+def _run_cores(spec: ExperimentSpec) -> CoreScalingResult:
     dataset = GenSpec(seed=spec.seed, n_events=spec.n_events, n_files=spec.n_files, schema="demo")
     manifest = ensure_dataset(dataset, spec.data_dir)
     cap = spec.bandwidth_cap or _calibrate_cap(spec, manifest)
-    result.cap_bytes_per_s = float(cap)
     with serve(ServerConfig(root_dir=spec.data_dir, port=0, bandwidth_cap=cap)) as srv:
-        host, port = srv.address
-        inputs = manifest.urls(host, port)
-        for executors, cores in spec.worker_grid:
-            engine = EngineConfig(executors=executors, cores_per_executor=cores)
-
-            def job_for_rep(rep: int, _e=executors, _c=cores) -> JobSpec:
-                out = str(Path(spec.out_dir) / "runs" / f"cores-e{_e}c{_c}")
-                return demo_job(inputs, out, partition_entries=spec.partition_entries)
-
-            median_wall, last = _repeat(job_for_rep, engine, spec.repetitions)
-            throughput = last.io.bytes_fetched / max(median_wall, 1e-9)
-            result.rows.append(
-                CoreRow(
-                    executors,
-                    cores,
-                    executors * cores,
-                    median_wall,
-                    throughput,
-                    last.manifest.total_entries,
-                )
-            )
-            result.metrics = last.metrics
+        inputs = manifest.urls(*srv.address)
+        points = [
+            (_demo_job(spec, inputs, f"cores-e{e}c{c}"), EngineConfig(e, c))
+            for e, c in spec.worker_grid
+        ]
+        swept = _sweep(points, spec.repetitions)
+    rows = [
+        CoreRow(
+            e, c, e * c, wall, last.io.bytes_fetched / max(wall, 1e-9), last.manifest.total_entries
+        )
+        for (e, c), (wall, last) in zip(spec.worker_grid, swept)
+    ]
+    return CoreScalingResult(float(cap), rows, swept[-1][1].metrics)
 
 
-def _run_readahead(spec: ExperimentSpec, result: ReadaheadResult) -> None:
+def _run_readahead(spec: ExperimentSpec) -> ReadaheadResult:
     dataset = GenSpec(
         seed=spec.seed,
         n_events=spec.n_events,
@@ -262,37 +234,50 @@ def _run_readahead(spec: ExperimentSpec, result: ReadaheadResult) -> None:
     )
     manifest = ensure_dataset(dataset, spec.data_dir)
     cap = spec.bandwidth_cap or _READAHEAD_DEFAULT_CAP
-    result.cap_bytes_per_s = float(cap)
     with serve(ServerConfig(root_dir=spec.data_dir, port=0, bandwidth_cap=cap)) as srv:
-        host, port = srv.address
-        inputs = manifest.urls(host, port)
-        for read_ahead in spec.read_aheads:
-            engine = EngineConfig(
-                executors=spec.executors,
-                cores_per_executor=spec.cores_per_executor,
-                read_ahead=read_ahead,
-                planned_reads=False,  # the window under test, not planned reads
-            )
-
-            def job_for_rep(rep: int, _ra=read_ahead) -> JobSpec:
-                out = str(Path(spec.out_dir) / "runs" / f"readahead-{_ra}")
-                return JobSpec(
+        inputs = manifest.urls(*srv.address)
+        points = [
+            (
+                JobSpec(
                     inputs=inputs,
                     tree=DEMO_TREE,
                     keep_columns=["v0"],
-                    output=out,
+                    output=str(Path(spec.out_dir) / "runs" / f"readahead-{ra}"),
                     partition_entries=spec.partition_entries,
-                )
-
-            median_wall, last = _repeat(job_for_rep, engine, spec.repetitions)
-            result.rows.append(
-                ReadaheadRow(
-                    read_ahead,
-                    last.io.bytes_requested,
-                    last.io.bytes_fetched,
-                    last.io.amplification,
-                    median_wall,
-                    last.manifest.total_entries,
-                )
+                ),
+                EngineConfig(
+                    executors=spec.executors,
+                    cores_per_executor=spec.cores_per_executor,
+                    read_ahead=ra,
+                    planned_reads=False,  # the window under test, not planned reads
+                ),
             )
-            result.metrics = last.metrics
+            for ra in spec.read_aheads
+        ]
+        swept = _sweep(points, spec.repetitions)
+    rows = [
+        ReadaheadRow(
+            ra,
+            last.io.bytes_requested,
+            last.io.bytes_fetched,
+            last.io.amplification,
+            wall,
+            last.manifest.total_entries,
+        )
+        for ra, (wall, last) in zip(spec.read_aheads, swept)
+    ]
+    return ReadaheadResult(float(cap), rows, swept[-1][1].metrics)
+
+
+# Each variant's sweep, by the name ``ExperimentSpec.variant`` and
+# ``treeduce bench --experiment`` take.
+VARIANTS = {
+    "size": _run_size,
+    "cores": _run_cores,
+    "readahead": _run_readahead,
+}
+
+
+def run_experiment(spec: ExperimentSpec):
+    """Run ``spec``'s sweep and return its result; a failed run raises."""
+    return VARIANTS[spec.variant](spec)

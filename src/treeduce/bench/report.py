@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .experiments import CoreScalingResult, ReadaheadResult, SizeScalingResult
+from .experiments import VARIANTS, CoreScalingResult, ReadaheadResult, SizeScalingResult
 
 
 def _size_csv(result: SizeScalingResult) -> str:
@@ -45,15 +45,15 @@ def _readahead_csv(result: ReadaheadResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-_VARIANTS = {
-    "size": ("size_scaling", _size_csv),
-    "cores": ("core_scaling", _cores_csv),
-    "readahead": ("readahead_sweep", _readahead_csv),
+# each result type's file stem and CSV rendering
+_FORMATS = {
+    SizeScalingResult: ("size_scaling", _size_csv),
+    CoreScalingResult: ("core_scaling", _cores_csv),
+    ReadaheadResult: ("readahead_sweep", _readahead_csv),
 }
 
 
-def _markdown(variant: str, result, csv_text: str) -> str:
-    stem, _ = _VARIANTS[variant]
+def _markdown(stem: str, result, csv_text: str) -> str:
     lines = [f"# {stem.replace('_', ' ')}", ""]
     rows = csv_text.strip().splitlines()
     header = rows[0].split(",")
@@ -61,9 +61,11 @@ def _markdown(variant: str, result, csv_text: str) -> str:
     lines.append("|" + "---|" * len(header))
     for row in rows[1:]:
         lines.append("| " + " | ".join(row.split(",")) + " |")
-    if variant == "size" and result.rows:
-        lines += ["", f"fit: wall_s = {result.slope:.3e} * bytes + {result.intercept:.3f}, R^2 = {result.r2:.4f}"]
-    if variant in ("cores", "readahead") and result.cap_bytes_per_s:
+    if isinstance(result, SizeScalingResult):
+        if result.rows:
+            fit = f"wall_s = {result.slope:.3e} * bytes + {result.intercept:.3f}"
+            lines += ["", f"fit: {fit}, R^2 = {result.r2:.4f}"]
+    elif result.cap_bytes_per_s:
         lines += ["", f"server bandwidth cap: {result.cap_bytes_per_s:.0f} bytes/s"]
     if result.metrics is not None:
         lines += ["", "## workload breakdown (last run)", "", "```", result.metrics.summary_table(), "```"]
@@ -71,13 +73,15 @@ def _markdown(variant: str, result, csv_text: str) -> str:
 
 
 def write_report(variant: str, result, out_dir: str | Path) -> dict[str, str]:
-    """Write <variant>.csv and <variant>.md; returns the paths written."""
-    stem, to_csv = _VARIANTS[variant]
+    """Write <stem>.csv and <stem>.md; returns the paths written."""
+    if variant not in VARIANTS:
+        raise KeyError(f"unknown experiment variant {variant!r}")
+    stem, to_csv = _FORMATS[type(result)]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_text = to_csv(result)
     csv_path = out / f"{stem}.csv"
     md_path = out / f"{stem}.md"
     csv_path.write_text(csv_text)
-    md_path.write_text(_markdown(variant, result, csv_text))
+    md_path.write_text(_markdown(stem, result, csv_text))
     return {"csv": str(csv_path), "markdown": str(md_path)}

@@ -177,6 +177,12 @@ def _cmd_concat(args) -> int:
     inputs = list(args.inputs)
     if args.manifest:
         manifest = engine.Manifest.read_jsonl(args.manifest)
+        for entry in manifest.entries:  # a part swapped since its run must not merge
+            with treefile.open_file(entry.path) as reader:
+                n = reader.tree().n_entries
+            if n != entry.entries:
+                message = f"{entry.path}: {n} entries, manifest says {entry.entries}"
+                raise engine.EngineError(message)
         inputs = manifest.paths() + inputs
     if not inputs:
         print("concat: no inputs", file=sys.stderr)
@@ -227,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_hist)
 
     p = sub.add_parser("bench", help="run a scaling experiment and write reports")
-    p.add_argument("--experiment", choices=("size", "cores", "readahead"), required=True)
+    p.add_argument("--experiment", choices=tuple(bench.VARIANTS), required=True)
     p.add_argument("--config", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_bench)

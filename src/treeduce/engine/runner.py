@@ -15,7 +15,12 @@ its ``selected`` columns and of the values of its ``shared`` nodes:
 * :class:`PartSink` (``run``, the ``reduce`` command) derives, encodes and
   writes ``part-NNNNN.trf``. The writer only renames its file into place
   once it has closed, and deletes it when an attempt raises, so no attempt
-  leaves a truncated part.
+  leaves a truncated part. The run owns four kinds of name in its output
+  directory: ``manifest.jsonl``, ``metrics.jsonl``, ``part-NNNNN.trf`` and
+  ``part-NNNNN.trf.tmp``. Once the job's checks pass, and before its first
+  task, it deletes every file of those names that an earlier run left, and
+  refuses a job that reads one of them. It writes the manifest last, so a
+  failed run leaves no manifest, and no part is renamed over another.
 * :class:`FillSink` (``fill``, the ``hist`` command) fills a fresh copy of
   an aggregator's structure. The filled partials are merged with
   ``combine`` in task-id order, so the result does not depend on the
@@ -66,6 +71,7 @@ instead of faulting fresh ones in.
 
 from __future__ import annotations
 
+import re
 import time
 from dataclasses import dataclass
 from functools import reduce
@@ -107,6 +113,9 @@ TIMELINE_STEPS = 100
 # Errors a second attempt would meet again: bad expressions or data, a
 # corrupt or changed input. Anything else, such as an OSError, is retried once.
 _DETERMINISTIC = (exprlang.EvalError, TreeFileError, EngineError)
+
+# The names a reduce run owns in its output directory.
+_OWNED = re.compile(r"manifest\.jsonl|metrics\.jsonl|part-\d{5,}\.trf(\.tmp)?")
 
 
 class TaskFailure(EngineError):
@@ -150,6 +159,13 @@ class PartSink:
         for name, _ in self.exprs.derived:
             self.out_schema[name] = (derived_dtypes[name], Shape.FLAT)
         self.out_dir.mkdir(parents=True, exist_ok=True)
+        owned = [path for path in self.out_dir.iterdir() if _OWNED.fullmatch(path.name)]
+        targets = {path.resolve() for path in owned}
+        for name in map(str, self.job.inputs):
+            if not name.startswith("xrdl://") and Path(name).resolve() in targets:
+                raise EngineError(f"input {name} is a file the run deletes from its output")
+        for path in owned:
+            path.unlink()
 
     def consume(self, task: Task, columns: dict, n: int) -> ManifestEntry:
         out_columns = {name: columns[name] for name in self.job.keep_columns}
@@ -166,8 +182,8 @@ class PartSink:
 
     def finish(self, entries: list[ManifestEntry], metrics: WorkloadMetrics) -> Manifest:
         manifest = Manifest(entries)
-        manifest.write_jsonl(self.out_dir / "manifest.jsonl")
         write_metrics_jsonl(self.out_dir / "metrics.jsonl", metrics)
+        manifest.write_jsonl(self.out_dir / "manifest.jsonl")
         return manifest
 
 

@@ -66,7 +66,7 @@ def _verdict(num: int, name: str, ok: bool, detail: str) -> None:
 # the fit: each file's event count is sized from a measured per-event cost,
 # then checked at the size picked.
 SIZE_MIN_WALL_S = 0.1
-SIZE_PROBE_EVENTS, SIZE_MAX_EVENTS = 16384, 1 << 17
+SIZE_PROBE_EVENTS, SIZE_MAX_EVENTS = 16384, 1 << 19
 
 
 def _one_x_wall(base, n_events: int, n_files: int, engine: EngineConfig) -> float:

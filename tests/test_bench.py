@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from treeduce.bench import experiments
 from treeduce.bench.experiments import (
     CoreRow,
     CoreScalingResult,
@@ -27,6 +28,7 @@ from treeduce.bench.experiments import (
     SizeRow,
     SizeScalingResult,
     linear_fit,
+    run_experiment,
 )
 from treeduce.bench.generate import (
     DEMO_SKIM,
@@ -48,6 +50,8 @@ from treeduce.bench.prng import (
     unit,
     unit_array,
 )
+from treeduce.engine import Manifest, ManifestEntry, RunResult, WorkloadMetrics
+from treeduce.iostats import IoStats
 from treeduce.treefile import Codec, open_file
 
 # the package re-exports the function ``generate`` under the module's name
@@ -473,6 +477,44 @@ class TestExperimentPieces:
             ExperimentSpec(variant="cores", data_dir=".", out_dir=".", n_files=0)
         with pytest.raises(ValueError, match="multiples"):
             ExperimentSpec(variant="size", data_dir=".", out_dir=".", multiples=(1, 0))
+
+
+SWEEP_POINTS = {
+    "size": dict(multiples=(1, 2, 4)),
+    "cores": dict(worker_grid=((1, 1), (1, 2), (2, 1)), bandwidth_cap=1 << 30),
+    "readahead": dict(read_aheads=(1024, 2048, 4096)),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(SWEEP_POINTS))
+def test_sweep_repetitions_go_round_the_points(tmp_path, monkeypatch, variant):
+    """With runs faked, each call's point and its row: point i's k-th run
+    takes 10 * (i + 1) + k seconds, so a row's median names its walls."""
+    calls = []
+    point_of = {}  # output directory -> point index, in order of first run
+
+    def fake_run(job, engine):
+        point = point_of.setdefault(job.output, len(point_of))
+        wall = 10.0 * (point + 1) + sum(1 for p, _ in calls if p == point)
+        result = RunResult(
+            Manifest([ManifestEntry(0, "part", point)]),
+            WorkloadMetrics(wall, engine.worker_count),
+            IoStats(bytes_requested=100, bytes_fetched=200),
+            job.output,
+        )
+        calls.append((point, result))
+        return result
+
+    monkeypatch.setattr(experiments, "run", fake_run)
+    spec = ExperimentSpec(
+        variant, str(tmp_path / "data"), str(tmp_path / "report"), n_events=64, n_files=1,
+        repetitions=2, **SWEEP_POINTS[variant],
+    )
+    result = run_experiment(spec)
+    assert [point for point, _ in calls] == [0, 1, 2, 0, 1, 2]
+    assert [row.median_wall_s for row in result.rows] == [10.5, 20.5, 30.5]
+    assert [row.entries_out for row in result.rows] == [0, 1, 2]
+    assert result.metrics is calls[-1][1].metrics
 
 
 class _StubMetrics:

@@ -406,6 +406,27 @@ def test_concat_reads_a_reduction_manifest(cli_dataset, tmp_path, capsys):
         )
 
 
+def test_concat_refuses_a_manifest_whose_part_was_swapped(cli_dataset, tmp_path, capsys):
+    data_dir, manifest = cli_dataset
+    out = tmp_path / "out"
+    job_path = tmp_path / "job.cfg"
+    job_path.write_text(_job_text(manifest.file_paths(str(data_dir)), out, skim="nMuon >= 1"))
+    assert main(["reduce", "--job", str(job_path)]) == 0
+    rows = Manifest.read_jsonl(out / "manifest.jsonl").entries
+    assert rows[0].entries != rows[1].entries
+    part0, part1 = out / "part-00000.trf", out / "part-00001.trf"
+    part0.rename(tmp_path / "swap.trf")
+    part1.rename(part0)
+    (tmp_path / "swap.trf").rename(part1)
+    capsys.readouterr()
+    merged = tmp_path / "merged.trf"
+    assert main(["concat", "--out", str(merged), "--manifest", str(out / "manifest.jsonl")]) == 1
+    assert capsys.readouterr().err == (
+        f"concat: {part0}: {rows[1].entries} entries, manifest says {rows[0].entries}\n"
+    )
+    assert not merged.exists()
+
+
 def test_concat_schema_mismatch_fails_without_output(tmp_path, capsys):
     a, b = tmp_path / "a.trf", tmp_path / "b.trf"
     write_tree(str(a), "t", {"x": np.arange(3, dtype=np.float64)})

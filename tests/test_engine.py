@@ -664,6 +664,64 @@ def test_task_failing_twice_leaves_no_part(demo_dataset, tmp_path, monkeypatch):
     assert (out / "part-00000.trf").exists()
 
 
+# --- the output directory ----------------------------------------------------------------
+
+
+def test_a_failed_rerun_leaves_no_manifest(demo_dataset, tmp_path):
+    data_dir, _, manifest = demo_dataset
+    out = tmp_path / "out"
+    first = run(demo_reduction(data_dir, manifest, out, skim="MET > 10"), EngineConfig(1, 2))
+    assert len(first.manifest.entries) == 10
+
+    def fault_hook(task, attempt):
+        if task.task_id == 8:
+            raise EngineError("simulated corrupt input")
+
+    with pytest.raises(TaskFailure):
+        run(demo_reduction(data_dir, manifest, out, skim="MET > 1e6"), EngineConfig(1, 2),
+            fault_hook=fault_hook)
+    assert not (out / "manifest.jsonl").exists()
+    assert not (out / "metrics.jsonl").exists()
+    # every part left is the second run's: empty, and none for the failed task
+    parts = sorted(p.name for p in out.iterdir())
+    assert parts == [f"part-{i:05d}.trf" for i in range(10) if i != 8]
+    for name in parts:
+        with open_file(out / name) as reader:
+            assert reader.tree(DEMO_TREE).n_entries == 0
+
+
+def test_a_rerun_with_fewer_tasks_leaves_only_its_own_files(demo_dataset, tmp_path):
+    data_dir, _, manifest = demo_dataset
+    out = tmp_path / "out"
+    run(demo_reduction(data_dir, manifest, out), EngineConfig(1, 2))
+    kept = ["notes.txt", "part-00001.trf.bak", "part-1.trf", "xpart-00001.trf"]
+    for name in kept + ["part-00099.trf.tmp"]:  # the last as a killed run would leave it
+        (out / name).write_text("not the run's")
+    result = run(demo_reduction(data_dir, manifest, out, partition_entries=6144), EngineConfig(1, 2))
+    assert [e.task_id for e in result.manifest.entries] == [0, 1]
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        kept + ["manifest.jsonl", "metrics.jsonl", "part-00000.trf", "part-00001.trf"]
+    )
+    assert all((out / name).read_text() == "not the run's" for name in kept)
+
+
+def test_a_job_reading_its_own_output_is_refused(demo_dataset, tmp_path):
+    data_dir, _, manifest = demo_dataset
+    out = tmp_path / "out"
+    first = run(demo_reduction(data_dir, manifest, out), EngineConfig(1, 2))
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    job = JobSpec(
+        inputs=[str(out / "part-00003.trf")],
+        tree=DEMO_TREE,
+        keep_columns=["MET"],
+        output=str(out),
+    )
+    with pytest.raises(EngineError, match="part-00003.trf is a file the run deletes"):
+        run(job, EngineConfig(1, 2))
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert read_parts(first.manifest)["MET"].n_entries == first.manifest.total_entries
+
+
 # --- output size -------------------------------------------------------------------------
 
 
