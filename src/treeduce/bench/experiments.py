@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from ..engine import EngineConfig, JobSpec, RunResult, WorkloadMetrics, run
+from ..engine.job import DEFAULT_PARTITION_ENTRIES
 from ..treefile import Codec
 from ..xrdlite import ServerConfig, serve
 from .generate import DEMO_TREE, GenSpec, demo_job, ensure_dataset
@@ -49,7 +50,7 @@ class ExperimentSpec:
     worker_grid: tuple[tuple[int, int], ...] = ((1, 1), (1, 2), (2, 2), (2, 4))
     read_aheads: tuple[int, ...] = (65536, 1 << 20, 32 << 20)
     bandwidth_cap: int | None = None  # None: cores calibrates, readahead uses default
-    partition_entries: int = 65536
+    partition_entries: int = DEFAULT_PARTITION_ENTRIES
     executors: int = 1
     cores_per_executor: int = 4
 

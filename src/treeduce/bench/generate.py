@@ -21,13 +21,14 @@ import json
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import wait
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from ..engine import JobSpec, usable_cores
+from ..engine.job import DEFAULT_PARTITION_ENTRIES, JobSpec, usable_cores
+from ..engine.memory import worker_pool
 from ..treefile import Codec, ColumnChunk, Dtype, Shape, TreeFileWriter
 from .prng import draw_array, file_key, unit_array
 
@@ -200,11 +201,6 @@ def _flat8_chunk(key: int, e0: int, e1: int) -> dict[str, ColumnChunk]:
     }
 
 
-def _file_workers(n_files: int) -> int:
-    """Files written at once: one per usable core, as `hist`'s default --cores."""
-    return max(1, min(n_files, usable_cores()))
-
-
 def _write_file(spec: GenSpec, out: Path, i: int) -> FileEntry:
     name = f"{spec.schema}-{i:05d}.trf"
     path = out / name
@@ -223,9 +219,10 @@ def _write_file(spec: GenSpec, out: Path, i: int) -> FileEntry:
 def generate(spec: GenSpec, out_dir: str | Path) -> DatasetManifest:
     """Write the dataset and its manifest (dataset.json); returns the manifest.
 
-    Files are written concurrently, one thread per usable core (deflate
-    releases the GIL). Each file depends only on its own key, so the bytes
-    do not depend on how many are written at once.
+    Files are written concurrently on the engine's pool of one worker per
+    usable core, the pool a `reduce` or `hist` run of that many workers
+    uses (deflate releases the GIL). Each file depends only on its own key,
+    so the bytes do not depend on how many are written at once.
 
     An old manifest is removed before any file is written, and the new one
     is written after every file is, so a generation that is cut short leaves
@@ -255,9 +252,13 @@ def generate(spec: GenSpec, out_dir: str | Path) -> DatasetManifest:
             stop.set()
             raise
 
-    # map cancels the files not yet begun when its error reaches this thread
-    with ThreadPoolExecutor(max_workers=_file_workers(spec.n_files)) as pool:
-        manifest.files = list(pool.map(write, range(spec.n_files)))
+    pool = worker_pool(usable_cores())
+    futures = [pool.submit(write, i) for i in range(spec.n_files)]
+    try:
+        wait(futures)  # the files in flight finish before any error propagates
+    finally:
+        stop.set()  # an interrupted wait begins no further file
+    manifest.files = [future.result() for future in futures]
     (out / "dataset.json").write_text(manifest.to_json())
     return manifest
 
@@ -286,7 +287,7 @@ def demo_job(
     inputs: list[str],
     output: str,
     *,
-    partition_entries: int = 65536,
+    partition_entries: int = DEFAULT_PARTITION_ENTRIES,
     keep: tuple[str, ...] = ("MET", "Muon_pt"),
     skim: str | None = DEMO_SKIM,
 ) -> JobSpec:

@@ -192,9 +192,10 @@ def _cmd_concat(args) -> int:
     return 0
 
 
-def _add_engine_options(p: argparse.ArgumentParser, *, cores: int) -> None:
+def _add_engine_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--executors", type=int, default=1)
-    p.add_argument("--cores", type=int, default=cores, help=f"cores per executor (default {cores})")
+    p.add_argument("--cores", type=int, default=engine.usable_cores(),
+                   help="cores per executor (default: the CPUs this process may use)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -221,13 +222,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", help="run a skim/slim/derive job")
     p.add_argument("--job", required=True)
-    _add_engine_options(p, cores=1)
+    _add_engine_options(p)
     p.add_argument("--out", default=None, help="override the job's output directory")
     p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("hist", help="fill a histogram over a job's skimmed inputs")
     p.add_argument("--job", required=True)
-    _add_engine_options(p, cores=engine.usable_cores())
+    _add_engine_options(p)
     p.add_argument("--spec", required=True, help="e.g. \"bin(40, 0, 200, 'max(Muon_pt)')\"")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_hist)

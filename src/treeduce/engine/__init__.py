@@ -4,7 +4,7 @@ mergeable histograms (``fill``), and account for where the time went."""
 
 from .job import EngineConfig, EngineError, JobSpec, load_job_file, read_settings, usable_cores
 from .metrics import Manifest, ManifestEntry, TaskMetrics, WorkloadMetrics
-from .planner import Task, plan
+from .planner import Task
 from .runner import FillResult, RunResult, TaskFailure, fill, run
 
 __all__ = [
@@ -19,7 +19,6 @@ __all__ = [
     "TaskMetrics",
     "WorkloadMetrics",
     "Task",
-    "plan",
     "FillResult",
     "RunResult",
     "TaskFailure",

@@ -24,6 +24,10 @@ from pathlib import Path
 from ..sources import READ_AHEAD
 
 
+# Entries per task when a job names none
+DEFAULT_PARTITION_ENTRIES = 65536
+
+
 class EngineError(Exception):
     pass
 
@@ -36,7 +40,7 @@ class JobSpec:
     skim: str | None = None
     derived: list[tuple[str, str]] = field(default_factory=list)
     output: str = "out"
-    partition_entries: int = 65536
+    partition_entries: int = DEFAULT_PARTITION_ENTRIES
 
     def __post_init__(self):
         if not self.inputs:

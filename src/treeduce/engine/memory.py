@@ -13,7 +13,9 @@ arena to the next new thread only once that thread has fully exited,
 which a Python-level join does not wait for. A run whose pool started new
 threads right after the last run's pool was joined would therefore often
 get a fresh arena and fault its pages in again, and every arena so made
-keeps its pages. So the workers outlive a run (:func:`worker_pool`).
+keeps its pages. So the workers outlive a run: the process keeps one
+pool per worker count (:func:`worker_pool`), which `run`, `fill` and the
+dataset generator share.
 """
 
 from __future__ import annotations
@@ -55,13 +57,13 @@ def keep_task_memory() -> bool:
     return all(took)  # mallopt returns 1 on success and 0 on failure
 
 
-@functools.lru_cache(maxsize=1)
+@functools.cache
 def worker_pool(count: int) -> ThreadPoolExecutor:
     """The process's ``count`` worker threads, shared by every run of that many workers.
 
-    A call with another count replaces the pool; the replaced pool's
-    threads exit once the last run using it has let it go. Runs made at
-    the same time from several threads share the pool's workers.
+    The pool lives as long as the process, beside the pools of other
+    counts, so a run never discards threads that another count made. Runs
+    made at the same time from several threads share the pool's workers.
     """
     return ThreadPoolExecutor(count, thread_name_prefix="treeduce-worker")
 

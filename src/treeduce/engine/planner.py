@@ -111,14 +111,14 @@ def probe_inputs(
     job: JobSpec,
     engine: EngineConfig,
     columns: tuple[str, ...],
-    connections: ConnectionPool | None = None,
+    connections: ConnectionPool,
 ) -> tuple[Schema, list[Directory]]:
     """Read each input's directory; reject schema drift on ``columns``.
 
     Returns the schema of ``columns`` in the first input and each input's
     parsed directory, which tasks reuse instead of reading it again.
     Remote inputs are read over the calling thread's connections from
-    ``connections`` when given, else over one connection each.
+    ``connections``.
     """
     schema: Schema | None = None
     directories: list[Directory] = []
@@ -153,6 +153,7 @@ def probe_inputs(
 def tasks_from_counts(
     job: JobSpec, entry_counts: list[int], columns: tuple[str, ...]
 ) -> list[Task]:
+    """Per input, ceil(entries / partition_entries) tasks in file-then-entry order."""
     tasks: list[Task] = []
     task_id = 0
     for path, n_entries in zip(job.inputs, entry_counts):
@@ -161,15 +162,3 @@ def tasks_from_counts(
             tasks.append(Task(task_id, path, job.tree, start, stop, columns))
             task_id += 1
     return tasks
-
-
-def entry_counts(job: JobSpec, directories: list[Directory]) -> list[int]:
-    return [trees[job.tree].n_entries for _, trees in directories]
-
-
-def plan(job: JobSpec, engine: EngineConfig) -> list[Task]:
-    """Per file, ceil(n_entries / partition_entries) tasks in file-then-entry order."""
-    exprs = parse_job_exprs(job)
-    schema, directories = probe_inputs(job, engine, exprs.columns)
-    check_job(job, schema, exprs)
-    return tasks_from_counts(job, entry_counts(job, directories), exprs.columns)

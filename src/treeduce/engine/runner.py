@@ -62,11 +62,12 @@ Within a task, each stage is timed as it ends (``metrics.SPANS``), in
 wall seconds and in the worker thread's on-CPU seconds, and the task
 records the minor page faults its thread took.
 
-Workers keep their memory from task to task (``memory``): the pool's
-threads outlive a run and serve the next run of as many workers, and
-before its first run the process raises glibc's mmap and trim
-thresholds, so a task's arrays reuse the pages the task before it freed
-instead of faulting fresh ones in.
+Workers keep their memory from task to task (``memory``): the process
+keeps one pool per worker count for its whole life, so a pool's threads
+serve every later run of as many workers, whatever counts run in
+between, and before its first run the process raises glibc's mmap and
+trim thresholds, so a task's arrays reuse the pages the task before it
+freed instead of faulting fresh ones in.
 """
 
 from __future__ import annotations
@@ -99,7 +100,6 @@ from .planner import (
     Task,
     check_job,
     check_skim,
-    entry_counts,
     parse_job_exprs,
     probe_inputs,
     sink_inputs,
@@ -332,7 +332,8 @@ class _Runner:
             schema, directories = probe_inputs(job, self.engine, self.sink.columns, self.connections)
             self.sink.prepare(schema)
             self.directories = dict(zip(job.inputs, directories))
-            self.tasks = tasks_from_counts(job, entry_counts(job, directories), self.sink.columns)
+            counts = [trees[job.tree].n_entries for _, trees in directories]
+            self.tasks = tasks_from_counts(job, counts, self.sink.columns)
             return self._execute()
         finally:
             self.connections.close()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import socket
 import socketserver
+import stat
 import struct
 import threading
 import time
@@ -149,18 +150,16 @@ class _Handler(socketserver.BaseRequestHandler):
             return False
         return True
 
-    def _resolve(self, path: str) -> Path | None:
-        """Map a request path into the served root; anything escaping is NotFound."""
-        root: Path = self.server.root  # type: ignore[attr-defined]
+    def _resolve(self, path: str) -> str | None:
+        """Map a request path to a regular file in the served root; else NotFound."""
+        prefix: str = self.server.root_prefix  # type: ignore[attr-defined]
         try:
-            target = (root / path.lstrip("/")).resolve()
+            target = os.path.realpath(prefix + path.lstrip("/"))
+            if target.startswith(prefix) and stat.S_ISREG(os.stat(target).st_mode):
+                return target
         except (OSError, ValueError):  # ValueError: a NUL byte in the path
-            return None
-        if not target.is_relative_to(root):
-            return None
-        if not target.is_file():
-            return None
-        return target
+            pass
+        return None
 
     def _respond(self, sock, status: int, payload: bytes) -> None:
         frame = _frame(status, len(payload))
@@ -228,7 +227,7 @@ class _TcpServer(socketserver.ThreadingTCPServer):
 
     def __init__(self, address: tuple[str, int], root: Path, bucket: TokenBucket | None):
         super().__init__(address, _Handler)
-        self.root = root
+        self.root_prefix = os.path.join(root, "")  # the resolved root, ending in a separator
         self.bucket = bucket
         self.counters = ServerCounters()
         self.counters_lock = threading.Lock()

@@ -67,6 +67,7 @@ def _verdict(num: int, name: str, ok: bool, detail: str) -> None:
 # then checked at the size picked.
 SIZE_MIN_WALL_S = 0.1
 SIZE_PROBE_EVENTS, SIZE_MAX_EVENTS = 16384, 1 << 19
+SIZE_STEP_EVENTS = 8192  # sizes are whole multiples of this
 
 
 def _one_x_wall(base, n_events: int, n_files: int, engine: EngineConfig) -> float:
@@ -78,21 +79,21 @@ def _one_x_wall(base, n_events: int, n_files: int, engine: EngineConfig) -> floa
 
 
 def _size_events_per_file(base, n_files: int, engine: EngineConfig) -> int:
-    """Events per file, a power of two, for a 1x wall of at least ``SIZE_MIN_WALL_S``.
+    """Events per file for a 1x wall of at least ``SIZE_MIN_WALL_S``, up to ``SIZE_MAX_EVENTS``.
 
-    A probe at ``SIZE_PROBE_EVENTS`` estimates the size. Fixed costs weigh
-    more in the probe, so the 1x wall is measured again at the size picked,
-    which doubles while that wall falls short, up to ``SIZE_MAX_EVENTS``.
+    Starting from a probe at ``SIZE_PROBE_EVENTS``, the size is scaled by
+    the per-event cost measured at the last size, rounded up to a multiple
+    of ``SIZE_STEP_EVENTS``, and the 1x wall is measured again there, until
+    it reaches ``SIZE_MIN_WALL_S``. Fixed costs weigh more at a smaller
+    size, so an estimate tends to fall short, and a near miss then costs
+    one more step of a few percent, not a doubling of the size.
     """
-    wall = _one_x_wall(base, SIZE_PROBE_EVENTS, n_files, engine)
-    wanted = SIZE_MIN_WALL_S / wall * SIZE_PROBE_EVENTS
-    n_events = min(SIZE_MAX_EVENTS, max(SIZE_PROBE_EVENTS, 1 << math.ceil(math.log2(wanted))))
-    while n_events < SIZE_MAX_EVENTS:
-        if n_events > SIZE_PROBE_EVENTS:
-            wall = _one_x_wall(base, n_events, n_files, engine)
-        if wall >= SIZE_MIN_WALL_S:
-            break
-        n_events *= 2
+    n_events = SIZE_PROBE_EVENTS
+    wall = _one_x_wall(base, n_events, n_files, engine)
+    while wall < SIZE_MIN_WALL_S and n_events < SIZE_MAX_EVENTS:
+        steps = math.ceil(SIZE_MIN_WALL_S / wall * n_events / SIZE_STEP_EVENTS)
+        n_events = min(SIZE_MAX_EVENTS, steps * SIZE_STEP_EVENTS)
+        wall = _one_x_wall(base, n_events, n_files, engine)
     return n_events
 
 

@@ -256,14 +256,14 @@ class TestPinnedBytes:
         assert _dir_digest(tmp_path) == digest
 
     def test_worker_count_does_not_change_the_bytes(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(generate_module, "_file_workers", lambda n_files: 1)
+        monkeypatch.setattr(generate_module, "usable_cores", lambda: 1)
         generate(PINNED_DEMO, tmp_path / "serial")
-        monkeypatch.setattr(generate_module, "_file_workers", lambda n_files: n_files)
+        monkeypatch.setattr(generate_module, "usable_cores", lambda: PINNED_DEMO.n_files)
         generate(PINNED_DEMO, tmp_path / "parallel")
         assert _dir_digest(tmp_path / "serial") == _dir_digest(tmp_path / "parallel")
 
     def test_a_failing_file_stops_generation_without_a_manifest(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(generate_module, "_file_workers", lambda n_files: 2)
+        monkeypatch.setattr(generate_module, "usable_cores", lambda: 2)
         real_writer = generate_module.TreeFileWriter
         started, overlapped = [], []
         failed = threading.Event()

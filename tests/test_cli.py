@@ -63,7 +63,7 @@ def test_parser_defaults():
     args = build_parser().parse_args(["serve", "--root", "x"])
     assert args.host == "127.0.0.1" and args.port == 1094 and args.bandwidth_cap is None
     args = build_parser().parse_args(["reduce", "--job", "j"])
-    assert args.executors == 1 and args.cores == 1
+    assert args.executors == 1 and args.cores == usable_cores()
     args = build_parser().parse_args(["hist", "--job", "j", "--spec", "count", "--out", "h.csv"])
     assert args.executors == 1
     assert args.cores == usable_cores()

@@ -35,7 +35,6 @@ from treeduce.engine import (
     TaskFailure,
     fill,
     load_job_file,
-    plan,
     run,
 )
 from treeduce.engine import memory, runner
@@ -202,13 +201,14 @@ def test_required_columns_includes_expression_refs():
     assert parse_job_exprs(job).columns == ("MET", "Muon_pt", "nMuon")
 
 
-def test_plan_probes_entry_counts(demo_dataset):
+def test_plan_probes_entry_counts(demo_dataset, tmp_path):
     data_dir, spec, manifest = demo_dataset
-    job = demo_reduction(data_dir, manifest, "unused", partition_entries=1000)
-    tasks = plan(job, EngineConfig())
+    job = demo_reduction(data_dir, manifest, tmp_path / "out", partition_entries=1000)
+    tasks = []
+    run(job, EngineConfig(), fault_hook=lambda task, attempt: tasks.append(task))
     assert len(tasks) == spec.n_files * -(-spec.n_events // 1000)
     assert sum(t.n_entries for t in tasks) == spec.n_files * spec.n_events
-    assert tasks[0].columns == ("MET", "Muon_pt", "nMuon")
+    assert {t.columns for t in tasks} == {("MET", "Muon_pt", "nMuon")}
 
 
 def test_plan_rejects_bad_jobs(demo_dataset, tmp_path):
@@ -224,10 +224,12 @@ def test_plan_rejects_bad_jobs(demo_dataset, tmp_path):
         {"derived": [("pts", "Muon_pt * 2")]},  # jagged derived column
         {"derived": [("x", "ghost + 1")]},
     ]
-    for overrides in cases:
-        job = demo_reduction(data_dir, manifest, tmp_path / "o", **overrides)
+    for i, overrides in enumerate(cases):
+        out = tmp_path / f"o{i}"
+        job = demo_reduction(data_dir, manifest, out, **overrides)
         with pytest.raises(EngineError):
-            plan(job, engine)
+            run(job, engine)
+        assert not out.exists()  # refused while planning, before the output is made
 
 
 def test_plan_rejects_schema_drift_between_inputs(tmp_path):
@@ -237,9 +239,11 @@ def test_plan_rejects_schema_drift_between_inputs(tmp_path):
         inputs=[str(tmp_path / "a.trf"), str(tmp_path / "b.trf")],
         tree="t",
         keep_columns=["x"],
+        output=str(tmp_path / "out"),
     )
     with pytest.raises(EngineError):
-        plan(job, EngineConfig())
+        run(job, EngineConfig())
+    assert not (tmp_path / "out").exists()
 
 
 # --- reduction correctness ----------------------------------------------------------
@@ -551,9 +555,8 @@ def test_transient_fault_is_retried_once(demo_dataset, demo_expected, tmp_path):
     assert_outputs_match_reference(result, demo_expected)
     assert (2, 1) in attempts and (2, 2) in attempts
     # the failed attempt must not double-count metrics
-    assert sorted(m.task_id for m in result.metrics.tasks) == sorted(
-        t.task_id for t in plan(job, EngineConfig())
-    )
+    planned = tasks_from_counts(job, [f.entries for f in manifest.files], ())
+    assert sorted(m.task_id for m in result.metrics.tasks) == [t.task_id for t in planned]
 
 
 def test_persistent_faults_raise_task_failure(demo_dataset, tmp_path):
@@ -584,7 +587,7 @@ def test_deterministic_error_is_not_retried(demo_dataset, tmp_path):
     )
     with pytest.raises(TaskFailure) as exc:
         run(job, EngineConfig(cores_per_executor=2), fault_hook=fault_hook)
-    n_tasks = len(plan(job, EngineConfig()))
+    n_tasks = len(tasks_from_counts(job, [f.entries for f in manifest.files], ()))
     assert sorted(task_id for task_id, _ in exc.value.failures) == list(range(n_tasks))
     assert all("integer division by zero" in reason for _, reason in exc.value.failures)
     assert attempts == [1] * n_tasks
@@ -1125,6 +1128,41 @@ def test_runs_of_one_worker_count_share_their_threads(demo_dataset, tmp_path):
         run(job, EngineConfig(cores_per_executor=2), fault_hook=lambda *_: seen.add(threading.get_ident()))
     assert 1 <= len(threads[1]) and threads[1] <= threads[0] and len(threads[0]) <= 2
     assert threading.get_ident() not in threads[0]
+
+
+# Runs of 1, 2, 4 and 8 workers, twice round, in one fresh process: whether
+# each run found its count's pool of the first round, and how many worker
+# threads are alive at the end. Each task sleeps, so that no worker is idle
+# before its run has handed out every task and the pool has made all its
+# threads.
+_COUNTS_TWICE = """
+import json, sys, threading, time
+from dataclasses import replace
+from treeduce.engine import EngineConfig, JobSpec, memory, run
+job = JobSpec(**json.loads(sys.argv[1]))
+first, same = {}, []
+for rnd in range(2):
+    for count in (1, 2, 4, 8):
+        run(replace(job, output=f"{job.output}{rnd}-{count}"), EngineConfig(cores_per_executor=count),
+            fault_hook=lambda task, attempt: time.sleep(0.01))
+        pool = memory.worker_pool(count)
+        same.append(first.setdefault(count, pool) is pool)
+threads = [t for t in threading.enumerate() if t.name.startswith("treeduce-worker")]
+print(json.dumps({"same": same, "threads": len(threads)}))
+"""
+
+
+def test_every_worker_count_keeps_its_pool(demo_dataset, tmp_path):
+    data_dir, _, manifest = demo_dataset
+    job = demo_reduction(data_dir, manifest, tmp_path / "out-", partition_entries=1024)
+    assert len(job.inputs) * -(-manifest.files[0].entries // 1024) >= 8  # a task per thread
+    env = dict(os.environ, PYTHONPATH=str(Path(treeduce.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _COUNTS_TWICE, json.dumps(asdict(job))],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"same": [True] * 8, "threads": 1 + 2 + 4 + 8}
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")

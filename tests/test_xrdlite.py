@@ -128,10 +128,14 @@ def test_read_boundaries(served_file):
         conn.close()
 
 
-def test_open_failures(served_file):
+def test_open_failures(served_file, tmp_path, tmp_path_factory):
+    (tmp_path / "subdir").mkdir()
+    outside = tmp_path_factory.mktemp("outside") / "data.bin"
+    outside.write_bytes(CONTENT)
+    (tmp_path / "link.bin").symlink_to(outside)  # inside the root, pointing out of it
     conn = XrdConnection(served_file)
     try:
-        for path in ["missing.bin", "../escape.bin", "a/../../etc/passwd"]:
+        for path in ["missing.bin", "../escape.bin", "a/../../etc/passwd", "subdir", "link.bin"]:
             with pytest.raises(XrdStatusError) as exc:
                 conn.open(path)
             assert exc.value.status == P.ST_NOT_FOUND
