@@ -66,7 +66,7 @@ def _cmd_generate(args) -> int:
 def _cmd_serve(args) -> int:
     try:
         server = XrdServer(ServerConfig(args.root, args.host, args.port, args.bandwidth_cap))
-    except ValueError as exc:  # a cap of 0 or less
+    except ValueError as exc:  # a cap of 0 or less, a port outside 0-65535
         return _user_error(args.command, exc)
     signal.signal(signal.SIGTERM, _interrupt)
     server.start()

@@ -24,10 +24,8 @@ _KIND_DTYPE = {
 class Task:
     task_id: int
     input: str
-    tree: str
     entry_start: int
     entry_stop: int
-    columns: tuple[str, ...]  # closure of keep + skim + derived references
 
     @property
     def n_entries(self) -> int:
@@ -35,11 +33,10 @@ class Task:
 
 
 class JobExprs(NamedTuple):
-    """A job's parsed expressions and the input columns they and ``keep`` need."""
+    """A job's parsed skim and derived expressions."""
 
     skim: exprlang.Expr | None
     derived: list[tuple[str, exprlang.Expr]]
-    columns: tuple[str, ...]
 
 
 def parse_job_exprs(job: JobSpec) -> JobExprs:
@@ -49,29 +46,26 @@ def parse_job_exprs(job: JobSpec) -> JobExprs:
         derived = [(name, exprlang.parse(text)) for name, text in job.derived]
     except exprlang.ParseError as exc:
         raise EngineError(f"bad expression in job: {exc}") from exc
-    names = set(job.keep_columns)
-    if skim is not None:
-        names |= exprlang.column_refs(skim)
-    for _, expr in derived:
-        names |= exprlang.column_refs(expr)
-    return JobExprs(skim, derived, tuple(sorted(names)))
+    return JobExprs(skim, derived)
 
 
 def sink_inputs(
     skim: exprlang.Expr | None, exprs: list[exprlang.Expr], keep=()
-) -> tuple[tuple[str, ...], frozenset[exprlang.Expr]]:
-    """What a sink evaluating ``exprs`` is handed: columns, and nodes shared with the skim.
+) -> tuple[tuple[str, ...], tuple[str, ...], frozenset[exprlang.Expr]]:
+    """The columns a task reads and its sink is handed, and the nodes shared with the skim.
 
     The skim's values of a shared node, selected like a column, stand in
     for the node, so a column the sink reads only inside shared nodes is
-    not selected for it. The columns are those ``exprs`` read outside
-    shared nodes, plus ``keep``.
+    not selected for it. The selected columns are those ``exprs`` read
+    outside shared nodes, plus ``keep``. A task reads them and the skim's
+    columns: every column the job refers to, as shared nodes lie in the skim.
     """
     shared = exprlang.shared_nodes(skim, exprs)
-    names = set(keep)
+    selected = set(keep)
     for expr in exprs:
-        names |= exprlang.column_refs(expr, shared)
-    return tuple(sorted(names)), shared
+        selected |= exprlang.column_refs(expr, shared)
+    read = selected if skim is None else selected | exprlang.column_refs(skim)
+    return tuple(sorted(read)), tuple(sorted(selected)), shared
 
 
 def check_skim(skim: exprlang.Expr | None, schema: Schema) -> None:
@@ -150,15 +144,13 @@ def probe_inputs(
     return schema, directories
 
 
-def tasks_from_counts(
-    job: JobSpec, entry_counts: list[int], columns: tuple[str, ...]
-) -> list[Task]:
+def tasks_from_counts(job: JobSpec, entry_counts: list[int]) -> list[Task]:
     """Per input, ceil(entries / partition_entries) tasks in file-then-entry order."""
     tasks: list[Task] = []
     task_id = 0
     for path, n_entries in zip(job.inputs, entry_counts):
         for start in range(0, n_entries, job.partition_entries):
             stop = min(start + job.partition_entries, n_entries)
-            tasks.append(Task(task_id, path, job.tree, start, stop, columns))
+            tasks.append(Task(task_id, path, start, stop))
             task_id += 1
     return tasks

@@ -8,9 +8,10 @@ seed-1 demo jobs (4 x 262,144 events) in one process ran ``hist`` 1.62x and
 job.
 
 Planning probes the inputs for the sink's ``columns`` and lets the sink
-``prepare`` against their schema. Every task then reads those columns,
-evaluates the job's skim once, and hands the sink the selected entries of
-its ``selected`` columns and of the values of its ``shared`` nodes:
+``prepare`` against their schema. Every task then reads those columns of
+the job's tree over its entry range, evaluates the job's skim once, and
+hands the sink the selected entries of its ``selected`` columns and of
+the values of its ``shared`` nodes:
 
 * :class:`PartSink` (``run``, the ``reduce`` command) derives, encodes and
   writes ``part-NNNNN.trf``. The writer only renames its file into place
@@ -43,13 +44,14 @@ and fetches the baskets it needs with one vectored read
 (``EngineConfig.planned_reads``).
 
 A run reads remote inputs over one pool of xrdlite connections, one per
-server and thread (``xrdlite.ConnectionPool``): the planner uses the
-calling thread's, and each task its worker thread's. Every task still
-opens its own handle on its input and closes it when it ends, so the
-check of a task's input against the planner's directory still sees a
-file that changed since planning. A connection that breaks mid-request
-is closed and dropped, and the task's second attempt opens a fresh one.
-Every connection closes when ``run`` or ``fill`` returns or raises.
+server and thread (``xrdlite.ConnectionPool``), which owns every one of
+them: the planner opens its inputs over the calling thread's, and each
+task over its worker thread's. Every task still opens its own handle on
+its input and closes it when it ends, so the check of a task's input
+against the planner's directory still sees a file that changed since
+planning. A connection that breaks mid-request is left to the pool, which
+closes it and opens a fresh one when the task's second attempt opens its
+input. Every connection closes when ``run`` or ``fill`` returns or raises.
 Local inputs are opened as one file per task.
 
 Tasks run on a ``ThreadPoolExecutor`` of ``worker_count`` threads, and
@@ -147,8 +149,7 @@ class PartSink:
         self.job = job
         self.exprs = exprs
         self.out_dir = Path(job.output)
-        self.columns = exprs.columns
-        self.selected, self.shared = sink_inputs(
+        self.columns, self.selected, self.shared = sink_inputs(
             exprs.skim, [expr for _, expr in exprs.derived], job.keep_columns
         )
         self.out_schema: Schema = {}
@@ -174,7 +175,7 @@ class PartSink:
 
         part_path = self.out_dir / f"part-{task.task_id:05d}.trf"
         with TreeFileWriter(part_path) as writer:
-            writer.begin_tree(task.tree, self.out_schema)
+            writer.begin_tree(self.job.tree, self.out_schema)
             if n:
                 writer.extend(out_columns)
             writer.end_tree()
@@ -198,11 +199,7 @@ class FillSink:
     def __init__(self, agg: histagg.Aggregator, exprs: JobExprs):
         self.agg = agg
         self.skim = exprs.skim
-        self.selected, self.shared = sink_inputs(exprs.skim, agg.quantities())
-        needed = set(self.selected)
-        if exprs.skim is not None:
-            needed |= exprlang.column_refs(exprs.skim)
-        self.columns = tuple(sorted(needed))
+        self.columns, self.selected, self.shared = sink_inputs(exprs.skim, agg.quantities())
 
     def prepare(self, schema: Schema) -> None:
         histagg.typecheck_aggregator(self.agg, schema)
@@ -256,6 +253,7 @@ class _Runner:
             self.fault_hook(task, attempt)
         laps = _Laps()
         io = IoStats()
+        tree, names = self.job.tree, self.sink.columns
         source = open_source(
             task.input, read_ahead=self.engine.read_ahead, stats=io, connections=self.connections
         )
@@ -264,15 +262,15 @@ class _Runner:
                 reader = TreeFileReader(
                     source, own_source=False, directory=self.directories[task.input]
                 )
-                reader.prefetch(task.tree, task.columns, task.entry_start, task.entry_stop)
+                reader.prefetch(tree, names, task.entry_start, task.entry_stop)
             else:
                 reader = open_file(source)
             laps.end("fetch")
             # without planned reads, read_column fetches the baskets: in this span
             with reader:  # closing frees the prefetched baskets before the skim
                 columns = {
-                    name: reader.read_column(task.tree, name, task.entry_start, task.entry_stop)
-                    for name in task.columns
+                    name: reader.read_column(tree, name, task.entry_start, task.entry_stop)
+                    for name in names
                 }
             laps.end("decode")
             n_in = task.n_entries
@@ -333,7 +331,7 @@ class _Runner:
             self.sink.prepare(schema)
             self.directories = dict(zip(job.inputs, directories))
             counts = [trees[job.tree].n_entries for _, trees in directories]
-            self.tasks = tasks_from_counts(job, counts, self.sink.columns)
+            self.tasks = tasks_from_counts(job, counts)
             return self._execute()
         finally:
             self.connections.close()

@@ -369,7 +369,9 @@ class _SpecParser:
             return Sum(expr)
         if text == "bin":
             self.expect("punct", "(")
-            num = int(self.number())
+            num = self.number()
+            if not num.is_integer():  # nor are inf and nan
+                raise HistError(f"bad histogram spec: bin count must be a whole number, got {num}")
             self.expect("punct", ",")
             low = self.number()
             self.expect("punct", ",")
@@ -381,7 +383,7 @@ class _SpecParser:
                 self.advance()
                 value = self.spec()
             self.expect("punct", ")")
-            return Bin.create(num, low, high, expr, value)
+            return Bin.create(int(num), low, high, expr, value)
         raise HistError(f"bad histogram spec: unknown aggregator {text!r} at offset {offset}")
 
     def number(self) -> float:

@@ -94,19 +94,16 @@ def open_source(
     *,
     read_ahead: int = READ_AHEAD,
     stats: IoStats | None = None,
-    connections: ConnectionPool | None = None,
+    connections: ConnectionPool,
 ) -> ByteSource:
     """Open a local path or an ``xrdl://host:port/path`` URL as a byte source.
 
     ``read_ahead`` is the least a remote read fetches; local reads ignore it.
-    A remote source opens its own connection and closes it with itself,
-    unless ``connections`` lends it the calling thread's connection to the
-    server; it opens its own handle either way and closes that with itself.
+    A remote source reads over the calling thread's connection from
+    ``connections``, which owns and closes it; the source opens its own
+    handle on the file and closes that with itself.
     """
     text = str(path_or_url)
     if text.startswith("xrdl://"):
-        from .xrdlite.client import connector_open, parse_url
-
-        host, port, remote_path = parse_url(text)
-        return connector_open((host, port), remote_path, read_ahead, stats, connections)
+        return connections.open(text, read_ahead, stats)
     return FileSource(text, stats=stats)

@@ -9,7 +9,7 @@ from .client import (
     XrdError,
     XrdProtocolError,
     XrdStatusError,
-    connector_open,
+    XrdUrlError,
     parse_url,
 )
 from .protocol import (
@@ -37,7 +37,7 @@ __all__ = [
     "XrdError",
     "XrdProtocolError",
     "XrdStatusError",
-    "connector_open",
+    "XrdUrlError",
     "parse_url",
     "MAX_FRAME",
     "OP_OPEN",

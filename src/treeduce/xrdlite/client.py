@@ -30,14 +30,22 @@ class XrdStatusError(XrdError):
         self.status = status
 
 
+class XrdUrlError(XrdError, ValueError):
+    """A URL that is not ``xrdl://host[:port]/path``."""
+
+
 def parse_url(url: str) -> tuple[str, int, str]:
     """Split ``xrdl://host:port/path`` into (host, port, path)."""
-    parts = urlsplit(url)
+    try:
+        parts = urlsplit(url)
+        port = parts.port
+    except ValueError as exc:  # a port that is no number in 0-65535, a malformed IPv6 host
+        raise XrdUrlError(f"bad xrdl URL {url!r}: {exc}") from None
     if parts.scheme != "xrdl":
-        raise ValueError(f"not an xrdl URL: {url!r}")
+        raise XrdUrlError(f"not an xrdl URL: {url!r}")
     if not parts.hostname:
-        raise ValueError(f"missing host in {url!r}")
-    return parts.hostname, parts.port or DEFAULT_PORT, parts.path or "/"
+        raise XrdUrlError(f"missing host in {url!r}")
+    return parts.hostname, port or DEFAULT_PORT, parts.path or "/"
 
 
 class XrdConnection:
@@ -164,10 +172,8 @@ class RemoteByteSource:
     :meth:`read_ranges` fetches exactly the ranges asked for, with no
     window.
 
-    A source that ``owns_conn`` closes its connection with itself; one
-    that borrowed it from a :class:`ConnectionPool` only sends CLOSE for
-    its handle, unless the connection broke, which it then closes so the
-    pool opens a fresh one.
+    The source reads over a connection lent by a :class:`ConnectionPool`
+    (:meth:`ConnectionPool.open`) and owns only its handle on the file.
     """
 
     def __init__(
@@ -177,11 +183,8 @@ class RemoteByteSource:
         file_len: int,
         read_ahead: int,
         stats: IoStats | None = None,
-        *,
-        owns_conn: bool = True,
     ):
         self._conn = conn
-        self._owns_conn = owns_conn
         self._handle = handle
         self._size = file_len
         self._read_ahead = read_ahead
@@ -231,23 +234,24 @@ class RemoteByteSource:
         return parts
 
     def close(self) -> None:
-        """Close the handle; raises nothing, so it cannot mask the error that broke a connection."""
+        """Close the handle, unless the connection broke; the pool closes the connection.
+
+        Raises nothing, so it cannot mask the error that broke a connection.
+        """
         if not self._conn.broken:
             try:
                 self._conn.close_handle(self._handle)
             except (XrdError, OSError):
                 pass
-        if self._owns_conn or self._conn.broken:
-            self._conn.close()
 
 
 class ConnectionPool:
-    """One connection per server address and thread, open until :meth:`close`.
+    """Owner of every client connection: one per server and thread, open until :meth:`close`.
 
-    :meth:`connection` lends the calling thread its connection to
-    ``address``, opened on first use and opened afresh once the last one
-    broke. A connection is only ever lent to one thread, so it stays
-    single-owner.
+    :meth:`open` opens a remote file over the calling thread's connection
+    to its server. :meth:`connection` lends that connection, opened on
+    first use, and closes a broken one and opens a fresh one in its place.
+    A connection is only ever lent to one thread, so it stays single-owner.
     """
 
     def __init__(self):
@@ -265,32 +269,19 @@ class ConnectionPool:
                 self._conns[key] = conn
         return conn
 
+    def open(self, url: str, read_ahead: int, stats: IoStats | None = None) -> RemoteByteSource:
+        """Open ``xrdl://host:port/path`` as a byte source over the calling thread's connection.
+
+        Its reads fetch at least ``read_ahead`` bytes. The source opens a
+        handle of its own, and closes it with itself.
+        """
+        host, port, path = parse_url(url)
+        conn = self.connection((host, port))
+        handle, file_len = conn.open(path)
+        return RemoteByteSource(conn, handle, file_len, read_ahead, stats)
+
     def close(self) -> None:
         with self._lock:
             conns, self._conns = list(self._conns.values()), {}
         for conn in conns:
             conn.close()
-
-
-def connector_open(
-    address: tuple[str, int],
-    path: str,
-    read_ahead: int,
-    stats: IoStats | None = None,
-    connections: ConnectionPool | None = None,
-) -> RemoteByteSource:
-    """Open a remote file as a byte source whose reads fetch at least ``read_ahead`` bytes.
-
-    The source opens a connection of its own, or borrows the calling
-    thread's from ``connections``; either way it has a handle of its own.
-    """
-    conn = XrdConnection(address) if connections is None else connections.connection(address)
-    try:
-        handle, file_len = conn.open(path)
-    except BaseException:
-        if connections is None or conn.broken:
-            conn.close()
-        raise
-    return RemoteByteSource(
-        conn, handle, file_len, read_ahead, stats, owns_conn=connections is None
-    )

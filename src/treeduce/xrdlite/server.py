@@ -257,6 +257,8 @@ class XrdServer:
             raise FileNotFoundError(f"root_dir {config.root_dir!r} is not a directory")
         if config.bandwidth_cap is not None and config.bandwidth_cap <= 0:
             raise ValueError("bandwidth_cap must be positive when set")
+        if not 0 <= config.port <= 65535:
+            raise ValueError(f"port must be 0-65535, got {config.port}")
         self.config = config
         bucket = TokenBucket(config.bandwidth_cap) if config.bandwidth_cap else None
         self._server = _TcpServer((config.host, config.port), root, bucket)

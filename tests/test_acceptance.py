@@ -44,7 +44,7 @@ from treeduce.histagg import Bin, Sum, combine
 from treeduce.iostats import IoStats
 from treeduce.sources import BytesSource, open_source
 from treeduce.treefile import Codec, ColumnChunk, TreeFileError, open_file, write_tree
-from treeduce.xrdlite import ServerConfig, serve
+from treeduce.xrdlite import ConnectionPool, ServerConfig, serve
 from treeduce.xrdlite.throttle import TokenBucket
 
 # every engine run the gate performs, for the accounting check in criterion 5
@@ -513,24 +513,28 @@ def test_criterion_8_connector_equivalence(tmp_path, serve_dir):
 
     rng = np.random.default_rng(8)
     mismatches = 0
-    for read_ahead in (1, 4096, 65536, 1 << 20):
-        source = open_source(url, read_ahead=read_ahead)
+    stats = IoStats()
+    pool = ConnectionPool()
+    try:
+        for read_ahead in (1, 4096, 65536, 1 << 20):
+            source = open_source(url, read_ahead=read_ahead, connections=pool)
+            try:
+                for _ in range(120):
+                    offset = int(rng.integers(0, len(raw) + 1000))
+                    length = int(rng.integers(0, 200_000))
+                    if source.read_at(offset, length) != raw[offset : offset + length]:
+                        mismatches += 1
+            finally:
+                source.close()
+
+        source = open_source(url, read_ahead=1, stats=stats, connections=pool)
         try:
-            for _ in range(120):
-                offset = int(rng.integers(0, len(raw) + 1000))
-                length = int(rng.integers(0, 200_000))
-                if source.read_at(offset, length) != raw[offset : offset + length]:
-                    mismatches += 1
+            for offset in range(0, len(raw) - 512, 512):
+                source.read_at(offset, 512)
         finally:
             source.close()
-
-    stats = IoStats()
-    source = open_source(url, read_ahead=1, stats=stats)
-    try:
-        for offset in range(0, len(raw) - 512, 512):
-            source.read_at(offset, 512)
     finally:
-        source.close()
+        pool.close()
     ok = mismatches == 0 and stats.amplification == 1.0
     _verdict(
         8,

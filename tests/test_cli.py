@@ -339,9 +339,17 @@ def test_hist_typechecks_skim_and_quantity(cli_dataset, tmp_path, capsys, skim, 
          "finite low < high"),
         (["serve", "--root", "{tmp}", "--port", "0", "--bandwidth-cap", "0"], "must be positive"),
         (["serve", "--root", "{tmp}", "--port", "0", "--bandwidth-cap", "-1"], "must be positive"),
+        (["reduce", "--job", "{port_out_of_range}"], "Port out of range"),
+        (["hist", "--job", "{no_host}", "--spec", "count", "--out", "{tmp}/h.csv"], "missing host"),
+        (["serve", "--root", "{tmp}", "--port", "70000"], "port must be 0-65535, got 70000"),
+        (["serve", "--root", "{tmp}", "--port", "-1"], "port must be 0-65535, got -1"),
+        (["hist", "--job", "{good}", "--spec", "bin(1e999, 0, 1, 'MET')", "--out", "{tmp}/h.csv"],
+         "bin count must be a whole number"),
     ],
     ids=["missing-column", "missing-job-file", "corrupt-input", "hist-corrupt-input", "bad-spec",
-         "missing-manifest", "infinite-high-edge", "infinite-low-edge", "zero-cap", "negative-cap"],
+         "missing-manifest", "infinite-high-edge", "infinite-low-edge", "zero-cap", "negative-cap",
+         "url-port-out-of-range", "url-without-host", "port-too-high", "negative-port",
+         "infinite-bin-count"],
 )
 def test_user_errors_print_a_message_and_return_1(cli_dataset, tmp_path, capsys, argv, message):
     data_dir, manifest = cli_dataset
@@ -351,6 +359,8 @@ def test_user_errors_print_a_message_and_return_1(cli_dataset, tmp_path, capsys,
     jobs = {
         "missing_column": _job_text(inputs, tmp_path / "o", keep="MET, Nope"),
         "corrupt_input": _job_text([corrupt], tmp_path / "o"),
+        "port_out_of_range": _job_text(["xrdl://127.0.0.1:99999/a.trf"], tmp_path / "o"),
+        "no_host": _job_text(["xrdl:///a.trf"], tmp_path / "o"),
         "good": _job_text(inputs, tmp_path / "o"),
     }
     for name, text in jobs.items():

@@ -176,7 +176,7 @@ def test_job_spec_validation():
 
 def test_tasks_split_each_input_by_ceil_division():
     job = JobSpec(inputs=["a", "b"], tree="t", keep_columns=["x"], partition_entries=4)
-    tasks = tasks_from_counts(job, [10, 8], parse_job_exprs(job).columns)
+    tasks = tasks_from_counts(job, [10, 8])
     spans = [(t.input, t.entry_start, t.entry_stop) for t in tasks]
     assert spans == [
         ("a", 0, 4),
@@ -186,7 +186,7 @@ def test_tasks_split_each_input_by_ceil_division():
         ("b", 4, 8),
     ]
     assert [t.task_id for t in tasks] == list(range(5))
-    assert all(t.columns == ("x",) for t in tasks)
+    assert runner.PartSink(job, parse_job_exprs(job)).columns == ("x",)
     assert tasks[2].n_entries == 2
 
 
@@ -198,7 +198,12 @@ def test_required_columns_includes_expression_refs():
         skim="nMuon >= 2",
         derived=[("lead", "max(Muon_pt)")],
     )
-    assert parse_job_exprs(job).columns == ("MET", "Muon_pt", "nMuon")
+    assert runner.PartSink(job, parse_job_exprs(job)).columns == ("MET", "Muon_pt", "nMuon")
+    # a column the sink reads only inside a node it shares with the skim is
+    # not selected for it, but every task still reads it for the skim
+    job.keep_columns, job.skim, job.derived = [], "max(Muon_pt) > 20", [("lead", "max(Muon_pt)")]
+    sink = runner.PartSink(job, parse_job_exprs(job))
+    assert (sink.columns, sink.selected) == (("Muon_pt",), ())
 
 
 def test_plan_probes_entry_counts(demo_dataset, tmp_path):
@@ -208,7 +213,7 @@ def test_plan_probes_entry_counts(demo_dataset, tmp_path):
     run(job, EngineConfig(), fault_hook=lambda task, attempt: tasks.append(task))
     assert len(tasks) == spec.n_files * -(-spec.n_events // 1000)
     assert sum(t.n_entries for t in tasks) == spec.n_files * spec.n_events
-    assert {t.columns for t in tasks} == {("MET", "Muon_pt", "nMuon")}
+    assert runner.PartSink(job, parse_job_exprs(job)).columns == ("MET", "Muon_pt", "nMuon")
 
 
 def test_plan_rejects_bad_jobs(demo_dataset, tmp_path):
@@ -555,7 +560,7 @@ def test_transient_fault_is_retried_once(demo_dataset, demo_expected, tmp_path):
     assert_outputs_match_reference(result, demo_expected)
     assert (2, 1) in attempts and (2, 2) in attempts
     # the failed attempt must not double-count metrics
-    planned = tasks_from_counts(job, [f.entries for f in manifest.files], ())
+    planned = tasks_from_counts(job, [f.entries for f in manifest.files])
     assert sorted(m.task_id for m in result.metrics.tasks) == [t.task_id for t in planned]
 
 
@@ -587,7 +592,7 @@ def test_deterministic_error_is_not_retried(demo_dataset, tmp_path):
     )
     with pytest.raises(TaskFailure) as exc:
         run(job, EngineConfig(cores_per_executor=2), fault_hook=fault_hook)
-    n_tasks = len(tasks_from_counts(job, [f.entries for f in manifest.files], ()))
+    n_tasks = len(tasks_from_counts(job, [f.entries for f in manifest.files]))
     assert sorted(task_id for task_id, _ in exc.value.failures) == list(range(n_tasks))
     assert all("integer division by zero" in reason for _, reason in exc.value.failures)
     assert attempts == [1] * n_tasks

@@ -365,6 +365,7 @@ def test_parse_hist_spec_forms():
     b = parse_hist_spec("bin(10, 0, 100, 'x')")
     assert (b.num, b.low, b.high) == (10, 0.0, 100.0)
     assert b.quantity == parse("x")
+    assert parse_hist_spec("bin(1e3, 0, 1, 'x')").num == 1000
     assert isinstance(b.values[0], Count)
     nested = parse_hist_spec('bin(2, -1.5, 1.5, "x", sum(\'w\'))')
     assert isinstance(nested.values[0], Sum)
@@ -379,6 +380,8 @@ def test_parse_hist_spec_forms():
         "",
         "bogus",
         "bin(0, 0, 1, 'x')",  # num < 1
+        "bin(2.5, 0, 1, 'x')",  # num not whole
+        "bin(1e999, 0, 1, 'x')",  # num infinite
         "bin(2, 1, 1, 'x')",  # empty range
         "bin(2, 0, 1)",  # missing quantity
         "sum()",

@@ -24,7 +24,6 @@ from treeduce.xrdlite import (
     XrdConnection,
     XrdProtocolError,
     XrdStatusError,
-    connector_open,
     parse_url,
     serve,
 )
@@ -44,6 +43,20 @@ def server(tmp_path, serve_dir):
 @pytest.fixture
 def served_file(server):
     return server.address
+
+
+def data_url(address, name="data.bin") -> str:
+    host, port = address
+    return f"xrdl://{host}:{port}/{name}"
+
+
+@pytest.fixture
+def open_remote(server):
+    """Opens ``data.bin`` as a byte source over a pool that teardown closes."""
+    pool = ConnectionPool()
+    yield lambda read_ahead=65536, stats=None: pool.open(data_url(server.address), read_ahead, stats)
+    pool.close()
+    assert open_connections(server) == 0
 
 
 def raw_socket(address) -> socket.socket:
@@ -414,7 +427,7 @@ def test_pool_lends_each_thread_one_connection_and_closes_them(server):
     pool = ConnectionPool()
     try:
         def read(offset):
-            src = connector_open(address, "data.bin", 64, connections=pool)
+            src = pool.open(data_url(address), 64)
             assert src.read_at(offset, 100) == CONTENT[offset : offset + 100]
             src.close()  # closes its handle, not the pooled connection
 
@@ -451,7 +464,7 @@ def test_pool_and_counters_hold_under_thread_contention(server):
     def work(index: int):
         try:
             for i in range(per_thread):
-                src = connector_open(server.address, "data.bin", 16, connections=pool)
+                src = pool.open(data_url(server.address), 16)
                 try:
                     offset = (index * per_thread + i) * 48 % len(CONTENT)  # whole 16-byte reads
                     assert src.read_at(offset, 16) == CONTENT[offset : offset + 16]
@@ -488,8 +501,8 @@ def test_a_status_error_keeps_the_pooled_connection(server):
     try:
         conn = pool.connection(server.address)
         with pytest.raises(XrdStatusError):
-            connector_open(server.address, "missing.bin", 64, connections=pool)
-        src = connector_open(server.address, "data.bin", 64, connections=pool)
+            pool.open(data_url(server.address, "missing.bin"), 64)
+        src = pool.open(data_url(server.address), 64)
         with pytest.raises(XrdStatusError):
             conn.stat(999)  # BadHandle
         assert src.read_at(0, 8) == CONTENT[:8]
@@ -507,7 +520,7 @@ def test_a_broken_pooled_connection_is_closed_and_replaced(tmp_path, serve_dir, 
     server = serve_dir(tmp_path, bandwidth_cap=1000)
     pool = ConnectionPool()
     try:
-        src = connector_open(server.address, "data.bin", 16, connections=pool)
+        src = pool.open(data_url(server.address), 16)
         conn = pool.connection(server.address)
         if break_it == "hang up":
             conn._sock.shutdown(socket.SHUT_RDWR)
@@ -518,10 +531,11 @@ def test_a_broken_pooled_connection_is_closed_and_replaced(tmp_path, serve_dir, 
         with pytest.raises(expected):
             src.read_at(0, 5000)
         assert conn.broken
-        src.close()  # raises nothing over the read's error, and closes the connection
+        src.close()  # raises nothing over the read's error, and leaves the connection to the pool
+        assert conn._sock.fileno() != -1
         fresh = pool.connection(server.address)
-        assert fresh is not conn
-        src = connector_open(server.address, "data.bin", 16, connections=pool)
+        assert fresh is not conn and conn._sock.fileno() == -1
+        src = pool.open(data_url(server.address), 16)
         assert src.read_at(0, 10) == CONTENT[:10]
         src.close()
     finally:
@@ -601,11 +615,9 @@ def test_readv_error_statuses(served_file):
         conn.close()
 
 
-def test_a_file_that_shrinks_after_open_fails_loudly(tmp_path, serve_dir):
-    (tmp_path / "data.bin").write_bytes(CONTENT)
-    server = serve_dir(tmp_path)
+def test_a_file_that_shrinks_after_open_fails_loudly(tmp_path, server, open_remote):
     conn = XrdConnection(server.address)
-    src = open_remote(server.address, read_ahead=64)
+    src = open_remote(read_ahead=64)
     try:
         handle, _ = conn.open("data.bin")
         os.truncate(tmp_path / "data.bin", 100)
@@ -641,9 +653,9 @@ def test_capped_server_sends_read_and_readv_payloads_whole(tmp_path, serve_dir):
         conn.close()
 
 
-def test_remote_read_ranges_bypass_the_window_and_count_bytes(served_file):
+def test_remote_read_ranges_bypass_the_window_and_count_bytes(open_remote):
     stats = IoStats()
-    src = open_remote(served_file, read_ahead=4096, stats=stats)
+    src = open_remote(read_ahead=4096, stats=stats)
     try:
         ranges = [(0, 100), (100, 50), (10000, 1000), (4, 0)]
         got = src.read_ranges(ranges)
@@ -703,12 +715,8 @@ def test_bandwidth_cap_slows_transfers(tmp_path, serve_dir):
 # --- prefetching connector ------------------------------------------------------
 
 
-def open_remote(address, read_ahead=65536, stats=None):
-    return connector_open(address, "data.bin", read_ahead, stats)
-
-
-def test_connector_matches_direct_reads(served_file):
-    src = open_remote(served_file, read_ahead=512)
+def test_connector_matches_direct_reads(open_remote):
+    src = open_remote(read_ahead=512)
     try:
         assert src.size == len(CONTENT)
         for offset, length in [(0, 10), (5, 5), (1000, 2000), (10239, 1), (10230, 100), (0, 10240)]:
@@ -719,10 +727,10 @@ def test_connector_matches_direct_reads(served_file):
         src.close()
 
 
-def test_cache_hits_and_eviction_accounting(served_file):
+def test_cache_hits_and_eviction_accounting(open_remote):
     assert CACHE_WINDOWS == 4
     stats = IoStats()
-    src = open_remote(served_file, read_ahead=1024, stats=stats)
+    src = open_remote(read_ahead=1024, stats=stats)
     try:
         src.read_at(0, 100)  # miss: fetch [0, 1024)
         src.read_at(100, 100)  # hit
@@ -745,9 +753,9 @@ def test_cache_hits_and_eviction_accounting(served_file):
         src.close()
 
 
-def test_amplification_is_one_without_read_ahead(served_file):
+def test_amplification_is_one_without_read_ahead(open_remote):
     stats = IoStats()
-    src = open_remote(served_file, read_ahead=1, stats=stats)
+    src = open_remote(read_ahead=1, stats=stats)
     try:
         for offset, length in [(0, 32), (64, 128), (500, 1), (9000, 1240)]:
             src.read_at(offset, length)
@@ -757,9 +765,9 @@ def test_amplification_is_one_without_read_ahead(served_file):
     assert stats.amplification == 1.0
 
 
-def test_read_ahead_clips_at_end_of_file(served_file):
+def test_read_ahead_clips_at_end_of_file(open_remote):
     stats = IoStats()
-    src = open_remote(served_file, read_ahead=1 << 20, stats=stats)
+    src = open_remote(read_ahead=1 << 20, stats=stats)
     try:
         src.read_at(10000, 16)
     finally:
@@ -775,9 +783,9 @@ def test_read_ahead_clips_at_end_of_file(served_file):
         max_size=30,
     ),
 )
-def test_connector_traffic_matches_cache_simulation(served_file, read_ahead, reads):
+def test_connector_traffic_matches_cache_simulation(open_remote, read_ahead, reads):
     stats = IoStats()
-    src = open_remote(served_file, read_ahead=read_ahead, stats=stats)
+    src = open_remote(read_ahead=read_ahead, stats=stats)
     try:
         for offset, length in reads:
             got = src.read_at(offset, length)
