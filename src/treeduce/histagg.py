@@ -11,10 +11,21 @@ NaN lands in nanflow, and the in-range index is
 floor((q - low) / (high - low) * num), clamped to num - 1 to absorb
 round-up at the top edge.
 
+Each aggregator keeps its state in f64 arrays with one slot per *cell*
+of the Bins above it; a top-level aggregator has one cell. ``Count``
+keeps ``entries``, ``Sum`` keeps ``entries`` and ``sum``, and a Bin
+keeps ``entries`` and one child aggregator, ``value``, with
+``num + 3`` cells for each of its own: cell ``c * (num + 3) + k`` of
+the child holds what the Bin's cell ``c`` routed to bin ``k``, where
+``k = num, num + 1, num + 2`` are underflow, overflow and nanflow. A
+Bin fills its child once per chunk, handing it each entry's cell. The
+cells of all levels together may number at most ``MAX_CELLS``; a
+larger histogram is a ``HistError`` when it is created.
+
+Quantities are evaluated once over the whole chunk, at every level.
 Besides columns, the ``columns`` a filling reads may hold the values of
 subexpressions of its quantities, keyed by ``Expr`` (see
-``exprlang.evaluate``). A nested aggregator gets the entries of its bin
-from every one of them its quantities read.
+``exprlang.evaluate``).
 """
 
 from __future__ import annotations
@@ -33,10 +44,11 @@ from .exprlang import (
     ParseError,
     evaluate,
     parse,
-    reads,
     typecheck,
 )
 from .treefile import ColumnChunk, Dtype, Shape
+
+MAX_CELLS = 1 << 20
 
 
 class HistError(Exception):
@@ -61,147 +73,146 @@ def _scalar_quantity(quantity: Expr, columns: dict[str, ColumnChunk], n: int) ->
     return result.values.astype(np.float64, copy=False)
 
 
-@dataclass
-class Count:
-    """Weighted event counter; the leaf of most histograms."""
+def _zeros() -> np.ndarray:
+    return np.zeros(1)
 
-    entries: float = 0.0
+
+def _per_cell(w: np.ndarray, cell: np.ndarray | None, cells: int):
+    """Σ ``w`` per cell; ``cell`` None puts every entry in the one cell of a top level."""
+    if cell is None:
+        return np.sum(w)
+    return np.bincount(cell, weights=w, minlength=cells)
+
+
+def _cells(agg, cells: int) -> int:
+    """The cells of every level of ``agg``'s structure put under ``cells`` cells."""
+    if isinstance(agg, Bin):
+        return cells + _cells(agg.value, cells * (agg.num + 3))
+    return cells
+
+
+class _Cells:
+    """What every aggregator does the same way with its ``entries`` per cell."""
 
     def fill_chunk(self, columns: dict[str, ColumnChunk], n: int, weights=None) -> None:
-        w = _as_weights(n, weights)
-        self.entries += float(np.sum(w))
+        self._add(columns, n, _as_weights(n, weights), None)
+
+    def copy_structure(self):
+        return self._sized(len(self.entries))
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(
+            np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+            for a, b in zip(vars(self).values(), vars(other).values())
+        )
+
+    def validate(self) -> None:
+        if not np.all(self.entries >= 0):
+            raise HistError(f"{type(self).__name__} entries {np.min(self.entries)} < 0")
+
+
+@dataclass(eq=False)
+class Count(_Cells):
+    """Weighted event counter; the leaf of most histograms."""
+
+    entries: np.ndarray = field(default_factory=_zeros)
+
+    def _add(self, columns, n: int, w: np.ndarray, cell: np.ndarray | None) -> None:
+        self.entries += _per_cell(w, cell, len(self.entries))
 
     def combine(self, other: "Count") -> "Count":
         if not isinstance(other, Count):
             raise HistError(f"cannot combine Count with {type(other).__name__}")
         return Count(self.entries + other.entries)
 
-    def copy_structure(self) -> "Count":
-        return Count()
-
-    def validate(self) -> None:
-        if not self.entries >= 0:
-            raise HistError(f"Count entries {self.entries} < 0")
+    def _sized(self, cells: int) -> "Count":
+        return Count(np.zeros(cells))
 
     def quantities(self) -> list[Expr]:
         return []
 
 
-@dataclass
-class Sum:
+@dataclass(eq=False)
+class Sum(_Cells):
     """Accumulates Σ weight and Σ weight × quantity."""
 
     quantity: Expr
-    entries: float = 0.0
-    sum: float = 0.0
+    entries: np.ndarray = field(default_factory=_zeros)
+    sum: np.ndarray = field(default_factory=_zeros)
 
-    def fill_chunk(self, columns: dict[str, ColumnChunk], n: int, weights=None) -> None:
-        w = _as_weights(n, weights)
+    def _add(self, columns, n: int, w: np.ndarray, cell: np.ndarray | None) -> None:
         q = _scalar_quantity(self.quantity, columns, n)
-        self.entries += float(np.sum(w))
-        self.sum += float(np.sum(w * q))
+        self.entries += _per_cell(w, cell, len(self.entries))
+        self.sum += _per_cell(w * q, cell, len(self.sum))
 
     def combine(self, other: "Sum") -> "Sum":
         if not isinstance(other, Sum) or other.quantity != self.quantity:
             raise HistError("cannot combine structurally different Sum aggregators")
         return Sum(self.quantity, self.entries + other.entries, self.sum + other.sum)
 
-    def copy_structure(self) -> "Sum":
-        return Sum(self.quantity)
-
-    def validate(self) -> None:
-        if not self.entries >= 0:
-            raise HistError(f"Sum entries {self.entries} < 0")
+    def _sized(self, cells: int) -> "Sum":
+        return Sum(self.quantity, np.zeros(cells), np.zeros(cells))
 
     def quantities(self) -> list[Expr]:
         return [self.quantity]
 
 
-@dataclass
-class Bin:
+@dataclass(eq=False)
+class Bin(_Cells):
     """Regular binning of a scalar quantity with under/over/nanflow."""
 
     num: int
     low: float
     high: float
     quantity: Expr
-    values: list = field(default_factory=list)
-    underflow: object = None
-    overflow: object = None
-    nanflow: object = None
-    entries: float = 0.0
-
-    def __post_init__(self):
-        if self.num < 1:
-            raise HistError(f"Bin needs num >= 1, got {self.num}")
-        if not (self.low < self.high and math.isfinite(self.high - self.low)):
-            raise HistError(f"Bin needs finite low < high, got [{self.low}, {self.high})")
-        if not self.values:
-            self.values = [Count() for _ in range(self.num)]
-        if len(self.values) != self.num:
-            raise HistError(f"Bin has {len(self.values)} sub-aggregators, expected {self.num}")
-        if self.underflow is None:
-            self.underflow = self.values[0].copy_structure()
-        if self.overflow is None:
-            self.overflow = self.values[0].copy_structure()
-        if self.nanflow is None:
-            self.nanflow = self.values[0].copy_structure()
+    value: Count | Sum | Bin
+    entries: np.ndarray
 
     @classmethod
     def create(cls, num: int, low: float, high: float, quantity: Expr, value=None) -> "Bin":
+        low, high = float(low), float(high)
+        if num < 1:
+            raise HistError(f"Bin needs num >= 1, got {num}")
+        if not (low < high and math.isfinite(high - low)):
+            raise HistError(f"Bin needs finite low < high, got [{low}, {high})")
         template = value if value is not None else Count()
-        return cls(
-            num, float(low), float(high), quantity,
-            values=[template.copy_structure() for _ in range(num)],
-        )
+        cells = 1 + _cells(template, num + 3)
+        if cells > MAX_CELLS:
+            raise HistError(f"histogram has {cells} cells, more than {MAX_CELLS}")
+        return cls(num, low, high, quantity, template._sized(num + 3), _zeros())
 
-    def _route(self, q: np.ndarray):
-        """Each value's bin, or ``num`` for a value outside ``[low, high)`` or NaN.
+    def _route(self, q: np.ndarray) -> np.ndarray:
+        """Each value's bin; ``num``, ``num + 1`` and ``num + 2`` for under-, over- and nanflow.
 
-        The bins are computed over the whole chunk and the few values
-        outside masked after: a kept event's quantity is nearly always
-        inside, and boolean indexing on so dense a mask costs more than
-        the arithmetic it saves.
+        The index is computed over the whole chunk and the few values
+        outside overwritten after: a kept event's quantity is nearly
+        always inside, and boolean indexing on so dense a mask costs
+        more than the arithmetic it saves.
         """
-        nan = np.isnan(q)
-        under = q < self.low
-        over = q >= self.high
-        inside = ~(nan | under | over)
-        # values outside may overflow or be NaN or inf, which cast to no int; masked below
+        # values outside may overflow or be NaN or inf; each is overwritten below
         with np.errstate(over="ignore", invalid="ignore"):
-            scaled = (q - self.low) / (self.high - self.low) * self.num
-            idx = np.minimum(np.floor(scaled).astype(np.int64), self.num - 1)
-        return np.where(inside, idx, self.num), under, over, nan
+            slot = q - self.low
+            slot /= self.high - self.low
+            slot *= self.num
+            np.floor(slot, out=slot)
+        np.minimum(slot, self.num - 1, out=slot)
+        slot[q < self.low] = self.num
+        slot[q >= self.high] = self.num + 1
+        slot[np.isnan(q)] = self.num + 2
+        return slot.astype(np.int64)
 
+    # Bin's own, so that wrapping Bin.fill_chunk (as perfbench's tracer does) wraps no other class's
     def fill_chunk(self, columns: dict[str, ColumnChunk], n: int, weights=None) -> None:
-        w = _as_weights(n, weights)
-        q = _scalar_quantity(self.quantity, columns, n)
-        idx, under, over, nan = self._route(q)
-        self.entries += float(np.sum(w))
+        self._add(columns, n, _as_weights(n, weights), None)
 
-        children_plain = all(isinstance(v, Count) for v in self.values)
-        if children_plain:
-            per_bin = np.bincount(idx, weights=w, minlength=self.num + 1)
-            for k in range(self.num):
-                self.values[k].entries += float(per_bin[k])
-        else:
-            for k in range(self.num):
-                mask = idx == k
-                if mask.any():
-                    self._fill_child(self.values[k], columns, mask, w)
-        for agg, mask in ((self.underflow, under), (self.overflow, over), (self.nanflow, nan)):
-            if isinstance(agg, Count):
-                agg.entries += float(np.sum(w[mask]))
-            elif mask.any():
-                self._fill_child(agg, columns, mask, w)
-
-    @staticmethod
-    def _fill_child(
-        child, columns: dict[str | Expr, ColumnChunk], mask: np.ndarray, w: np.ndarray
-    ) -> None:
-        needed = set().union(*(reads(q, columns) for q in child.quantities()))
-        sub = {key: chunk.select(mask) for key, chunk in columns.items() if key in needed}
-        child.fill_chunk(sub, int(np.sum(mask)), w[mask])
+    def _add(self, columns, n: int, w: np.ndarray, cell: np.ndarray | None) -> None:
+        slot = self._route(_scalar_quantity(self.quantity, columns, n))
+        self.entries += _per_cell(w, cell, len(self.entries))
+        if cell is not None:
+            slot += cell * (self.num + 3)
+        self.value._add(columns, n, w, slot)
 
     def combine(self, other: "Bin") -> "Bin":
         if (
@@ -214,34 +225,26 @@ class Bin:
             raise HistError("cannot combine structurally different Bin aggregators")
         return Bin(
             self.num, self.low, self.high, self.quantity,
-            values=[a.combine(b) for a, b in zip(self.values, other.values)],
-            underflow=self.underflow.combine(other.underflow),
-            overflow=self.overflow.combine(other.overflow),
-            nanflow=self.nanflow.combine(other.nanflow),
-            entries=self.entries + other.entries,
+            self.value.combine(other.value), self.entries + other.entries,
         )
 
-    def copy_structure(self) -> "Bin":
-        return Bin.create(self.num, self.low, self.high, self.quantity, self.values[0])
+    def _sized(self, cells: int) -> "Bin":
+        value = self.value._sized(cells * (self.num + 3))
+        return Bin(self.num, self.low, self.high, self.quantity, value, np.zeros(cells))
 
     def validate(self) -> None:
-        if not self.entries >= 0:
-            raise HistError(f"Bin entries {self.entries} < 0")
-        children = [*self.values, self.underflow, self.overflow, self.nanflow]
-        total = 0.0
-        for child in children:
-            child.validate()
-            total += child.entries
+        super().validate()
+        self.value.validate()
+        total = self.value.entries.reshape(-1, self.num + 3).sum(axis=1)
         # exact for integer weights; tolerance absorbs float-weight rounding
-        if total != self.entries and abs(total - self.entries) > 1e-9 * max(1.0, self.entries):
-            raise HistError(f"Bin entries {self.entries} != children total {total}")
+        off = np.abs(total - self.entries) > 1e-9 * np.maximum(1.0, self.entries)
+        if np.any(off):
+            k = int(np.argmax(off))
+            raise HistError(f"Bin entries {self.entries[k]} != children total {total[k]}")
 
     def quantities(self) -> list[Expr]:
         """Every quantity this filling evaluates, the children's included."""
-        out = [self.quantity]
-        for child in (*self.values, self.underflow, self.overflow, self.nanflow):
-            out += child.quantities()
-        return out
+        return [self.quantity, *self.value.quantities()]
 
 
 Aggregator = Count | Sum | Bin
@@ -284,24 +287,18 @@ def render(agg: Bin) -> str:
     """CSV table for a top-level Bin: one row per bin plus three flow rows."""
     if not isinstance(agg, Bin):
         raise HistError(f"render expects a Bin at top level, got {type(agg).__name__}")
-    with_sum = all(isinstance(v, Sum) for v in agg.values)
-    header = "bin_low,bin_high,entries" + (",sum" if with_sum else "")
-    lines = [header]
+    value = agg.value
+    with_sum = isinstance(value, Sum)
     width = agg.high - agg.low
-
-    def row(lo: float, hi: float, child) -> str:
-        cells = [repr(float(lo)), repr(float(hi)), repr(float(child.entries))]
+    lows = [agg.low + width * k / agg.num for k in range(agg.num)]
+    flows = [(float("-inf"), agg.low), (agg.high, float("inf")), (float("nan"), float("nan"))]
+    edges = [*zip(lows, [*lows[1:], agg.high]), *flows]
+    lines = ["bin_low,bin_high,entries" + (",sum" if with_sum else "")]
+    for k, (lo, hi) in enumerate(edges):
+        cells = [repr(float(lo)), repr(float(hi)), repr(float(value.entries[k]))]
         if with_sum:
-            cells.append(repr(float(child.sum)))
-        return ",".join(cells)
-
-    for k in range(agg.num):
-        lo = agg.low + width * k / agg.num
-        hi = agg.high if k + 1 == agg.num else agg.low + width * (k + 1) / agg.num
-        lines.append(row(lo, hi, agg.values[k]))
-    lines.append(row(float("-inf"), agg.low, agg.underflow))
-    lines.append(row(agg.high, float("inf"), agg.overflow))
-    lines.append(row(float("nan"), float("nan"), agg.nanflow))
+            cells.append(repr(float(value.sum[k])))
+        lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
 

@@ -45,7 +45,9 @@ def parse_url(url: str) -> tuple[str, int, str]:
         raise XrdUrlError(f"not an xrdl URL: {url!r}")
     if not parts.hostname:
         raise XrdUrlError(f"missing host in {url!r}")
-    return parts.hostname, port or DEFAULT_PORT, parts.path or "/"
+    if port == 0:
+        raise XrdUrlError(f"bad xrdl URL {url!r}: port 0")
+    return parts.hostname, DEFAULT_PORT if port is None else port, parts.path or "/"
 
 
 class XrdConnection:

@@ -550,24 +550,16 @@ def test_criterion_8_connector_equivalence(tmp_path, serve_dir):
 
 
 def _flat(agg) -> bytes:
-    leaves: list[float] = []
-
-    def walk(node):
-        if isinstance(node, Bin):
-            for child in [*node.values, node.underflow, node.overflow, node.nanflow]:
-                walk(child)
-        elif isinstance(node, Sum):
-            leaves.extend((node.entries, node.sum))
-        else:
-            leaves.append(node.entries)
-
-    walk(agg)
-    return np.array(leaves, dtype=np.float64).tobytes()
+    data = agg.entries.tobytes()
+    if isinstance(agg, Sum):
+        data += agg.sum.tobytes()
+    if isinstance(agg, Bin):
+        data += _flat(agg.value)
+    return data
 
 
 def _total(agg: Bin) -> float:
-    children = [*agg.values, agg.underflow, agg.overflow, agg.nanflow]
-    return float(sum(child.entries for child in children))
+    return float(np.sum(agg.value.entries))
 
 
 def test_criterion_9_histogram_merge_algebra():

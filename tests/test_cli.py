@@ -345,11 +345,14 @@ def test_hist_typechecks_skim_and_quantity(cli_dataset, tmp_path, capsys, skim, 
         (["serve", "--root", "{tmp}", "--port", "-1"], "port must be 0-65535, got -1"),
         (["hist", "--job", "{good}", "--spec", "bin(1e999, 0, 1, 'MET')", "--out", "{tmp}/h.csv"],
          "bin count must be a whole number"),
+        (["reduce", "--job", "{port_zero}"], "port 0"),
+        (["hist", "--job", "{good}", "--spec", "bin(1e9, 0, 1, 'MET')", "--out", "{tmp}/h.csv"],
+         "cells, more than"),
     ],
     ids=["missing-column", "missing-job-file", "corrupt-input", "hist-corrupt-input", "bad-spec",
          "missing-manifest", "infinite-high-edge", "infinite-low-edge", "zero-cap", "negative-cap",
          "url-port-out-of-range", "url-without-host", "port-too-high", "negative-port",
-         "infinite-bin-count"],
+         "infinite-bin-count", "url-port-zero", "oversized-histogram"],
 )
 def test_user_errors_print_a_message_and_return_1(cli_dataset, tmp_path, capsys, argv, message):
     data_dir, manifest = cli_dataset
@@ -361,6 +364,7 @@ def test_user_errors_print_a_message_and_return_1(cli_dataset, tmp_path, capsys,
         "corrupt_input": _job_text([corrupt], tmp_path / "o"),
         "port_out_of_range": _job_text(["xrdl://127.0.0.1:99999/a.trf"], tmp_path / "o"),
         "no_host": _job_text(["xrdl:///a.trf"], tmp_path / "o"),
+        "port_zero": _job_text(["xrdl://127.0.0.1:0/a.trf"], tmp_path / "o"),
         "good": _job_text(inputs, tmp_path / "o"),
     }
     for name, text in jobs.items():

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_interp import fill_histogram, route_value
+from reference_interp import arrays_match, fill_histogram, route_value
 from treeduce.exprlang import parse
 from treeduce.histagg import (
+    MAX_CELLS,
     Bin,
     Count,
     HistError,
@@ -42,10 +43,8 @@ def filled_bin(values, num=4, low=0.0, high=8.0, weights=None) -> Bin:
 
 def test_edge_routing():
     agg = filled_bin([0.0, 7.999, 8.0, -0.001, float("nan"), float("inf"), float("-inf")])
-    assert [v.entries for v in agg.values] == [1.0, 0.0, 0.0, 1.0]  # low edge in, top edge out
-    assert agg.underflow.entries == 2.0
-    assert agg.overflow.entries == 2.0
-    assert agg.nanflow.entries == 1.0
+    # low edge in, top edge out; then underflow, overflow, nanflow
+    assert agg.value.entries.tolist() == [1.0, 0.0, 0.0, 1.0, 2.0, 2.0, 1.0]
     assert agg.entries == 7.0
     agg.validate()
 
@@ -53,7 +52,7 @@ def test_edge_routing():
 def test_half_open_bins():
     # each boundary lands in the bin to its right
     agg = filled_bin([0.0, 2.0, 4.0, 6.0])
-    assert [v.entries for v in agg.values] == [1.0, 1.0, 1.0, 1.0]
+    assert agg.value.entries[:4].tolist() == [1.0, 1.0, 1.0, 1.0]
 
 
 def test_rounding_near_top_edge_clamps_inside():
@@ -64,8 +63,8 @@ def test_rounding_near_top_edge_clamps_inside():
     assert np.floor((q - low) / (high - low) * num) == num  # raw formula overshoots
     agg = Bin.create(num, low, high, X)
     agg.fill_chunk(cols([q]), 1)
-    assert agg.values[num - 1].entries == 1.0
-    assert agg.overflow.entries == 0.0
+    assert agg.value.entries[num - 1] == 1.0
+    assert agg.value.entries[num + 1] == 0.0  # overflow
 
 
 @settings(max_examples=120)
@@ -81,10 +80,8 @@ def test_routing_matches_reference(values, num, low, width):
     arr = np.array(values, dtype=np.float64)
     agg.fill_chunk(cols(arr), len(arr))
     expected = fill_histogram(arr, np.ones(len(arr)), num, low, high)
-    assert [v.entries for v in agg.values] == expected["values"]
-    assert agg.underflow.entries == expected["underflow"]
-    assert agg.overflow.entries == expected["overflow"]
-    assert agg.nanflow.entries == expected["nanflow"]
+    flows = [expected["underflow"], expected["overflow"], expected["nanflow"]]
+    assert agg.value.entries.tolist() == expected["values"] + flows
     assert agg.entries == expected["entries"]
     agg.validate()
 
@@ -95,9 +92,9 @@ def test_ten_thousand_uniform_values_match_reference():
     agg = Bin.create(10, 0.0, 10.0, X)
     agg.fill_chunk(cols(arr), len(arr))
     expected = fill_histogram(arr, np.ones(len(arr)), 10, 0.0, 10.0)
-    assert [v.entries for v in agg.values] == expected["values"]
-    assert agg.underflow.entries == expected["underflow"]
-    assert agg.overflow.entries == expected["overflow"]
+    assert agg.value.entries[:10].tolist() == expected["values"]
+    assert agg.value.entries[10] == expected["underflow"]
+    assert agg.value.entries[11] == expected["overflow"]
     for q in arr[:100]:
         slot = route_value(float(q), 10, 0.0, 10.0)
         assert -1 <= slot <= 11
@@ -108,8 +105,8 @@ def test_ten_thousand_uniform_values_match_reference():
 
 def test_weighted_fill_and_negative_weight_rejection():
     agg = filled_bin([1.0, 1.0, 9.0], weights=np.array([2.0, 0.5, 3.0]))
-    assert agg.values[0].entries == 2.5
-    assert agg.overflow.entries == 3.0
+    assert agg.value.entries[0] == 2.5
+    assert agg.value.entries[4 + 1] == 3.0  # overflow
     assert agg.entries == 5.5
     with pytest.raises(HistError):
         filled_bin([1.0], weights=np.array([-1.0]))
@@ -149,8 +146,7 @@ def test_fill_single_event():
     agg = Bin.create(2, 0.0, 2.0, X)
     fill(agg, cols([0.5]), weight=3.0)
     fill(agg, cols([1.5]))
-    assert agg.values[0].entries == 3.0
-    assert agg.values[1].entries == 1.0
+    assert agg.value.entries[:2].tolist() == [3.0, 1.0]
 
 
 # --- nested aggregators ---------------------------------------------------------
@@ -163,9 +159,8 @@ def test_bin_of_sums_profiles_second_quantity():
         "w": ColumnChunk(values=np.array([10.0, 20.0, 5.0, 2.0])),
     }
     agg.fill_chunk(columns, 4)
-    assert agg.values[0].sum == 30.0
-    assert agg.values[1].sum == 7.0
-    assert agg.quantities() == [X] + [parse("w")] * 5  # 2 bins and 3 flows
+    assert agg.value.sum[:2].tolist() == [30.0, 7.0]
+    assert agg.quantities() == [X, parse("w")]
 
 
 def test_two_level_binning():
@@ -176,10 +171,63 @@ def test_two_level_binning():
         "w": ColumnChunk(values=np.array([0.25, 0.75, 0.25])),
     }
     agg.fill_chunk(columns, 3)
-    assert agg.values[0].values[0].entries == 1.0
-    assert agg.values[0].values[1].entries == 1.0
-    assert agg.values[1].values[0].entries == 1.0
+    cells = agg.value.value.entries.reshape(2 + 3, 2 + 3)  # outer slot x inner slot
+    assert cells[0, :2].tolist() == [1.0, 1.0]
+    assert cells[1, :2].tolist() == [1.0, 0.0]
+    assert cells.sum() == 3.0
     agg.validate()
+
+
+def _slot(q: float, num: int, low: float, high: float) -> int:
+    """``route_value``'s answer as a cell slot: the bins, then underflow, overflow, nanflow."""
+    k = route_value(q, num, low, high)
+    return num if k == -1 else k + (k >= num)
+
+
+_X_VALUES = st.floats(-3.0, 4.0) | st.sampled_from([-2.0, 3.0, np.nan, np.inf, -np.inf])
+_W_VALUES = st.floats(-0.5, 1.5) | st.sampled_from([0.0, 1.0, np.nan, np.inf])
+
+
+@settings(max_examples=120)
+@given(
+    st.lists(st.tuples(_X_VALUES, _W_VALUES, st.integers(0, 3)), max_size=60),
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.booleans(),
+)
+def test_nested_fill_matches_per_event_loop(events, num, inner_num, inner_bin):
+    w_quantity = parse("w")
+    inner = Bin.create(inner_num, 0.0, 1.0, w_quantity) if inner_bin else Sum(quantity=w_quantity)
+    agg = Bin.create(num, -2.0, 3.0, X, value=inner)
+    x, w, weights = np.array(events, dtype=np.float64).reshape(-1, 3).T.copy()
+    slots = num + 3
+    entries, cells, sums = np.zeros(slots), np.zeros(slots * (inner_num + 3)), np.zeros(slots)
+    with np.errstate(invalid="ignore"):  # a zero weight times an infinite w is NaN
+        agg.fill_chunk({"x": ColumnChunk(values=x), "w": ColumnChunk(values=w)}, len(x), weights)
+        for xi, wi, weight in zip(x, w, weights):
+            cell = _slot(float(xi), num, -2.0, 3.0)
+            entries[cell] += weight
+            cells[cell * (inner_num + 3) + _slot(float(wi), inner_num, 0.0, 1.0)] += weight
+            sums[cell] += weight * wi
+    assert agg.entries.tolist() == [float(np.sum(weights))]
+    assert agg.value.entries.tolist() == entries.tolist()
+    if inner_bin:
+        assert agg.value.value.entries.tolist() == cells.tolist()
+    else:
+        assert arrays_match(agg.value.sum, sums)  # both add in entry order
+    agg.validate()
+
+
+def test_cells_are_bounded_over_all_levels():
+    assert len(parse_hist_spec(f"bin({MAX_CELLS - 4}, 0, 1, 'x')").value.entries) == MAX_CELLS - 1
+    big = parse_hist_spec("bin(1e6, 0, 1, 'x')")
+    assert combine(big, big.copy_structure()) == big
+    with pytest.raises(HistError, match=f"{MAX_CELLS + 1} cells, more than {MAX_CELLS}"):
+        parse_hist_spec(f"bin({MAX_CELLS - 3}, 0, 1, 'x')")
+    with pytest.raises(HistError, match="cells, more than"):  # each level alone is small enough
+        parse_hist_spec("bin(1100, 0, 1, 'x', bin(1100, 0, 1, 'x'))")
+    with pytest.raises(HistError, match="cells, more than"):
+        parse_hist_spec("bin(1e9, 0, 1, 'x')")
 
 
 # --- merge laws ------------------------------------------------------------------
@@ -199,13 +247,11 @@ def _random_filled(seed: int, template_sum: bool = False) -> Bin:
 
 
 def _flatten(agg) -> list[float]:
-    if isinstance(agg, Count):
-        return [agg.entries]
+    out = agg.entries.tolist()
     if isinstance(agg, Sum):
-        return [agg.entries, agg.sum]
-    out = [agg.entries]
-    for child in [*agg.values, agg.underflow, agg.overflow, agg.nanflow]:
-        out.extend(_flatten(child))
+        out += agg.sum.tolist()
+    if isinstance(agg, Bin):
+        out += _flatten(agg.value)
     return out
 
 
@@ -295,7 +341,7 @@ def test_partitioned_fill_with_fractional_weights_is_close():
 
 def test_validate_detects_lost_entries():
     agg = filled_bin([1.0, 5.0])
-    agg.values[0].entries = 0.0  # tamper
+    agg.value.entries[0] = 0.0  # tamper
     with pytest.raises(HistError):
         agg.validate()
 
@@ -366,12 +412,13 @@ def test_parse_hist_spec_forms():
     assert (b.num, b.low, b.high) == (10, 0.0, 100.0)
     assert b.quantity == parse("x")
     assert parse_hist_spec("bin(1e3, 0, 1, 'x')").num == 1000
-    assert isinstance(b.values[0], Count)
+    assert isinstance(b.value, Count)
     nested = parse_hist_spec('bin(2, -1.5, 1.5, "x", sum(\'w\'))')
-    assert isinstance(nested.values[0], Sum)
+    assert isinstance(nested.value, Sum)
     deep = parse_hist_spec("bin(2, 0, 1, 'x', bin(3, 0, 1, 'w', count))")
-    assert isinstance(deep.values[0], Bin)
-    assert deep.values[0].num == 3
+    assert isinstance(deep.value, Bin)
+    assert deep.value.num == 3
+    assert [len(deep.entries), len(deep.value.entries), len(deep.value.value.entries)] == [1, 5, 30]
 
 
 @pytest.mark.parametrize(

@@ -103,6 +103,8 @@ def test_parse_url_forms():
         parse_url("http://h/a")
     with pytest.raises(ValueError):
         parse_url("xrdl:///nohost")
+    with pytest.raises(ValueError, match="port 0"):
+        parse_url("xrdl://h:0/a.trf")
 
 
 # --- request handling ---------------------------------------------------------
