@@ -22,7 +22,7 @@ import math
 import os
 import threading
 from concurrent.futures import wait
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -75,9 +75,9 @@ POISSON_CDF = _poisson_cdf(2.0, MAX_MUONS)
 @dataclass
 class GenSpec:
     seed: int = 1
+    schema: str = "demo"  # "demo" | "flat8"
     n_events: int = 1 << 20  # per file
     n_files: int = 8
-    schema: str = "demo"  # "demo" | "flat8"
     basket_target_entries: int = 8192
     codec: Codec = Codec.DEFLATE
 
@@ -97,12 +97,9 @@ class FileEntry:
 
 @dataclass
 class DatasetManifest:
-    seed: int
-    schema: str
-    n_events: int
-    n_files: int
-    basket_target_entries: int
-    codec: int
+    """A generated dataset: the spec it was made from and the files written."""
+
+    spec: GenSpec
     files: list[FileEntry] = field(default_factory=list)
 
     def file_paths(self, base: str | Path) -> list[str]:
@@ -111,44 +108,14 @@ class DatasetManifest:
     def urls(self, host: str, port: int) -> list[str]:
         return [f"xrdl://{host}:{port}/{f.path}" for f in self.files]
 
-    def matches(self, spec: GenSpec) -> bool:
-        return (
-            self.seed == spec.seed
-            and self.schema == spec.schema
-            and self.n_events == spec.n_events
-            and self.n_files == spec.n_files
-            and self.basket_target_entries == spec.basket_target_entries
-            and self.codec == int(spec.codec)
-        )
-
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "seed": self.seed,
-                "schema": self.schema,
-                "n_events": self.n_events,
-                "n_files": self.n_files,
-                "basket_target_entries": self.basket_target_entries,
-                "codec": self.codec,
-                "files": [
-                    {"path": f.path, "entries": f.entries, "bytes": f.bytes} for f in self.files
-                ],
-            },
-            indent=2,
-        )
+        return json.dumps({**asdict(self.spec), "files": [asdict(f) for f in self.files]}, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "DatasetManifest":
         obj = json.loads(text)
-        return cls(
-            seed=obj["seed"],
-            schema=obj["schema"],
-            n_events=obj["n_events"],
-            n_files=obj["n_files"],
-            basket_target_entries=obj["basket_target_entries"],
-            codec=obj["codec"],
-            files=[FileEntry(f["path"], f["entries"], f["bytes"]) for f in obj["files"]],
-        )
+        files = [FileEntry(**f) for f in obj.pop("files")]
+        return cls(GenSpec(**{**obj, "codec": Codec(obj["codec"])}), files)
 
 
 def _demo_chunk(key: int, e0: int, e1: int) -> dict[str, ColumnChunk]:
@@ -233,14 +200,7 @@ def generate(spec: GenSpec, out_dir: str | Path) -> DatasetManifest:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "dataset.json").unlink(missing_ok=True)
-    manifest = DatasetManifest(
-        seed=spec.seed,
-        schema=spec.schema,
-        n_events=spec.n_events,
-        n_files=spec.n_files,
-        basket_target_entries=spec.basket_target_entries,
-        codec=int(spec.codec),
-    )
+    manifest = DatasetManifest(spec)
     stop = threading.Event()
 
     def write(i: int) -> FileEntry | None:
@@ -271,15 +231,17 @@ def _has_size(path: Path, size: int) -> bool:
 
 
 def ensure_dataset(spec: GenSpec, out_dir: str | Path) -> DatasetManifest:
-    """Reuse an existing dataset when its manifest matches ``spec`` exactly
-    and every file it lists is there with the size it records."""
-    marker = Path(out_dir) / "dataset.json"
-    if marker.exists():
-        manifest = DatasetManifest.from_json(marker.read_text())
-        if manifest.matches(spec) and all(
-            _has_size(Path(out_dir) / f.path, f.bytes) for f in manifest.files
-        ):
-            return manifest
+    """Reuse an existing dataset when its manifest's spec equals ``spec``
+    and every file it lists is there with the size it records. A manifest
+    that does not load, such as one with a key GenSpec lacks, is stale."""
+    try:
+        manifest = DatasetManifest.from_json((Path(out_dir) / "dataset.json").read_text())
+    except (FileNotFoundError, ValueError, TypeError, KeyError):
+        return generate(spec, out_dir)
+    if manifest.spec == spec and all(
+        _has_size(Path(out_dir) / f.path, f.bytes) for f in manifest.files
+    ):
+        return manifest
     return generate(spec, out_dir)
 
 

@@ -59,7 +59,7 @@ def _cmd_generate(args) -> int:
         return _user_error(args.command, exc)
     manifest = bench.generate(spec, args.out)
     total = sum(f.bytes for f in manifest.files)
-    print(f"wrote {len(manifest.files)} files, {manifest.n_events} events each, {total} bytes")
+    print(f"wrote {len(manifest.files)} files, {manifest.spec.n_events} events each, {total} bytes")
     return 0
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 
@@ -99,7 +99,7 @@ class WorkloadMetrics:
 def write_metrics_jsonl(path: str | Path, metrics: WorkloadMetrics) -> None:
     with open(path, "w") as fh:
         for task in metrics.tasks:
-            fh.write(json.dumps({"type": "task", **asdict(task)}) + "\n")
+            fh.write(json.dumps({"type": "task", **vars(task)}) + "\n")
         for t, active in metrics.concurrency:
             fh.write(json.dumps({"type": "concurrency", "t": t, "active": active}) + "\n")
         for t, rate in metrics.throughput:
@@ -151,13 +151,10 @@ class Manifest:
     def write_jsonl(self, path: str | Path) -> None:
         with open(path, "w") as fh:
             for e in self.entries:
-                fh.write(json.dumps(asdict(e)) + "\n")
+                fh.write(json.dumps(vars(e)) + "\n")
 
     @classmethod
     def read_jsonl(cls, path: str | Path) -> "Manifest":
-        entries = []
-        for line in Path(path).read_text().splitlines():
-            if line.strip():
-                obj = json.loads(line)
-                entries.append(ManifestEntry(obj["task_id"], obj["path"], obj["entries"]))
+        lines = Path(path).read_text().splitlines()
+        entries = [ManifestEntry(**json.loads(line)) for line in lines if line.strip()]
         return cls(sorted(entries, key=lambda e: e.task_id))

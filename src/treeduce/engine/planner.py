@@ -39,14 +39,21 @@ class JobExprs(NamedTuple):
     derived: list[tuple[str, exprlang.Expr]]
 
 
-def parse_job_exprs(job: JobSpec) -> JobExprs:
-    """Parse skim and derived expression texts once, for planner and runner."""
+def _parse(text: str) -> exprlang.Expr:
     try:
-        skim = exprlang.parse(job.skim) if job.skim else None
-        derived = [(name, exprlang.parse(text)) for name, text in job.derived]
+        return exprlang.parse(text)
     except exprlang.ParseError as exc:
         raise EngineError(f"bad expression in job: {exc}") from exc
-    return JobExprs(skim, derived)
+
+
+def parse_skim(job: JobSpec) -> exprlang.Expr | None:
+    """Parse the job's skim, if any; a fill parses none of the job's other expressions."""
+    return _parse(job.skim) if job.skim else None
+
+
+def parse_job_exprs(job: JobSpec) -> JobExprs:
+    """Parse skim and derived expression texts once, for planner and runner."""
+    return JobExprs(parse_skim(job), [(name, _parse(text)) for name, text in job.derived])
 
 
 def sink_inputs(
@@ -119,24 +126,21 @@ def probe_inputs(
     for path in job.inputs:
         source = open_source(path, read_ahead=engine.read_ahead, connections=connections)
         try:
-            reader = open_file(source)
-            try:
-                if job.tree not in reader.trees:
-                    raise EngineError(f"{path}: no tree named {job.tree!r}")
-                tree = reader.tree(job.tree)
-                this = {}
-                for name in columns:
-                    if name not in tree.branches:
-                        raise EngineError(f"{path}: required column {name!r} missing")
-                    meta = tree.branches[name]
-                    this[name] = (meta.dtype, meta.shape)
-                if schema is None:
-                    schema = this
-                elif this != schema:
-                    raise EngineError(f"{path}: schema differs from first input on required columns")
-                directories.append((reader.header, reader.trees))
-            finally:
-                reader.close()
+            reader = open_file(source)  # borrows the source, so owns nothing to close
+            if job.tree not in reader.trees:
+                raise EngineError(f"{path}: no tree named {job.tree!r}")
+            tree = reader.tree(job.tree)
+            this = {}
+            for name in columns:
+                if name not in tree.branches:
+                    raise EngineError(f"{path}: required column {name!r} missing")
+                meta = tree.branches[name]
+                this[name] = (meta.dtype, meta.shape)
+            if schema is None:
+                schema = this
+            elif this != schema:
+                raise EngineError(f"{path}: schema differs from first input on required columns")
+            directories.append((reader.header, reader.trees))
         finally:
             source.close()
     if schema is None:

@@ -103,6 +103,7 @@ from .planner import (
     check_job,
     check_skim,
     parse_job_exprs,
+    parse_skim,
     probe_inputs,
     sink_inputs,
     tasks_from_counts,
@@ -192,14 +193,14 @@ class FillSink:
     """Fill a fresh copy of ``agg``'s structure per task; merge in task-id order.
 
     Tasks read only the skim's columns and the aggregator's. The job's
-    ``keep`` and derived columns are neither read nor checked, and nothing
-    is written.
+    ``keep`` and derived columns are neither parsed, read nor checked, and
+    nothing is written.
     """
 
-    def __init__(self, agg: histagg.Aggregator, exprs: JobExprs):
+    def __init__(self, agg: histagg.Aggregator, skim: exprlang.Expr | None):
         self.agg = agg
-        self.skim = exprs.skim
-        self.columns, self.selected, self.shared = sink_inputs(exprs.skim, agg.quantities())
+        self.skim = skim
+        self.columns, self.selected, self.shared = sink_inputs(skim, agg.quantities())
 
     def prepare(self, schema: Schema) -> None:
         histagg.typecheck_aggregator(self.agg, schema)
@@ -416,7 +417,7 @@ def fill(
     Returns ``agg`` combined with every task's partial in task-id order;
     ``agg`` itself is not changed. ``fault_hook`` is as for :func:`run`.
     """
-    exprs = parse_job_exprs(job)
-    runner = _Runner(job, engine, exprs.skim, FillSink(agg, exprs), fault_hook)
+    skim = parse_skim(job)
+    runner = _Runner(job, engine, skim, FillSink(agg, skim), fault_hook)
     aggregate, metrics = runner.run()
     return FillResult(aggregate, metrics, runner.io)

@@ -11,6 +11,9 @@ NaN lands in nanflow, and the in-range index is
 floor((q - low) / (high - low) * num), clamped to num - 1 to absorb
 round-up at the top edge.
 
+A Sum adds weight x quantity to its ``sum`` only where the weight is not
+0: an entry of weight 0 adds nothing, even if its quantity is inf or NaN.
+
 Each aggregator keeps its state in f64 arrays with one slot per *cell*
 of the Bins above it; a top-level aggregator has one cell. ``Count``
 keeps ``entries``, ``Sum`` keeps ``entries`` and ``sum``, and a Bin
@@ -145,7 +148,8 @@ class Sum(_Cells):
     def _add(self, columns, n: int, w: np.ndarray, cell: np.ndarray | None) -> None:
         q = _scalar_quantity(self.quantity, columns, n)
         self.entries += _per_cell(w, cell, len(self.entries))
-        self.sum += _per_cell(w * q, cell, len(self.sum))
+        wq = np.multiply(w, q, out=np.zeros(n), where=w != 0)  # 0 x inf would be NaN
+        self.sum += _per_cell(wq, cell, len(self.sum))
 
     def combine(self, other: "Sum") -> "Sum":
         if not isinstance(other, Sum) or other.quantity != self.quantity:

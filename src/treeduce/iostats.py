@@ -28,11 +28,9 @@ class IoStats:
     bytes_requested: int = 0
     bytes_fetched: int = 0
     fetch_calls: int = 0
-    read_calls: int = 0
     fetch_done: list[tuple[float, int]] = field(default_factory=list)
 
     def record_request(self, nbytes: int) -> None:
-        self.read_calls += 1
         self.bytes_requested += nbytes
 
     def record_fetch(self, nbytes: int) -> None:
@@ -48,6 +46,5 @@ class IoStats:
         self.bytes_requested += other.bytes_requested
         self.bytes_fetched += other.bytes_fetched
         self.fetch_calls += other.fetch_calls
-        self.read_calls += other.read_calls
         self.fetch_done += other.fetch_done
         return self

@@ -151,7 +151,7 @@ def cores_result(tmp_path_factory):
             host, port = srv.address
             job = demo_job(
                 manifest.urls(host, port),
-                str(base / f"probe-{manifest.n_events}-{cap or 0}"),
+                str(base / f"probe-{manifest.spec.n_events}-{cap or 0}"),
                 partition_entries=4096,
             )
             result = run(job, EngineConfig(1, 1))

@@ -154,7 +154,7 @@ class TestDeterminism:
         ensure_dataset(GenSpec(seed=3, **SMALL), tmp_path)
         bigger = GenSpec(seed=3, n_events=400, n_files=2, basket_target_entries=128)
         manifest = ensure_dataset(bigger, tmp_path)
-        assert manifest.matches(bigger)
+        assert manifest.spec == bigger
         with open_file(manifest.file_paths(str(tmp_path))[0]) as reader:
             assert reader.tree(DEMO_TREE).n_entries == 400
 
@@ -164,7 +164,7 @@ class TestDeterminism:
         victim = first.file_paths(str(tmp_path))[1]
         __import__("os").remove(victim)
         again = ensure_dataset(spec, tmp_path)
-        assert again.matches(spec)
+        assert again.spec == spec
         assert __import__("os").path.exists(victim)
 
     def test_ensure_dataset_regenerates_after_an_interrupted_generate(self, tmp_path, monkeypatch):
@@ -406,14 +406,79 @@ class TestDemoContent:
 # manifest and canned job
 
 
+# dataset.json of GenSpec(seed=3, **SMALL), byte for byte as every version so far wrote it
+SMALL_MANIFEST = """{
+  "seed": 3,
+  "schema": "demo",
+  "n_events": 300,
+  "n_files": 2,
+  "basket_target_entries": 128,
+  "codec": 1,
+  "files": [
+    {
+      "path": "demo-00000.trf",
+      "entries": 300,
+      "bytes": 12019
+    },
+    {
+      "path": "demo-00001.trf",
+      "entries": 300,
+      "bytes": 12933
+    }
+  ]
+}"""
+
+
+def _count_generates(monkeypatch) -> list:
+    """Record the arguments of each call ensure_dataset makes to generate."""
+    calls, real = [], generate_module.generate
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(generate_module, "generate", counting)
+    return calls
+
+
 class TestManifest:
+    def test_written_manifest_is_reused_unchanged(self, tmp_path, monkeypatch):
+        spec = GenSpec(seed=3, **SMALL)
+        assert generate(spec, tmp_path).to_json() == SMALL_MANIFEST
+        (tmp_path / "dataset.json").write_text(SMALL_MANIFEST)
+        files = DatasetManifest.from_json(SMALL_MANIFEST).file_paths(tmp_path)
+        paths = [tmp_path / "dataset.json", *map(Path, files)]
+        stamps = [p.stat().st_mtime_ns for p in paths]
+        calls = _count_generates(monkeypatch)
+        assert ensure_dataset(spec, tmp_path).to_json() == SMALL_MANIFEST
+        assert calls == []
+        assert [p.stat().st_mtime_ns for p in paths] == stamps
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ('"schema": "demo"', '"schema": "parquet"'),  # GenSpec rejects it
+            ('"codec": 1,', '"codec": 1,\n  "level": 6,'),  # a key GenSpec has not
+            ('  "codec": 1,\n', ""),  # a key it has is missing
+        ],
+        ids=["unknown-schema", "extra-key", "missing-key"],
+    )
+    def test_manifest_that_does_not_load_is_regenerated(self, tmp_path, monkeypatch, old, new):
+        spec = GenSpec(seed=3, **SMALL)
+        generate(spec, tmp_path)
+        (tmp_path / "dataset.json").write_text(SMALL_MANIFEST.replace(old, new))
+        calls = _count_generates(monkeypatch)
+        assert ensure_dataset(spec, tmp_path).to_json() == SMALL_MANIFEST
+        assert calls == [(spec, tmp_path)]
+        assert (tmp_path / "dataset.json").read_text() == SMALL_MANIFEST
+
     def test_round_trip_and_matching(self, tmp_path):
         spec = GenSpec(seed=3, **SMALL)
         manifest = generate(spec, tmp_path)
         again = DatasetManifest.from_json(manifest.to_json())
         assert again.to_json() == manifest.to_json()
-        assert again.matches(spec)
-        assert not again.matches(GenSpec(seed=4, **SMALL))
+        assert again.spec == spec
+        assert again.spec != GenSpec(seed=4, **SMALL)
         assert json.loads(manifest.to_json())["schema"] == "demo"
 
     def test_paths_and_urls(self, tmp_path):

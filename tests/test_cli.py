@@ -133,7 +133,7 @@ def cli_dataset(tmp_path_factory):
 
 def test_generate_writes_a_matching_manifest(cli_dataset, capsys):
     out, manifest = cli_dataset
-    assert manifest.matches(GenSpec(seed=21, n_events=200, n_files=2, basket_target_entries=64))
+    assert manifest.spec == GenSpec(seed=21, n_events=200, n_files=2, basket_target_entries=64)
     for path in manifest.file_paths(str(out)):
         with open_file(path) as reader:
             assert reader.tree(DEMO_TREE).n_entries == 200
@@ -292,6 +292,19 @@ def test_hist_csv_is_identical_across_cores_and_remote_reads(cli_dataset, tmp_pa
             kept += int(np.count_nonzero(reader.read_column(DEMO_TREE, "nMuon").values >= 1))
     assert reports["cores1"] == f"filled {kept} events into {tmp_path / 'cores1.csv'}\n"
     assert not (tmp_path / "unused").exists()
+
+
+def test_hist_fills_past_a_derived_column_reduce_cannot_parse(cli_dataset, tmp_path, capsys):
+    data_dir, manifest = cli_dataset
+    job_path = tmp_path / "job.cfg"
+    job_path.write_text(
+        _job_text(manifest.file_paths(str(data_dir)), tmp_path / "out", derive=("bad", "max(Muon_pt"))
+    )
+    out_csv = tmp_path / "met.csv"
+    assert main(["hist", "--job", str(job_path), "--spec", "bin(4, 0, 90, 'MET')", "--out", str(out_csv)]) == 0
+    assert "filled 400 events" in capsys.readouterr().out
+    assert main(["reduce", "--job", str(job_path)]) == 1
+    assert "reduce: bad expression in job" in capsys.readouterr().err
 
 
 def test_hist_rejects_schema_drift_between_inputs(tmp_path, capsys):

@@ -899,7 +899,7 @@ def test_fill_with_shared_values_is_bit_identical(demo_dataset, tmp_path, monkey
     data_dir, _, manifest = demo_dataset
     skim, spec = HIST_SHARING_CASES[case]
     job = demo_reduction(data_dir, manifest, tmp_path / "out", skim=skim)
-    sink = runner.FillSink(histagg.parse_hist_spec(spec), parse_job_exprs(job))
+    sink = runner.FillSink(histagg.parse_hist_spec(spec), parse_job_exprs(job).skim)
     assert bool(sink.shared) == (skim is not None)
     got = fill(job, EngineConfig(cores_per_executor=2), histagg.parse_hist_spec(spec))
     without_sharing(monkeypatch)
@@ -912,7 +912,7 @@ def test_demo_fill_selects_no_column(demo_dataset, tmp_path, monkeypatch):
     data_dir, _, manifest = demo_dataset
     job = demo_reduction(data_dir, manifest, tmp_path / "out", partition_entries=768)
     exprs = parse_job_exprs(job)
-    sink = runner.FillSink(histagg.parse_hist_spec(HIST_SPEC), exprs)
+    sink = runner.FillSink(histagg.parse_hist_spec(HIST_SPEC), exprs.skim)
     assert sink.selected == ()
     assert sink.shared == {parse("max(Muon_pt)")}
     assert runner.PartSink(job, exprs).selected == ("MET", "Muon_pt")  # kept, so still selected
@@ -962,7 +962,7 @@ def test_error_in_a_shared_node_fails_the_task_without_retry(demo_dataset, tmp_p
         data_dir, manifest, tmp_path / "out", skim="nMuon / 0 > 1", partition_entries=4096
     )
     agg = histagg.parse_hist_spec("bin(10, 0, 10, 'nMuon / 0')")
-    assert runner.FillSink(agg, parse_job_exprs(job)).shared == {parse("nMuon / 0")}
+    assert runner.FillSink(agg, parse_job_exprs(job).skim).shared == {parse("nMuon / 0")}
     with pytest.raises(TaskFailure) as exc:
         fill(job, EngineConfig(cores_per_executor=2), agg, fault_hook=fault_hook)
     assert sorted(task_id for task_id, _ in exc.value.failures) == [0, 1, 2, 3]

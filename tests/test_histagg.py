@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -202,12 +204,12 @@ def test_nested_fill_matches_per_event_loop(events, num, inner_num, inner_bin):
     x, w, weights = np.array(events, dtype=np.float64).reshape(-1, 3).T.copy()
     slots = num + 3
     entries, cells, sums = np.zeros(slots), np.zeros(slots * (inner_num + 3)), np.zeros(slots)
-    with np.errstate(invalid="ignore"):  # a zero weight times an infinite w is NaN
-        agg.fill_chunk({"x": ColumnChunk(values=x), "w": ColumnChunk(values=w)}, len(x), weights)
-        for xi, wi, weight in zip(x, w, weights):
-            cell = _slot(float(xi), num, -2.0, 3.0)
-            entries[cell] += weight
-            cells[cell * (inner_num + 3) + _slot(float(wi), inner_num, 0.0, 1.0)] += weight
+    agg.fill_chunk({"x": ColumnChunk(values=x), "w": ColumnChunk(values=w)}, len(x), weights)
+    for xi, wi, weight in zip(x, w, weights):
+        cell = _slot(float(xi), num, -2.0, 3.0)
+        entries[cell] += weight
+        cells[cell * (inner_num + 3) + _slot(float(wi), inner_num, 0.0, 1.0)] += weight
+        if weight != 0:  # a weight-0 entry adds nothing to a Sum
             sums[cell] += weight * wi
     assert agg.entries.tolist() == [float(np.sum(weights))]
     assert agg.value.entries.tolist() == entries.tolist()
@@ -216,6 +218,15 @@ def test_nested_fill_matches_per_event_loop(events, num, inner_num, inner_bin):
     else:
         assert arrays_match(agg.value.sum, sums)  # both add in entry order
     agg.validate()
+
+
+def test_weight_zero_entry_adds_nothing_to_a_sum():
+    agg = parse_hist_spec("bin(1, 0, 1, 'x', sum('w'))")
+    columns = {"x": ColumnChunk(values=np.array([0.5])), "w": ColumnChunk(values=np.array([np.inf]))}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy warns on 0 x inf
+        agg.fill_chunk(columns, 1, np.array([0.0]))
+    assert agg.value.sum.tolist() == [0.0] * 4
 
 
 def test_cells_are_bounded_over_all_levels():
