@@ -111,6 +111,8 @@ def _cmd_reduce(args) -> int:
 def _cmd_hist(args) -> int:
     job = engine.load_job_file(args.job)
     agg = histagg.parse_hist_spec(args.spec)
+    if not isinstance(agg, histagg.Bin):  # refused before any input is read
+        raise histagg.HistError(f"spec {args.spec!r} has no bin(...) at top level to write")
     result = engine.fill(job, _engine_config(args), agg)
     Path(args.out).write_text(histagg.render(result.aggregate))
     print(f"filled {result.metrics.entries_out} events into {args.out}")

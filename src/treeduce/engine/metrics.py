@@ -6,6 +6,8 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .job import EngineError
+
 
 # A task's stages in the order they run, each timed as it ends, then the
 # rest of the task's wall time: the fault hook and closing the source.
@@ -155,6 +157,12 @@ class Manifest:
 
     @classmethod
     def read_jsonl(cls, path: str | Path) -> "Manifest":
-        lines = Path(path).read_text().splitlines()
-        entries = [ManifestEntry(**json.loads(line)) for line in lines if line.strip()]
+        entries = []
+        for number, line in enumerate(Path(path).read_text().splitlines(), 1):
+            if not line.strip():
+                continue
+            try:
+                entries.append(ManifestEntry(**json.loads(line)))
+            except (ValueError, TypeError) as exc:  # not JSON, or not ManifestEntry's keys
+                raise EngineError(f"{path}:{number}: {exc}") from None
         return cls(sorted(entries, key=lambda e: e.task_id))

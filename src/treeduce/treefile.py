@@ -6,7 +6,8 @@ Layout (all integers big-endian):
                          | dir_len u64 | file_len u64
     baskets    bare payloads, one per (branch, basket index entry)
     directory  one Record (codec u8 | raw_len u32 | stored payload)
-               whose decompressed payload describes every tree/branch/basket
+               whose decompressed payload describes every tree/branch/basket;
+               each branch's basket entries are one array of BASKET_INDEX
 
 Flat basket payload: n_entries elements, big-endian.
 Jagged basket payload: (n_entries + 1) u64 basket-local element offsets
@@ -44,7 +45,6 @@ VERSION = 1
 HEADER_LEN = 32
 
 _HEADER = struct.Struct(">4sIQQQ")
-_BASKET_ENTRY = struct.Struct(">QIQIIB")
 _CRC = struct.Struct(">I")
 
 # Compression must pay for itself; equal-size output keeps the raw bytes.
@@ -318,28 +318,26 @@ class TreeFileHeader:
         return cls(dir_offset, dir_len, file_len)
 
 
-@dataclass(frozen=True)
-class BasketIndexEntry:
-    first_entry: int
-    n_entries: int
-    offset: int
-    stored_len: int
-    raw_len: int
-    codec: Codec
+# One basket's entry in the directory: 29 bytes, packed, in this order.
+BASKET_INDEX = np.dtype([
+    ("first_entry", ">u8"), ("n_entries", ">u4"), ("offset", ">u8"),
+    ("stored_len", ">u4"), ("raw_len", ">u4"), ("codec", "u1"),
+])
+_CODEC_BYTES = frozenset(Codec)
 
-    def pack(self) -> bytes:
-        return _BASKET_ENTRY.pack(
-            self.first_entry, self.n_entries, self.offset,
-            self.stored_len, self.raw_len, int(self.codec),
-        )
+
+def _basket_index(rows) -> np.recarray:
+    return np.array(rows, dtype=BASKET_INDEX).view(np.recarray)
 
 
 @dataclass
 class BranchMeta:
+    """A branch; its index rows are read from ``baskets.tolist()`` as tuples of Python ints."""
+
     name: str
     dtype: Dtype
     shape: Shape
-    baskets: list[BasketIndexEntry] = field(default_factory=list)
+    baskets: np.recarray = field(default_factory=lambda: _basket_index([]))
 
     @property
     def is_jagged(self) -> bool:
@@ -846,6 +844,7 @@ class TreeFileWriter:
         self._current: TreeMeta | None = None
         self._pending: dict[str, list[ColumnChunk]] = {}
         self._pending_entries = 0
+        self._index: dict[str, list[tuple]] = {}  # each branch's basket index rows so far
         self._fh.write(bytes(HEADER_LEN))  # placeholder, patched at close
         self._pos = HEADER_LEN
         self._closed = False
@@ -863,6 +862,7 @@ class TreeFileWriter:
         }
         self._current = TreeMeta(name, 0, branches)
         self._pending = {bname: [] for bname in branches}
+        self._index = {bname: [] for bname in branches}
         self._pending_entries = 0
 
     def extend(self, columns: dict[str, ColumnChunk]) -> None:
@@ -895,6 +895,8 @@ class TreeFileWriter:
             raise SchemaError("no tree in progress")
         if self._pending_entries:
             self._flush_basket(self._pending_entries)
+        for name, meta in tree.branches.items():
+            meta.baskets = _basket_index(self._index[name])
         self._trees.append(tree)
         self._current = None
         self._pending = {}
@@ -912,9 +914,7 @@ class TreeFileWriter:
             planes = _basket_planes(meta.dtype, meta.shape, n)
             codec, stored = compress_record(raw, self._codec, planes)
             first_entry = tree.n_entries - self._pending_entries
-            meta.baskets.append(
-                BasketIndexEntry(first_entry, n, self._pos, len(stored), len(raw), codec)
-            )
+            self._index[name].append((first_entry, n, self._pos, len(stored), len(raw), codec))
             self._fh.write(stored)
             self._pos += len(stored)
         self._pending_entries -= n
@@ -930,8 +930,7 @@ class TreeFileWriter:
                 raw_name = bname.encode("utf-8")
                 out += struct.pack(">H", len(raw_name)) + raw_name
                 out += struct.pack(">BBI", int(meta.dtype), int(meta.shape), len(meta.baskets))
-                for basket in meta.baskets:
-                    out += basket.pack()
+                out += meta.baskets.tobytes()
         return bytes(out)
 
     def close(self) -> None:
@@ -1073,16 +1072,12 @@ def _parse_directory(raw: bytes) -> dict[str, TreeMeta]:
                 shape = Shape(shape_b)
             except ValueError as exc:
                 raise CorruptFileError(f"branch {bname!r}: {exc}") from None
-            meta = BranchMeta(bname, dtype, shape)
-            for _ in range(basket_count):
-                fields = cur.unpack(_BASKET_ENTRY)
-                codec_b = fields[-1]
-                try:
-                    codec = Codec(codec_b)
-                except ValueError:
-                    raise CorruptFileError(f"unknown codec byte {codec_b}") from None
-                meta.baskets.append(BasketIndexEntry(*fields[:-1], codec))
-            tree.branches[bname] = meta
+            raw_index = cur.take(basket_count * BASKET_INDEX.itemsize)
+            baskets = np.frombuffer(raw_index, dtype=BASKET_INDEX).view(np.recarray)
+            unknown = [b for b in baskets.codec.tolist() if b not in _CODEC_BYTES]
+            if unknown:
+                raise CorruptFileError(f"unknown codec byte {unknown[0]}")
+            tree.branches[bname] = BranchMeta(bname, dtype, shape, baskets)
         trees[tname] = tree
     if cur.pos != len(raw):
         raise CorruptFileError(f"{len(raw) - cur.pos} trailing bytes after directory")
@@ -1115,21 +1110,19 @@ def _check_index(header: TreeFileHeader, trees: dict[str, TreeMeta]) -> None:
     for tree in trees.values():
         for meta in tree.branches.values():
             expect_first = 0
-            for basket in meta.baskets:
-                if basket.first_entry != expect_first:
+            for first_entry, n_entries, offset, stored_len, _, _ in meta.baskets.tolist():
+                if first_entry != expect_first:
                     raise CorruptFileError(
                         f"branch {meta.name!r}: basket starts at entry "
-                        f"{basket.first_entry}, expected {expect_first}"
+                        f"{first_entry}, expected {expect_first}"
                     )
-                if basket.n_entries == 0:
+                if n_entries == 0:
                     raise CorruptFileError(f"branch {meta.name!r}: empty basket")
-                if basket.offset < HEADER_LEN or (
-                    basket.offset + basket.stored_len > header.dir_offset
-                ):
+                if offset < HEADER_LEN or offset + stored_len > header.dir_offset:
                     raise CorruptFileError(
                         f"branch {meta.name!r}: basket data outside data region"
                     )
-                expect_first += basket.n_entries
+                expect_first += n_entries
             if expect_first != tree.n_entries:
                 raise CorruptFileError(
                     f"branch {meta.name!r}: baskets cover {expect_first} entries, "
@@ -1152,12 +1145,13 @@ def _entry_stop(tmeta: TreeMeta, entry_start: int, entry_stop: int | None) -> in
     return stop
 
 
-def _overlapping(meta: BranchMeta, entry_start: int, entry_stop: int) -> list[BasketIndexEntry]:
+def _overlapping(meta: BranchMeta, entry_start: int, entry_stop: int) -> list[tuple]:
+    """The index rows of the baskets that hold entries in ``[entry_start, entry_stop)``."""
     if entry_start == entry_stop:
         return []
     return [
-        b for b in meta.baskets
-        if b.first_entry < entry_stop and b.first_entry + b.n_entries > entry_start
+        b for b in meta.baskets.tolist()
+        if b[0] < entry_stop and b[0] + b[1] > entry_start  # first_entry, n_entries
     ]
 
 
@@ -1228,9 +1222,9 @@ class TreeFileReader:
         # (basket in stored byte order, its first and stop entry in the range)
         pieces = []
         for basket in _overlapping(meta, entry_start, stop):
-            b_start = basket.first_entry
+            b_start, n_entries = basket[:2]
             lo = max(entry_start, b_start) - b_start
-            hi = min(stop, b_start + basket.n_entries) - b_start
+            hi = min(stop, b_start + n_entries) - b_start
             pieces.append((self._read_basket(basket, meta), lo, hi))
         if not meta.is_jagged:
             values = np.empty(stop - entry_start, dtype=native)
@@ -1271,9 +1265,9 @@ class TreeFileReader:
         stop = _entry_stop(tmeta, entry_start, entry_stop)
         spans = sorted(
             {
-                (basket.offset, basket.stored_len)
+                (b[2], b[3])  # offset, stored_len
                 for name in branches
-                for basket in _overlapping(_branch(tmeta, name), entry_start, stop)
+                for b in _overlapping(_branch(tmeta, name), entry_start, stop)
             }
         )
         merged: list[tuple[int, int]] = []
@@ -1286,27 +1280,27 @@ class TreeFileReader:
         data = self._source.read_ranges(merged)
         self._prefetched = [(offset, buf) for (offset, _), buf in zip(merged, data)]
 
-    def _stored_bytes(self, basket: BasketIndexEntry) -> bytes | memoryview:
-        """The basket's stored bytes: from the prefetched ranges if they hold them."""
-        i = bisect.bisect_right(self._prefetched, basket.offset, key=lambda r: r[0]) - 1
+    def _stored_bytes(self, offset: int, stored_len: int) -> bytes | memoryview:
+        """A basket's stored bytes: from the prefetched ranges if they hold them."""
+        i = bisect.bisect_right(self._prefetched, offset, key=lambda r: r[0]) - 1
         if i >= 0:
             start, buf = self._prefetched[i]
-            rel = basket.offset - start
-            if rel + basket.stored_len <= len(buf):
-                return memoryview(buf)[rel : rel + basket.stored_len]
-        return self._source.read_at(basket.offset, basket.stored_len)
+            rel = offset - start
+            if rel + stored_len <= len(buf):
+                return memoryview(buf)[rel : rel + stored_len]
+        return self._source.read_at(offset, stored_len)
 
-    def _read_basket(self, basket: BasketIndexEntry, meta: BranchMeta) -> ColumnChunk:
-        """Fetch, inflate and check one basket; the chunk views it in stored byte order."""
-        stored = self._stored_bytes(basket)
-        if len(stored) != basket.stored_len:
+    def _read_basket(self, basket: tuple, meta: BranchMeta) -> ColumnChunk:
+        """Fetch, inflate and check one index row's basket, viewed in stored byte order."""
+        _, n_entries, offset, stored_len, raw_len, codec = basket
+        stored = self._stored_bytes(offset, stored_len)
+        if len(stored) != stored_len:
             raise CorruptFileError(
-                f"short read on basket at offset {basket.offset}: "
-                f"got {len(stored)} of {basket.stored_len} bytes"
+                f"short read on basket at offset {offset}: got {len(stored)} of {stored_len} bytes"
             )
-        planes = _basket_planes(meta.dtype, meta.shape, basket.n_entries)
-        raw = decompress_record(stored, basket.codec, basket.raw_len, planes)
-        return decode_basket(raw, meta.dtype, meta.shape, basket.n_entries)
+        planes = _basket_planes(meta.dtype, meta.shape, n_entries)
+        raw = decompress_record(stored, Codec(codec), raw_len, planes)
+        return decode_basket(raw, meta.dtype, meta.shape, n_entries)
 
     def validate(self, deep: bool = False) -> None:
         """Re-run structural checks; with ``deep`` decode every basket too."""
@@ -1314,7 +1308,7 @@ class TreeFileReader:
         if deep:
             for tree in self.trees.values():
                 for meta in tree.branches.values():
-                    for basket in meta.baskets:
+                    for basket in meta.baskets.tolist():
                         self._read_basket(basket, meta)
 
     def close(self) -> None:

@@ -343,7 +343,8 @@ def test_hist_typechecks_skim_and_quantity(cli_dataset, tmp_path, capsys, skim, 
         (["reduce", "--job", "{missing_column}"], "required column 'Nope' missing"),
         (["reduce", "--job", "{tmp}/absent.cfg"], "No such file or directory"),
         (["reduce", "--job", "{corrupt_input}"], "bad magic"),
-        (["hist", "--job", "{corrupt_input}", "--spec", "count", "--out", "{tmp}/h.csv"], "bad magic"),
+        (["hist", "--job", "{corrupt_input}", "--spec", "bin(4, 0, 4, 'MET')",
+          "--out", "{tmp}/h.csv"], "bad magic"),
         (["hist", "--job", "{good}", "--spec", "bin(4, 0", "--out", "{tmp}/h.csv"], "bad histogram spec"),
         (["concat", "--out", "{tmp}/m.trf", "--manifest", "{tmp}/missing.jsonl"], "missing.jsonl"),
         (["hist", "--job", "{good}", "--spec", "bin(4, 0, 1e999, 'MET')", "--out", "{tmp}/h.csv"],
@@ -353,7 +354,8 @@ def test_hist_typechecks_skim_and_quantity(cli_dataset, tmp_path, capsys, skim, 
         (["serve", "--root", "{tmp}", "--port", "0", "--bandwidth-cap", "0"], "must be positive"),
         (["serve", "--root", "{tmp}", "--port", "0", "--bandwidth-cap", "-1"], "must be positive"),
         (["reduce", "--job", "{port_out_of_range}"], "Port out of range"),
-        (["hist", "--job", "{no_host}", "--spec", "count", "--out", "{tmp}/h.csv"], "missing host"),
+        (["hist", "--job", "{no_host}", "--spec", "bin(4, 0, 4, 'MET')", "--out", "{tmp}/h.csv"],
+         "missing host"),
         (["serve", "--root", "{tmp}", "--port", "70000"], "port must be 0-65535, got 70000"),
         (["serve", "--root", "{tmp}", "--port", "-1"], "port must be 0-65535, got -1"),
         (["hist", "--job", "{good}", "--spec", "bin(1e999, 0, 1, 'MET')", "--out", "{tmp}/h.csv"],
@@ -361,11 +363,13 @@ def test_hist_typechecks_skim_and_quantity(cli_dataset, tmp_path, capsys, skim, 
         (["reduce", "--job", "{port_zero}"], "port 0"),
         (["hist", "--job", "{good}", "--spec", "bin(1e9, 0, 1, 'MET')", "--out", "{tmp}/h.csv"],
          "cells, more than"),
+        (["hist", "--job", "{corrupt_input}", "--spec", "count", "--out", "{tmp}/h.csv"],
+         "spec 'count' has no bin(...) at top level to write"),
     ],
     ids=["missing-column", "missing-job-file", "corrupt-input", "hist-corrupt-input", "bad-spec",
          "missing-manifest", "infinite-high-edge", "infinite-low-edge", "zero-cap", "negative-cap",
          "url-port-out-of-range", "url-without-host", "port-too-high", "negative-port",
-         "infinite-bin-count", "url-port-zero", "oversized-histogram"],
+         "infinite-bin-count", "url-port-zero", "oversized-histogram", "hist-spec-without-bin"],
 )
 def test_user_errors_print_a_message_and_return_1(cli_dataset, tmp_path, capsys, argv, message):
     data_dir, manifest = cli_dataset
@@ -451,6 +455,25 @@ def test_concat_refuses_a_manifest_whose_part_was_swapped(cli_dataset, tmp_path,
     assert capsys.readouterr().err == (
         f"concat: {part0}: {rows[1].entries} entries, manifest says {rows[0].entries}\n"
     )
+    assert not merged.exists()
+
+
+@pytest.mark.parametrize(
+    "row,message",
+    [
+        ('{"task_id": 0, "path": "x.trf"}', "missing 1 required positional argument: 'entries'"),
+        ("not json", "Expecting value"),
+    ],
+    ids=["missing-key", "not-json"],
+)
+def test_concat_refuses_a_bad_manifest_row(tmp_path, capsys, row, message):
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text('{"task_id": 0, "path": "x.trf", "entries": 3}\n' + row + "\n")
+    merged = tmp_path / "merged.trf"
+    assert main(["concat", "--out", str(merged), "--manifest", str(manifest)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"concat: {manifest}:2: ") and message in err
+    assert err.count("\n") == 1
     assert not merged.exists()
 
 

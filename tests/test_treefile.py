@@ -5,6 +5,7 @@ from __future__ import annotations
 import collections
 import itertools
 import os
+import re
 import struct
 import sys
 import threading
@@ -692,6 +693,39 @@ def test_chunk_events_index_each_element_and_are_cached():
 # --- streaming writer ---------------------------------------------------
 
 
+def test_directory_bytes_survive_a_round_trip(tmp_path):
+    rng = np.random.default_rng(11)
+    n = 1000
+    counts = rng.integers(0, 4, n)
+    path = tmp_path / "three.trf"
+    write_tree(
+        str(path), "t",
+        {
+            "i": np.arange(n, dtype=np.int32),
+            "f": rng.normal(size=n),
+            "j": ColumnChunk(
+                rng.normal(size=int(counts.sum())).astype(np.float32),
+                np.concatenate([[0], np.cumsum(counts)]),
+            ),
+        },
+        basket_entries=256,
+    )
+    raw = path.read_bytes()
+    _, _, dir_offset, dir_len, _ = struct.unpack(">4sIQQQ", raw[:32])
+    _, branches = DirWalker(parse_record(raw[dir_offset : dir_offset + dir_len])).walk()["t"]
+    with open_file(str(path)) as reader:
+        parsed = reader.tree("t").branches
+        assert list(parsed) == list(branches) == ["i", "f", "j"]
+        for name, (_, _, baskets) in branches.items():
+            assert len(baskets) == 4
+            # the payload's entry bytes, as DirWalker read them
+            entries = b"".join(struct.pack(">QIQIIB", *basket) for basket in baskets)
+            assert parsed[name].baskets.tobytes() == entries
+    again = tmp_path / "again.trf"
+    assert concat_files([path], again, basket_entries=256) == n
+    assert again.read_bytes() == raw
+
+
 def test_streaming_writer_flushes_fixed_baskets(tmp_path):
     path = tmp_path / "stream.trf"
     total = np.arange(19, dtype=np.int64)
@@ -892,6 +926,56 @@ def assert_byte_flips_never_crash(raw: bytes) -> None:
                     reader.read_column(tname, bname)
         except TreeFileError:
             pass  # structured failure is the contract; crashes are not
+
+
+def file_with_index(n_entries: int, baskets: list[tuple], spoil=lambda d: d) -> bytes:
+    """A one-tree file of 16 data bytes whose flat i32 branch ``v`` has the
+    basket index rows ``baskets``, packed without the library; ``spoil``
+    maps the directory payload before it is framed."""
+    directory = spoil(
+        struct.pack(">I", 1) + pack_name("t") + struct.pack(">QI", n_entries, 1)
+        + pack_name("v") + struct.pack(">BBI", 1, 0, len(baskets))
+        + b"".join(struct.pack(">QIQIIB", *basket) for basket in baskets)
+    )
+    record = struct.pack(">BI", 0, len(directory)) + directory
+    dir_offset = 32 + 16
+    header = struct.pack(">4sIQQQ", b"TRF1", 1, dir_offset, len(record), dir_offset + len(record))
+    return header + bytes(16) + record
+
+
+# (first_entry, n_entries, offset, stored_len, raw_len, codec) of two
+# stored baskets that cover the file's 16 data bytes
+GOOD_INDEX = [(0, 2, 32, 8, 8, 0), (2, 2, 40, 8, 8, 0)]
+
+
+def test_a_hand_built_index_reads():
+    with open_bytes(file_with_index(4, GOOD_INDEX)) as reader:
+        assert reader.read_column("t", "v").values.tolist() == [0] * 4
+
+
+@pytest.mark.parametrize(
+    "n_entries,baskets,spoil,message",
+    [
+        (4, [(0, 2, 32, 8, 8, 0), (3, 1, 40, 4, 4, 0)], None,
+         "branch 'v': basket starts at entry 3, expected 2"),
+        (4, [(0, 0, 32, 0, 0, 0), (0, 4, 32, 16, 16, 0)], None, "branch 'v': empty basket"),
+        (4, [(0, 4, 31, 16, 16, 0)], None, "branch 'v': basket data outside data region"),
+        (4, [(0, 4, 32, 17, 16, 0)], None, "branch 'v': basket data outside data region"),
+        # offset + stored_len is 2**64 + 8, which wraps to 8 in u64
+        (4, [(0, 4, 2**64 - 8, 16, 16, 0)], None, "branch 'v': basket data outside data region"),
+        (4, GOOD_INDEX[:1], None, "branch 'v': baskets cover 2 entries, tree has 4"),
+        (4, [(0, 4, 32, 16, 16, 7)], None, "unknown codec byte 7"),
+        (4, GOOD_INDEX, lambda d: d[:-10], "directory truncated"),
+        (4, GOOD_INDEX, lambda d: d + b"\0", "1 trailing bytes after directory"),
+    ],
+    ids=["wrong-first-entry", "empty-basket", "offset-in-header", "past-directory",
+         "past-directory-wrapping-u64", "short-coverage", "codec-7", "truncated-entry",
+         "trailing-bytes"],
+)
+def test_each_basket_index_rule_is_refused_by_its_message(n_entries, baskets, spoil, message):
+    raw = file_with_index(n_entries, baskets, *([spoil] if spoil else []))
+    with pytest.raises(CorruptFileError, match=re.escape(message)):
+        open_bytes(raw)
 
 
 def test_every_truncation_is_detected(tmp_path):
