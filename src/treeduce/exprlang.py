@@ -444,14 +444,6 @@ def _flatten_pair(
     return a.values, b.values, a
 
 
-def _promote_arrays(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    if a.dtype == np.float64 and b.dtype != np.float64:
-        b = b.astype(np.float64)
-    elif b.dtype == np.float64 and a.dtype != np.float64:
-        a = a.astype(np.float64)
-    return a, b
-
-
 def _fold_sum(val: ColumnChunk) -> np.ndarray:
     """Per-event left-to-right sum, matching a scalar accumulator loop bitwise.
 
@@ -581,20 +573,16 @@ def _apply_binary(op: str, a: np.ndarray, b: np.ndarray, offset: int) -> np.ndar
     if op in ("&&", "||"):
         return (a & b) if op == "&&" else (a | b)
     if op in _COMPARISONS:
-        if a.dtype == bool or b.dtype == bool:
-            if op not in ("==", "!="):
-                raise EvalError(f"bool values only support == and != (operator at offset {offset})")
-            return (a == b) if op == "==" else (a != b)
-        a, b = _promote_arrays(a, b)
+        if (a.dtype == bool or b.dtype == bool) and op not in ("==", "!="):
+            raise EvalError(f"bool values only support == and != (operator at offset {offset})")
         with np.errstate(invalid="ignore"):
             return {
                 "==": np.equal, "!=": np.not_equal,
                 "<": np.less, "<=": np.less_equal,
                 ">": np.greater, ">=": np.greater_equal,
             }[op](a, b)
-    a, b = _promote_arrays(a, b)
     if op == "/":
-        if a.dtype == np.int64:
+        if a.dtype == b.dtype == np.int64:
             if np.any(b == 0):
                 raise EvalError(f"integer division by zero (operator at offset {offset})")
             with np.errstate(over="ignore"):  # INT64_MIN / -1 wraps, as + - * do

@@ -33,6 +33,7 @@ import threading
 import zlib
 from dataclasses import dataclass, field
 from enum import IntEnum
+from functools import cached_property
 from pathlib import Path
 from typing import BinaryIO, Iterable, Sequence
 
@@ -332,7 +333,7 @@ def _basket_index(rows) -> np.recarray:
 
 @dataclass
 class BranchMeta:
-    """A branch; its index rows are read from ``baskets.tolist()`` as tuples of Python ints."""
+    """A branch; readers take its basket index from ``rows``, converted once."""
 
     name: str
     dtype: Dtype
@@ -342,6 +343,11 @@ class BranchMeta:
     @property
     def is_jagged(self) -> bool:
         return self.shape is Shape.JAGGED
+
+    @cached_property
+    def rows(self) -> list[tuple]:
+        """The index rows as tuples of Python ints, in which no check can overflow."""
+        return self.baskets.tolist()
 
 
 @dataclass
@@ -707,17 +713,13 @@ class ColumnChunk:
         return ColumnChunk(keep_values, offsets)
 
     @classmethod
-    def from_lists(cls, data, dtype: np.dtype | type, jagged: bool | None = None) -> "ColumnChunk":
+    def from_lists(cls, rows, dtype: np.dtype | type) -> "ColumnChunk":
+        """A jagged chunk whose entries hold ``rows``' values."""
         dt = np.dtype(dtype)
-        if jagged is None:
-            jagged = bool(data) and isinstance(data[0], (list, tuple, np.ndarray))
-        if not jagged:
-            return cls(np.asarray(data, dtype=dt))
-        counts = np.fromiter((len(row) for row in data), dtype=np.int64, count=len(data))
-        offsets = np.zeros(len(data) + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        flat = np.concatenate([np.asarray(row, dtype=dt) for row in data]) if len(data) else np.array([], dtype=dt)
-        return cls(flat.astype(dt, copy=False), offsets)
+        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, rows), np.int64, len(rows)), out=offsets[1:])
+        values = [np.asarray(row, dtype=dt) for row in rows]
+        return cls(np.concatenate([np.empty(0, dt), *values]), offsets)
 
     @classmethod
     def empty(cls, dtype: np.dtype | type, jagged: bool = False) -> "ColumnChunk":
@@ -727,24 +729,39 @@ class ColumnChunk:
         return cls(values)
 
     @classmethod
-    def concatenate(cls, chunks: Sequence["ColumnChunk"]) -> "ColumnChunk":
+    def concatenate(
+        cls, chunks: Sequence["ColumnChunk"], dtype: np.dtype | None = None
+    ) -> "ColumnChunk":
+        """Join chunks end to end in one copy per array, casting values to ``dtype``.
+
+        ``dtype`` defaults to numpy's promotion of the chunks' dtypes. The
+        cast is unsafe, as an assignment is, so stored BOOL ``u1`` values
+        become bool. Offsets come out int64 from 0, each chunk's rebased
+        onto the elements before it. One chunk that needs no conversion is
+        returned as it is.
+        """
         if not chunks:
             raise SchemaError("cannot concatenate zero chunks")
-        if len(chunks) == 1:
-            return chunks[0]
         jagged = chunks[0].is_jagged
         if any(c.is_jagged != jagged for c in chunks):
             raise SchemaError("mixed flat/jagged chunks")
-        values = np.concatenate([c.values for c in chunks])
+        # a jagged chunk's values past its last offset belong to no entry
+        parts = [c.values[: int(c.offsets[-1])] if jagged else c.values for c in chunks]
+        dtype = np.result_type(*parts) if dtype is None else dtype
+        int64_offsets = not jagged or chunks[0].offsets.dtype == np.int64
+        if len(chunks) == 1 and parts[0].dtype == dtype and int64_offsets:
+            return chunks[0]
+        # via np.empty: np.concatenate's own allocation made a rerun job fault pages in again
+        values = np.empty(sum(len(v) for v in parts), dtype=dtype)
+        np.concatenate(parts, out=values, casting="unsafe")
         if not jagged:
             return cls(values)
-        total = sum(c.n_entries for c in chunks)
-        offsets = np.zeros(total + 1, dtype=np.int64)
-        pos, base = 1, 0
-        for c in chunks:
-            offsets[pos : pos + c.n_entries] = c.offsets[1:] + base
+        offsets = np.zeros(sum(c.n_entries for c in chunks) + 1, dtype=np.int64)
+        pos = base = 0  # entries and elements placed so far
+        for c, part in zip(chunks, parts):
+            np.add(c.offsets[1:], base, out=offsets[pos + 1 : pos + 1 + c.n_entries])
             pos += c.n_entries
-            base += int(c.offsets[-1])
+            base += len(part)
         return cls(values, offsets)
 
 
@@ -782,8 +799,8 @@ def decode_basket(
 
     The views keep the stored byte order: values are big-endian, and a
     jagged basket's offsets are its basket-local table viewed as
-    big-endian i8. :meth:`TreeFileReader.read_column` converts them while
-    it copies them into its column.
+    big-endian i8. :meth:`ColumnChunk.concatenate` converts them while it
+    joins a column's baskets.
     """
     be = _DTYPE_BE[dtype]
     size = be.itemsize
@@ -971,7 +988,7 @@ def _infer_column(data) -> tuple[ColumnChunk, Dtype, Shape]:
     elif isinstance(data, (list,)) and data and isinstance(data[0], (list, tuple, np.ndarray)):
         sample = next((row for row in data if len(row)), None)
         dt = np.asarray(sample).dtype if sample is not None else np.dtype(np.float64)
-        chunk = ColumnChunk.from_lists(data, dt, jagged=True)
+        chunk = ColumnChunk.from_lists(data, dt)
     else:
         chunk = ColumnChunk(np.asarray(data))
     key = np.dtype(chunk.values.dtype)
@@ -1110,7 +1127,7 @@ def _check_index(header: TreeFileHeader, trees: dict[str, TreeMeta]) -> None:
     for tree in trees.values():
         for meta in tree.branches.values():
             expect_first = 0
-            for first_entry, n_entries, offset, stored_len, _, _ in meta.baskets.tolist():
+            for first_entry, n_entries, offset, stored_len, _, _ in meta.rows:
                 if first_entry != expect_first:
                     raise CorruptFileError(
                         f"branch {meta.name!r}: basket starts at entry "
@@ -1146,13 +1163,13 @@ def _entry_stop(tmeta: TreeMeta, entry_start: int, entry_stop: int | None) -> in
 
 
 def _overlapping(meta: BranchMeta, entry_start: int, entry_stop: int) -> list[tuple]:
-    """The index rows of the baskets that hold entries in ``[entry_start, entry_stop)``."""
+    """The index rows of the baskets that hold entries in ``[entry_start, entry_stop)``:
+    a checked index's baskets tile the tree in order, so bisection finds them.
+    """
     if entry_start == entry_stop:
         return []
-    return [
-        b for b in meta.baskets.tolist()
-        if b[0] < entry_stop and b[0] + b[1] > entry_start  # first_entry, n_entries
-    ]
+    lo = bisect.bisect_right(meta.rows, entry_start, key=lambda row: row[0]) - 1
+    return meta.rows[lo : bisect.bisect_left(meta.rows, entry_stop, key=lambda row: row[0])]
 
 
 class TreeFileReader:
@@ -1210,8 +1227,8 @@ class TreeFileReader:
         """Decode one branch over ``[entry_start, entry_stop)``.
 
         Only baskets overlapping the range are fetched and decompressed. The
-        column is sized from them and allocated once; each basket's part
-        goes into its slice in one copy that also converts the byte order.
+        column is their chunks, cut to the range, joined by
+        :meth:`ColumnChunk.concatenate` in one copy that converts them.
         """
         tmeta = self.tree(tree)
         meta = _branch(tmeta, branch)
@@ -1219,33 +1236,13 @@ class TreeFileReader:
         native = _DTYPE_NATIVE[meta.dtype]
         if entry_start == stop:
             return ColumnChunk.empty(native, jagged=meta.is_jagged)
-        # (basket in stored byte order, its first and stop entry in the range)
-        pieces = []
-        for basket in _overlapping(meta, entry_start, stop):
-            b_start, n_entries = basket[:2]
-            lo = max(entry_start, b_start) - b_start
-            hi = min(stop, b_start + n_entries) - b_start
-            pieces.append((self._read_basket(basket, meta), lo, hi))
-        if not meta.is_jagged:
-            values = np.empty(stop - entry_start, dtype=native)
-            pos = 0
-            for chunk, lo, hi in pieces:
-                values[pos : pos + hi - lo] = chunk.values[lo:hi]
-                pos += hi - lo
-            return ColumnChunk(values)
-        # each piece's elements: [first, last) of its basket's values
-        spans = [(int(chunk.offsets[lo]), int(chunk.offsets[hi])) for chunk, lo, hi in pieces]
-        values = np.empty(sum(last - first for first, last in spans), dtype=native)
-        offsets = np.empty(stop - entry_start + 1, dtype=np.int64)
-        offsets[0] = 0
-        pos = base = 0  # entries and elements placed so far
-        for (chunk, lo, hi), (first, last) in zip(pieces, spans):
-            dst = offsets[pos + 1 : pos + 1 + hi - lo]
-            np.add(chunk.offsets[lo + 1 : hi + 1], base - first, out=dst)
-            values[base : base + last - first] = chunk.values[first:last]
-            pos += hi - lo
-            base += last - first
-        return ColumnChunk(values, offsets)
+        pieces = []  # each basket's chunk in stored byte order, cut to the range
+        for b in _overlapping(meta, entry_start, stop):  # b[:2]: first_entry, n_entries
+            chunk = self._read_basket(b, meta)
+            if b[0] < entry_start or b[0] + b[1] > stop:
+                chunk = chunk.slice(max(entry_start - b[0], 0), min(stop - b[0], b[1]))
+            pieces.append(chunk)
+        return ColumnChunk.concatenate(pieces, native)
 
     def prefetch(
         self,
@@ -1308,7 +1305,7 @@ class TreeFileReader:
         if deep:
             for tree in self.trees.values():
                 for meta in tree.branches.values():
-                    for basket in meta.baskets.tolist():
+                    for basket in meta.rows:
                         self._read_basket(basket, meta)
 
     def close(self) -> None:

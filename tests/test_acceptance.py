@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ACCEPTANCE_BLOCKS, ACCEPTANCE_LINES, read_parts
 from reference_interp import (
@@ -448,11 +449,11 @@ def test_criterion_7_round_trip_and_truncation_fuzz(tmp_path):
     counter = {"examples": 0}
 
     @settings(max_examples=500)
-    @given(tree_contents())
-    def round_trip(contents):
+    @given(tree_contents(), st.data())
+    def round_trip(contents, data):
         counter["examples"] += 1
         branches, basket_entries, codec = contents
-        _assert_round_trip(tmp_path, branches, basket_entries, codec)
+        _assert_round_trip(tmp_path, branches, basket_entries, codec, data)
 
     round_trip()
 

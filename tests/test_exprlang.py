@@ -230,6 +230,33 @@ def test_mixed_arithmetic_promotes_to_float():
     assert out[0] == 0.5  # integer division first, then float add
 
 
+# int64 values that f64 cannot hold exactly, and the ends of the int64 range
+EDGE_I64 = [2**53 + 1, 2**62 + 1, -(2**63), 2**63 - 1, 7]
+EDGE_F64 = [2.0**53, 2.0**53 + 2, 2.0**62, -(2.0**63), 2.0**63, 0.0, -0.5]
+
+
+@pytest.mark.parametrize("op", ["<", "<=", "==", "!=", ">", ">=", "+", "-", "*", "/"])
+def test_mixed_operands_take_the_int_cast_to_f64(op):
+    pairs = [(i, f) for i in EDGE_I64 for f in EDGE_F64]
+    cols = {
+        "b": ColumnChunk(np.array([i for i, _ in pairs], dtype=np.int64)),
+        "d": ColumnChunk(np.array([f for _, f in pairs], dtype=np.float64)),
+    }
+    for text in (f"b {op} d", f"d {op} b"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = evaluate(parse(text), cols).values
+        want = eval_events(parse(text), events_from_columns(cols))  # casts, then operates
+        assert got.dtype == (np.float64 if op in "+-*/" else bool)
+        assert arrays_match(got, want)
+
+
+def test_an_int_past_2_53_compares_as_the_f64_it_casts_to():
+    # 2^53 + 1 rounds to 2^53 in f64, so the two compare equal once cast
+    assert _scalar("9007199254740993 == 9007199254740992.0")[0]
+    assert not _scalar("9007199254740993 > 9007199254740992.0")[0]
+
+
 JAGGED_PT = ColumnChunk(
     values=np.array([10.0, 30.0, np.nan, 5.0, 2.0, 3.0], dtype=np.float64),
     offsets=np.array([0, 2, 3, 3, 6], dtype=np.int64),

@@ -653,9 +653,9 @@ def test_select_keeps_the_masked_entries(indexed):
     rng = np.random.default_rng(9)
     rows = [[], [1.5, -0.0], [], [np.nan], [2.0, 3.0, 4.0], []]
     chunks = [
-        ColumnChunk.from_lists(rows, np.float32, jagged=True),
-        ColumnChunk.from_lists([[], [], []], np.int64, jagged=True),
-        ColumnChunk.from_lists([], np.float64, jagged=True),
+        ColumnChunk.from_lists(rows, np.float32),
+        ColumnChunk.from_lists([[], [], []], np.int64),
+        ColumnChunk.from_lists([], np.float64),
         # values past offsets[-1] belong to no entry and are never kept
         ColumnChunk(np.array([1, 2, 3, 99, 98], dtype=np.int32), np.array([0, 2, 2, 3])),
         ColumnChunk(np.arange(6, dtype=np.int64)),
@@ -677,6 +677,21 @@ def test_select_keeps_the_masked_entries(indexed):
                 assert got.events().tolist() == [i for i, row in enumerate(want) for _ in row]
         with pytest.raises(SchemaError, match="mask of"):
             chunk.select(np.ones(n + 1, bool))
+
+
+def test_values_past_the_last_offset_are_left_out_when_chunks_join(tmp_path):
+    # 99 follows the first chunk's last offset, so it belongs to no entry
+    first = ColumnChunk(np.array([1, 2, 3, 99], dtype=np.int64), np.array([0, 2, 3]))
+    second = ColumnChunk(np.array([5], dtype=np.int64), np.array([0, 1]))
+    assert to_lists(ColumnChunk.concatenate([first, second])) == [[1, 2], [3], [5]]
+    path = tmp_path / "trailing.trf"
+    with TreeFileWriter(str(path), basket_entries=8) as writer:
+        writer.begin_tree("t", {"j": (Dtype.I64, Shape.JAGGED)})
+        writer.extend({"j": first})
+        writer.extend({"j": second})
+        writer.end_tree()
+    with open_file(str(path)) as reader:
+        assert to_lists(reader.read_column("t", "j")) == [[1, 2], [3], [5]]
 
 
 def test_chunk_events_index_each_element_and_are_cached():
@@ -804,6 +819,24 @@ def test_reads_touch_only_overlapping_baskets(tmp_path):
         (baskets_a[2].offset, baskets_a[2].stored_len),
     ]
     reader.close()
+
+
+def test_overlapping_rows_are_the_baskets_a_range_touches(tmp_path):
+    path = tmp_path / "many.trf"
+    n = 203
+    write_tree(str(path), "t", {"f": np.arange(n), "j": [[i] * (i % 3) for i in range(n)]},
+               basket_entries=3, codec=Codec.NONE)
+    rng = np.random.default_rng(11)
+    ranges = [(0, 0), (n, n), (0, n), (n - 1, n), (3, 6), (4, 4), (2, 3)]
+    ranges += [tuple(sorted(rng.integers(0, n + 1, size=2).tolist())) for _ in range(300)]
+    ranges += [(int(a), n) for a in rng.integers(0, n + 1, size=20)]
+    with open_file(str(path)) as reader:
+        for meta in reader.tree("t").branches.values():
+            rows = meta.baskets.tolist()
+            assert meta.rows == rows and len(rows) == 68
+            for start, stop in ranges:
+                want = [r for r in rows if r[0] < stop and r[0] + r[1] > start] if start < stop else []
+                assert treefile._overlapping(meta, start, stop) == want, (start, stop)
 
 
 def test_prefetch_fetches_touching_baskets_as_one_range(tmp_path):
@@ -1372,30 +1405,39 @@ def tree_contents(draw):
     return branches, basket_entries, codec
 
 
-def _assert_round_trip(tmp_path, branches, basket_entries, codec):
+def _assert_same_column(got: ColumnChunk, want: ColumnChunk) -> None:
+    """Equal bytes, native values dtype, and int64 offsets from 0."""
+    assert got.values.dtype == want.values.dtype
+    assert got.values.tobytes() == want.values.tobytes()
+    if want.offsets is None:
+        assert got.offsets is None
+    else:
+        assert got.offsets.dtype == np.int64 and got.offsets[0] == 0
+        assert np.array_equal(got.offsets, want.offsets)
+
+
+def _assert_round_trip(tmp_path, branches, basket_entries, codec, data):
     path = tmp_path / "prop.trf"
     write_tree(str(path), "t", branches, codec=codec, basket_entries=basket_entries)
     with open_file(str(path)) as reader:
         reader.validate(deep=True)
         for name, original in branches.items():
             got = reader.read_column("t", name)
-            if original.offsets is None:
-                assert got.offsets is None
-            else:
-                assert np.array_equal(got.offsets, original.offsets)
-            assert got.values.dtype == original.values.dtype
-            assert got.values.tobytes() == original.values.tobytes()
+            _assert_same_column(got, original)
+            start = data.draw(st.integers(0, original.n_entries), label=f"{name} start")
+            stop = data.draw(st.integers(start, original.n_entries), label=f"{name} stop")
+            _assert_same_column(reader.read_column("t", name, start, stop), got.slice(start, stop))
 
 
-@given(tree_contents())
-def test_round_trip_random_trees(tmp_path, contents):
+@given(tree_contents(), st.data())
+def test_round_trip_random_trees(tmp_path, contents, data):
     branches, basket_entries, codec = contents
-    _assert_round_trip(tmp_path, branches, basket_entries, codec)
+    _assert_round_trip(tmp_path, branches, basket_entries, codec, data)
 
 
-@given(tree_contents())
-def test_random_trees_round_trip_under_each_deflater(library, tmp_path, contents):
-    _assert_round_trip(tmp_path, *contents)
+@given(tree_contents(), st.data())
+def test_random_trees_round_trip_under_each_deflater(library, tmp_path, contents, data):
+    _assert_round_trip(tmp_path, *contents, data)
 
 
 @settings(max_examples=30)
