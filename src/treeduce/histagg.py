@@ -254,14 +254,6 @@ class Bin(_Cells):
 Aggregator = Count | Sum | Bin
 
 
-def fill(agg, event: dict[str, ColumnChunk], weight: float = 1.0) -> None:
-    """Fill from a single-event column view (every chunk has one entry)."""
-    for name, chunk in event.items():
-        if chunk.n_entries != 1:
-            raise HistError(f"column {name!r} has {chunk.n_entries} entries, expected 1")
-    agg.fill_chunk(event, 1, np.array([weight], dtype=np.float64))
-
-
 def combine(a, b):
     return a.combine(b)
 

@@ -114,13 +114,7 @@ _DTYPE_NATIVE = {
     Dtype.BOOL: np.dtype(bool),
 }
 
-_NUMPY_TO_DTYPE = {
-    np.dtype(np.int32): Dtype.I32,
-    np.dtype(np.int64): Dtype.I64,
-    np.dtype(np.float32): Dtype.F32,
-    np.dtype(np.float64): Dtype.F64,
-    np.dtype(bool): Dtype.BOOL,
-}
+_NUMPY_TO_DTYPE = {native: dtype for dtype, native in _DTYPE_NATIVE.items()}
 
 
 class TreeFileError(Exception):
@@ -429,57 +423,45 @@ def _deflate_planes(raw: bytes | memoryview, planes: Planes) -> np.ndarray | Non
     subtraction and two byte-order copies.
     """
     src = np.frombuffer(raw, dtype=np.uint8)
-    # each segment's planes as rows (views), and its flags; a few planes
-    # each, so the flags are kept in lists, not in small numpy arrays
-    rows, flags = [], []
+    flags, segments = [], []  # a flag per plane, an (n, width) element array per segment
     for i, (lo, hi, w) in enumerate(_segments(len(src), planes)):
         segment = src[lo:hi]
         if planes[0] and i == 0:
             segment = _offsets_to_counts(segment)
         elements = segment.reshape(-1, w)
         shrinks, maybe_constant = _plane_shrinks(elements)
-        seg_flags = [_DEFLATED if shrink else _STORED for shrink in shrinks]
-        if maybe_constant:
-            for j in np.flatnonzero(_constant_planes(segment, w)).tolist():
-                seg_flags[j] = _CONSTANT
-        rows.append(elements.T)
-        flags.append(seg_flags)
-    mask = [flag for seg_flags in flags for flag in seg_flags]
-    if not any(mask):
+        constant = _constant_planes(segment, w).tolist() if maybe_constant else [False] * w
+        for shrink, const in zip(shrinks, constant):
+            flags.append(_CONSTANT if const else _DEFLATED if shrink else _STORED)
+        segments.append(elements)
+    if not any(flags):
         return None
-    deflated_len = kept_len = 0
-    constants = []  # each constant plane's byte: its first element's
-    for plane_rows, seg_flags in zip(rows, flags):
-        n = plane_rows.shape[1]
-        deflated_len += n * seg_flags.count(_DEFLATED)
-        kept_len += n * seg_flags.count(_STORED)
-        if _CONSTANT in seg_flags:
-            firsts = plane_rows[:, 0].tolist()
-            constants += [firsts[j] for j, flag in enumerate(seg_flags) if flag == _CONSTANT]
-    kept_len += len(constants)
-    head = len(mask) + _CRC.size
-    deflate_in = np.empty(deflated_len, dtype=np.uint8)
-    _gather_planes(rows, flags, _DEFLATED, deflate_in)
-    out, stream_len = _deflate_between(deflate_in, head, kept_len)
+    stored, deflated, constant = _planes_by_flag(segments, flags)
+    kept = [plane[:1] for plane in constant] + stored  # the stored section, piece by piece
+    kept_len = sum(map(len, kept))
+    head = len(flags) + _CRC.size
+    out, stream_len = _deflate_between(deflated, head, kept_len)
     end = head + stream_len + kept_len
     if end >= len(src):
         return None
-    kept = out[head + stream_len : end]
-    kept[: len(constants)] = constants
-    _gather_planes(rows, flags, _STORED, kept[len(constants) :])
-    out[: len(mask)] = mask
-    _CRC.pack_into(out, len(mask), _crc32(kept))
+    section = out[head + stream_len : end]
+    if kept:
+        np.concatenate(kept, out=section)
+    out[: len(flags)] = flags
+    _CRC.pack_into(out, len(flags), _crc32(section))
     return out[:end]
 
 
-def _deflate_between(data: np.ndarray, head: int, tail: int) -> tuple[np.ndarray, int]:
-    """A buffer of ``head`` bytes, the level-1 zlib stream of ``data`` (none
-    when ``data`` is empty) and ``tail`` bytes; and the stream's length.
+def _deflate_between(planes: list, head: int, tail: int) -> tuple[np.ndarray, int]:
+    """A buffer of ``head`` bytes, the level-1 zlib stream of ``planes``
+    concatenated (none when there are none) and ``tail`` bytes; and the
+    stream's length.
 
     libdeflate writes the stream into the buffer, zlib's is copied in.
     """
-    if not len(data):
+    if not planes:
         return np.empty(head + tail, dtype=np.uint8), 0
+    data = np.concatenate(planes)
     lib = _LIBDEFLATE
     if lib is None:
         stream = zlib.compress(data, _PLANES_LEVEL)
@@ -524,60 +506,60 @@ def _constant_planes(segment: np.ndarray, width: int) -> np.ndarray:
     return np.frombuffer(differ.tobytes(), dtype=np.uint8) == 0
 
 
-def _gather_planes(rows: list, flags: list, flag: int, out: np.ndarray) -> None:
-    """Copy the whole planes of every segment flagged ``flag``, in order, into ``out``."""
+def _planes_by_flag(segments: list, flags) -> tuple[list, list, list]:
+    """The byte planes (views) of each segment's (n, width) element array,
+    walked in plane order and split by their flags: the stored, the deflated
+    and the constant ones, each list in plane order."""
+    by_flag = ([], [], [])
+    for flag, plane in zip(flags, (plane for elements in segments for plane in elements.T)):
+        by_flag[flag].append(plane)
+    return by_flag
+
+
+def _place(data: np.ndarray, planes: list) -> None:
+    """Fill ``planes`` (views) one after another from the front of ``data``."""
     pos = 0
-    for planes, seg_flags in zip(rows, flags):
-        n = planes.shape[1]
-        for j, plane_flag in enumerate(seg_flags):
-            if plane_flag == flag:
-                out[pos : pos + n] = planes[j]
-                pos += n
+    for plane in planes:
+        plane[...] = data[pos : pos + len(plane)]
+        pos += len(plane)
 
 
 def _inflate_planes(stored: bytes | memoryview, raw_len: int, planes: Planes) -> np.ndarray:
-    """Decode a codec-4 payload straight into the ``raw_len`` payload bytes."""
+    """Decode a codec-4 payload straight into the ``raw_len`` payload bytes.
+
+    The result's planes, as views, are split by their flags in plane order,
+    then filled in that order: from the inflated stream, from the constants'
+    bytes and from the stored planes.
+    """
     segments = _segments(raw_len, planes)
-    widths = [w for _, _, w in segments]
-    n_flags = sum(widths)
+    n_flags = sum(w for _, _, w in segments)
     if len(stored) < n_flags + _CRC.size:
         raise CorruptFileError(f"planes payload of {len(stored)} bytes has no room for its flags")
-    flags = np.frombuffer(stored, dtype=np.uint8, count=n_flags)
-    if np.any(flags > _CONSTANT):
+    flags = bytes(stored[:n_flags])
+    if max(flags) > _CONSTANT:
         raise CorruptFileError("plane flags must be 0 (stored), 1 (deflated) or 2 (constant)")
-    plane_lens = np.repeat([(hi - lo) // w for lo, hi, w in segments], widths)
-    if np.any((flags == _CONSTANT) & (plane_lens == 0)):
+    out = np.empty(raw_len, dtype=np.uint8)
+    kept_planes, deflated, constant = _planes_by_flag(
+        [out[lo:hi].reshape(-1, w) for lo, hi, w in segments], flags
+    )
+    if not all(map(len, constant)):
         raise CorruptFileError("an empty plane cannot be constant")
-    deflated = flags == _DEFLATED
-    deflated_len = int(plane_lens[deflated].sum())
-    n_constant = int(np.count_nonzero(flags == _CONSTANT))
-    kept_len = int(plane_lens[flags == _STORED].sum()) + n_constant
+    kept_len = len(constant) + sum(map(len, kept_planes))
     stream_len = len(stored) - n_flags - _CRC.size - kept_len
-    if stream_len < 0 or (stream_len > 0) != deflated.any():
+    if stream_len < 0 or (stream_len > 0) != bool(deflated):
         raise CorruptFileError(
             f"planes payload of {len(stored)} bytes cannot hold {kept_len} "
-            f"stored bytes and a deflate stream for {int(deflated.sum())} planes"
+            f"stored bytes and a deflate stream for {len(deflated)} planes"
         )
     body = memoryview(stored)[n_flags + _CRC.size :]
-    kept = body[stream_len:]
+    kept = np.frombuffer(body[stream_len:], dtype=np.uint8)
     if _crc32(kept) != _CRC.unpack_from(stored, n_flags)[0]:
         raise CorruptFileError("stored planes do not match their CRC32")
-    inflated_planes = np.empty(0, dtype=np.uint8)
     if stream_len:
-        inflated_planes = _inflate(body[:stream_len], deflated_len)
-    constants = np.frombuffer(kept, dtype=np.uint8, count=n_constant)
-    stored_planes = np.frombuffer(kept, dtype=np.uint8, offset=n_constant)
-    out = np.empty(raw_len, dtype=np.uint8)
-    d = s = c = 0  # bytes placed so far from the inflated planes, stored planes and constants
-    for (lo, hi, w), seg_flags in zip(segments, np.split(flags, np.cumsum(widths)[:-1])):
-        n = (hi - lo) // w
-        plane_rows = out[lo:hi].reshape(-1, w).T  # row j is plane j, a view into out
-        inflated, kept_raw, constant = (seg_flags == f for f in (_DEFLATED, _STORED, _CONSTANT))
-        k_d, k_s, k_c = (int(np.count_nonzero(m)) for m in (inflated, kept_raw, constant))
-        plane_rows[inflated] = inflated_planes[d : d + k_d * n].reshape(k_d, n)
-        plane_rows[kept_raw] = stored_planes[s : s + k_s * n].reshape(k_s, n)
-        plane_rows[constant] = constants[c : c + k_c, None]
-        d, s, c = d + k_d * n, s + k_s * n, c + k_c
+        _place(_inflate(body[:stream_len], sum(map(len, deflated))), deflated)
+    for plane, byte in zip(constant, kept):
+        plane[...] = byte
+    _place(kept[len(constant) :], kept_planes)
     if planes[0]:
         table = out[: planes[0]].view(">u8")
         table[...] = np.cumsum(table, dtype=np.uint64)

@@ -14,8 +14,10 @@ READV is the one read request; a single range is a READV of one. It is
 all or nothing: it answers RangeError if any range is not wholly inside
 the file or the lengths total more than MAX_FRAME - 1, ServerError if
 the file shrank after OPEN measured it, and Malformed (then closes) if
-the payload is not 8 + 12n bytes long. Opcode 2 is unassigned and, like
-any unknown opcode, answered Malformed before the server closes.
+the payload is not 8 + 12n bytes long. An OPEN on a connection that
+already holds the server's limit of open handles is answered
+ServerError. Opcode 2 is unassigned and, like any unknown opcode,
+answered Malformed before the server closes.
 
 Error responses carry a UTF-8 message as payload.
 """

@@ -21,6 +21,11 @@ DEFAULT_PORT = 1094
 # about 0.45 s. An idle server's 20 wake-ups a second took 0.27% of a core
 # (0.03% at 0.5 s) on a 2-core VM, about 0.2% of a reduce-remote job's CPU.
 _POLL_INTERVAL_S = 0.05
+# Files one connection may hold open at once; an OPEN past it is answered
+# ServerError without opening the file, so a client that never sends CLOSE
+# cannot use up the server's descriptors. The engine holds at most one per
+# connection, as each worker thread has its own and reads one file at a time.
+MAX_OPEN_HANDLES = 64
 
 
 @dataclass
@@ -81,6 +86,10 @@ class _Handler(socketserver.BaseRequestHandler):
             except UnicodeDecodeError:
                 self._respond(sock, P.ST_MALFORMED, b"path not UTF-8")
                 return False
+            if len(handles) >= MAX_OPEN_HANDLES:
+                message = f"at most {MAX_OPEN_HANDLES} handles may be open on one connection"
+                self._respond(sock, P.ST_SERVER_ERROR, message.encode("utf-8"))
+                return True
             resolved = self._resolve(path)
             if resolved is None:
                 self._respond(sock, P.ST_NOT_FOUND, path.encode("utf-8"))

@@ -18,7 +18,6 @@ from treeduce.histagg import (
     HistError,
     Sum,
     combine,
-    fill,
     parse_hist_spec,
     render,
     typecheck_aggregator,
@@ -122,7 +121,7 @@ def test_weights_must_be_finite_and_not_negative(weight):
         with pytest.raises(HistError, match="finite and >= 0"):
             agg.fill_chunk(cols([1.0, 2.0]), 2, np.array([1.0, weight]))
         with pytest.raises(HistError, match="finite and >= 0"):
-            fill(agg, cols([1.0]), weight=weight)
+            agg.fill_chunk(cols([1.0]), 1, np.array([weight]))
         assert agg.entries == 0
 
 
@@ -146,8 +145,8 @@ def test_sum_accumulates_weighted_quantity():
 
 def test_fill_single_event():
     agg = Bin.create(2, 0.0, 2.0, X)
-    fill(agg, cols([0.5]), weight=3.0)
-    fill(agg, cols([1.5]))
+    agg.fill_chunk(cols([0.5]), 1, np.array([3.0]))
+    agg.fill_chunk(cols([1.5]), 1, np.array([1.0]))
     assert agg.value.entries[:2].tolist() == [3.0, 1.0]
 
 

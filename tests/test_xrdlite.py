@@ -29,6 +29,7 @@ from treeduce.xrdlite import (
 )
 from treeduce.xrdlite import protocol as P
 from treeduce.xrdlite.client import CACHE_WINDOWS
+from treeduce.xrdlite.server import MAX_OPEN_HANDLES
 
 CONTENT = bytes(range(256)) * 40  # 10240 bytes
 
@@ -156,6 +157,24 @@ def test_open_failures(served_file, tmp_path, tmp_path_factory):
             assert exc.value.status == P.ST_NOT_FOUND
         # leading slash is interpreted relative to the export root
         handle, _ = conn.open("/data.bin")
+        assert conn.read(handle, 0, 4) == CONTENT[:4]
+    finally:
+        conn.close()
+
+
+def test_open_handles_per_connection_are_capped(served_file):
+    conn = XrdConnection(served_file)
+    try:
+        handles = [conn.open("data.bin")[0] for _ in range(MAX_OPEN_HANDLES)]
+        for path in ["data.bin", "missing.bin"]:  # refused before the path is looked up
+            with pytest.raises(XrdStatusError) as exc:
+                conn.open(path)
+            assert exc.value.status == P.ST_SERVER_ERROR
+            assert str(MAX_OPEN_HANDLES) in str(exc.value)
+        for i, handle in enumerate(handles):  # the handles already open still read
+            assert conn.read(handle, i, 3) == CONTENT[i : i + 3]
+        conn.close_handle(handles.pop())
+        handle, _ = conn.open("data.bin")  # a CLOSE frees a slot
         assert conn.read(handle, 0, 4) == CONTENT[:4]
     finally:
         conn.close()
