@@ -32,7 +32,7 @@ from ..engine import EngineConfig, JobSpec, RunResult, WorkloadMetrics, run
 from ..engine.job import DEFAULT_PARTITION_ENTRIES
 from ..treefile import Codec
 from ..xrdlite import ServerConfig, serve
-from .generate import DEMO_TREE, GenSpec, demo_job, ensure_dataset
+from .generate import GenSpec, demo_job, ensure_dataset
 
 _READAHEAD_DEFAULT_CAP = 32 << 20  # bytes/s; keeps transfer time decisive
 
@@ -163,10 +163,13 @@ def _sweep(
     return [(statistics.median(w), last) for w, last in zip(walls, lasts)]
 
 
-def _demo_job(spec: ExperimentSpec, inputs: list[str], name: str) -> JobSpec:
-    """The demo job over ``inputs``, written to ``<out_dir>/runs/<name>``."""
+def _demo_job(spec: ExperimentSpec, inputs: list[str], name: str, **fields) -> JobSpec:
+    """The demo job over ``inputs``, written to ``<out_dir>/runs/<name>``.
+
+    ``fields`` (``keep``, ``skim``) replace the demo job's own.
+    """
     out = str(Path(spec.out_dir) / "runs" / name)
-    return demo_job(inputs, out, partition_entries=spec.partition_entries)
+    return demo_job(inputs, out, partition_entries=spec.partition_entries, **fields)
 
 
 def _run_size(spec: ExperimentSpec) -> SizeScalingResult:
@@ -239,13 +242,7 @@ def _run_readahead(spec: ExperimentSpec) -> ReadaheadResult:
         inputs = manifest.urls(*srv.address)
         points = [
             (
-                JobSpec(
-                    inputs=inputs,
-                    tree=DEMO_TREE,
-                    keep_columns=["v0"],
-                    output=str(Path(spec.out_dir) / "runs" / f"readahead-{ra}"),
-                    partition_entries=spec.partition_entries,
-                ),
+                _demo_job(spec, inputs, f"readahead-{ra}", keep=("v0",), skim=None),
                 EngineConfig(
                     executors=spec.executors,
                     cores_per_executor=spec.cores_per_executor,

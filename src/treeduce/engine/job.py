@@ -2,7 +2,8 @@
 
 A job file is `key = value` lines; `#` starts a comment. `input` may repeat,
 `keep` is comma-separated, expressions may be single- or double-quoted, and
-derived columns use `derive.NAME = "expr"`:
+derived columns use `derive.NAME = "expr"`, where NAME is a column name an
+expression can read (``exprlang.is_column_name``):
 
     input = data/events-00000.trf
     input = data/events-00001.trf
@@ -21,6 +22,7 @@ from collections.abc import Callable, Container, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .. import exprlang
 from ..sources import READ_AHEAD
 
 
@@ -50,6 +52,9 @@ class JobSpec:
         derived_names = [name for name, _ in self.derived]
         if len(set(derived_names)) != len(derived_names):
             raise EngineError("duplicate derived column names")
+        unreadable = [name for name in derived_names if not exprlang.is_column_name(name)]
+        if unreadable:
+            raise EngineError(f"derived names that no expression can read: {unreadable}")
         clash = set(derived_names) & set(self.keep_columns)
         if clash:
             raise EngineError(f"derived names shadow kept branches: {sorted(clash)}")

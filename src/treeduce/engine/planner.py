@@ -75,16 +75,20 @@ def sink_inputs(
     return tuple(sorted(read)), tuple(sorted(selected)), shared
 
 
+def _scalar_kind(what: str, expr: exprlang.Expr, schema: Schema) -> exprlang.Kind:
+    try:
+        return exprlang.scalar_kind(expr, schema)
+    except exprlang.ExprTypeError as exc:
+        raise EngineError(f"{what} does not typecheck: {exc}") from exc
+
+
 def check_skim(skim: exprlang.Expr | None, schema: Schema) -> None:
     """A skim, if any, must typecheck to a scalar bool."""
     if skim is None:
         return
-    try:
-        result = exprlang.typecheck(skim, schema)
-    except exprlang.ExprTypeError as exc:
-        raise EngineError(f"job does not typecheck: {exc}") from exc
-    if result.jagged or result.kind is not exprlang.Kind.BOOL:
-        raise EngineError(f"skim must be a scalar bool, got {result}")
+    kind = _scalar_kind("skim", skim, schema)
+    if kind is not exprlang.Kind.BOOL:
+        raise EngineError(f"skim must be a scalar bool, got {kind.value}")
 
 
 def check_job(job: JobSpec, schema: Schema, exprs: JobExprs) -> dict[str, Dtype]:
@@ -93,15 +97,10 @@ def check_job(job: JobSpec, schema: Schema, exprs: JobExprs) -> dict[str, Dtype]
     Returns the dtype of each derived column.
     """
     check_skim(exprs.skim, schema)
-    derived_dtypes = {}
-    try:
-        for name, expr in exprs.derived:
-            result = exprlang.typecheck(expr, schema)
-            if result.jagged:
-                raise EngineError(f"derived column {name!r} is per-event jagged, not scalar")
-            derived_dtypes[name] = _KIND_DTYPE[result.kind]
-    except exprlang.ExprTypeError as exc:
-        raise EngineError(f"job does not typecheck: {exc}") from exc
+    derived_dtypes = {
+        name: _KIND_DTYPE[_scalar_kind(f"derived column {name!r}", expr, schema)]
+        for name, expr in exprs.derived
+    }
     for name in job.keep_columns:
         if name not in schema:
             raise EngineError(f"kept column {name!r} not in tree schema")

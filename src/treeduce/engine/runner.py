@@ -149,7 +149,7 @@ class PartSink:
     def __init__(self, job: JobSpec, exprs: JobExprs):
         self.job = job
         self.exprs = exprs
-        self.out_dir = Path(job.output)
+        self.out_dir = Path(job.output).resolve()  # manifest rows hold absolute paths
         self.columns, self.selected, self.shared = sink_inputs(
             exprs.skim, [expr for _, expr in exprs.derived], job.keep_columns
         )

@@ -3,7 +3,8 @@
 Precedence, loosest first: ``||``, ``&&``, comparisons, ``+ -``, ``* /``,
 unary ``- !``, then calls and atoms. Comparisons do not chain. The builtin
 calls are count, sum, max, min (jagged input, scalar output) plus abs and
-sqrt (elementwise).
+sqrt (elementwise). Nesting is bounded by ``MAX_NESTING``. The histogram
+spec's parser reads its text through the same token stream, ``Tokens``.
 
 Evaluation is columnar over entry ranges, with a semantics chosen so that
 the result is bitwise identical to a per-event interpreter:
@@ -35,6 +36,7 @@ class ExprError(Exception):
 class ParseError(ExprError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at offset {offset})")
+        self.message = message
         self.offset = offset
 
 
@@ -196,7 +198,77 @@ def shared_nodes(skim: Expr | None, exprs: Iterable[Expr]) -> frozenset[Expr]:
 
 
 # ---------------------------------------------------------------------------
-# tokenizer / parser
+# tokens / parser
+
+# How deep either language may nest: open parentheses, and the height of an
+# expression's tree. The parser takes up to eight frames per parenthesis,
+# and typecheck, evaluate and Expr hashing recurse once or twice per level
+# of the tree, so this keeps all of them far below the recursion limit.
+MAX_NESTING = 64
+
+
+def _nesting(depth: int, offset: int) -> int:
+    if depth > MAX_NESTING:
+        raise ParseError(f"nested more than {MAX_NESTING} levels deep", offset)
+    return depth
+
+
+@dataclass(frozen=True)
+class Token:
+    kind: str  # a group name of the lexer's regex, or "eof"
+    text: str
+    offset: int
+
+
+class Tokens:
+    """The tokens of ``text`` under ``pattern``, taken front to back.
+
+    Each named group of ``pattern`` is a token kind; ``ws`` tokens are
+    dropped and an ``eof`` token ends the stream. The parsers of both
+    languages recurse only at a ``(``, so a ``(`` more than ``MAX_NESTING``
+    deep is refused here, before any parser recurses into it.
+    """
+
+    def __init__(self, pattern: re.Pattern, text: str):
+        self.tokens: list[Token] = []
+        pos = depth = 0
+        while pos < len(text):
+            match = pattern.match(text, pos)
+            if match is None:
+                raise ParseError(f"unexpected character {text[pos]!r}", pos)
+            tok = Token(match.lastgroup, match.group(), pos)
+            depth = _nesting(depth + (tok.text == "(") - (tok.text == ")"), pos)
+            if tok.kind != "ws":
+                self.tokens.append(tok)
+            pos = match.end()
+        self.tokens.append(Token("eof", "", len(text)))
+        self.pos = 0
+
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
+
+    def accept(self, kind: str, *texts: str) -> Token | None:
+        """Take the next token if it is a ``kind`` and, given ``texts``, one of them."""
+        tok = self.tokens[self.pos]
+        if tok.kind != kind or (texts and tok.text not in texts):
+            return None
+        self.pos += 1
+        return tok
+
+    def expect(self, kind: str, *texts: str, what: str = "") -> Token:
+        """Take the next token, which must be as ``accept`` takes; ``what`` names it in the error."""
+        tok = self.accept(kind, *texts)
+        if tok is None:
+            want = what or " or ".join(map(repr, texts or (kind,)))
+            raise ParseError(f"expected {want}", self.peek().offset)
+        return tok
+
+    def unexpected(self) -> ParseError:
+        """The error for a next token that no rule takes."""
+        tok = self.peek()
+        if tok.kind == "eof":
+            return ParseError("unexpected end of input", tok.offset)
+        return ParseError(f"unexpected {tok.text!r}", tok.offset)
 
 
 _TOKEN_RE = re.compile(
@@ -209,135 +281,79 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "number" | "ident" | "op" | "eof"
-    text: str
-    offset: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if match.lastgroup != "ws":
-            tokens.append(_Token(match.lastgroup, match.group(), pos))
-        pos = match.end()
-    tokens.append(_Token("eof", "", len(text)))
-    return tokens
+# binary operators by precedence, loosest first
+_BINARY_LEVELS = (("||",), ("&&",), _COMPARISONS, ("+", "-"), ("*", "/"))
 
 
 class _Parser:
+    """Recursive descent; each level returns its expression and the height of its tree."""
+
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "op" or tok.text != op:
-            raise ParseError(f"expected {op!r}", tok.offset)
-        return self.advance()
+        self.tokens = Tokens(_TOKEN_RE, text)
 
     def parse(self) -> Expr:
-        expr = self.or_expr()
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise ParseError(f"unexpected {tok.text!r}", tok.offset)
+        expr, _ = self.binary(0)
+        if self.tokens.peek().kind != "eof":
+            raise self.tokens.unexpected()
         return expr
 
-    def or_expr(self) -> Expr:
-        left = self.and_expr()
-        while self.peek().kind == "op" and self.peek().text == "||":
-            tok = self.advance()
-            left = Binary("||", left, self.and_expr(), offset=tok.offset)
-        return left
+    def binary(self, level: int) -> tuple[Expr, int]:
+        if level == len(_BINARY_LEVELS):
+            return self.unary()
+        left, height = self.binary(level + 1)
+        while tok := self.tokens.accept("op", *_BINARY_LEVELS[level]):
+            right, right_height = self.binary(level + 1)
+            left = Binary(tok.text, left, right, offset=tok.offset)
+            height = _nesting(max(height, right_height) + 1, tok.offset)
+            if tok.text in _COMPARISONS:
+                break  # no chaining: a < b < c is a syntax error at the second '<'
+        return left, height
 
-    def and_expr(self) -> Expr:
-        left = self.cmp_expr()
-        while self.peek().kind == "op" and self.peek().text == "&&":
-            tok = self.advance()
-            left = Binary("&&", left, self.cmp_expr(), offset=tok.offset)
-        return left
+    def unary(self) -> tuple[Expr, int]:
+        ops = []
+        while tok := self.tokens.accept("op", "-", "!"):
+            ops.append(tok)
+        expr, height = self.atom()
+        for tok in reversed(ops):
+            expr = Unary(tok.text, expr, offset=tok.offset)
+            height = _nesting(height + 1, tok.offset)
+        return expr, height
 
-    def cmp_expr(self) -> Expr:
-        left = self.add_expr()
-        tok = self.peek()
-        if tok.kind == "op" and tok.text in _COMPARISONS:
-            self.advance()
-            # no chaining: a < b < c is a syntax error at the second '<'
-            return Binary(tok.text, left, self.add_expr(), offset=tok.offset)
-        return left
-
-    def add_expr(self) -> Expr:
-        left = self.mul_expr()
-        while self.peek().kind == "op" and self.peek().text in ("+", "-"):
-            tok = self.advance()
-            left = Binary(tok.text, left, self.mul_expr(), offset=tok.offset)
-        return left
-
-    def mul_expr(self) -> Expr:
-        left = self.unary_expr()
-        while self.peek().kind == "op" and self.peek().text in ("*", "/"):
-            tok = self.advance()
-            left = Binary(tok.text, left, self.unary_expr(), offset=tok.offset)
-        return left
-
-    def unary_expr(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text in ("-", "!"):
-            self.advance()
-            return Unary(tok.text, self.unary_expr(), offset=tok.offset)
-        return self.atom()
-
-    def atom(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "number":
-            self.advance()
+    def atom(self) -> tuple[Expr, int]:
+        if tok := self.tokens.accept("number"):
             if any(c in tok.text for c in ".eE"):
-                return Literal(float(tok.text), Kind.F64, offset=tok.offset)
+                return Literal(float(tok.text), Kind.F64, offset=tok.offset), 0
             value = int(tok.text)
             if value > 2**63 - 1:
                 raise ParseError("integer literal out of range", tok.offset)
-            return Literal(value, Kind.I64, offset=tok.offset)
-        if tok.kind == "ident":
-            self.advance()
-            if tok.text == "true":
-                return Literal(True, Kind.BOOL, offset=tok.offset)
-            if tok.text == "false":
-                return Literal(False, Kind.BOOL, offset=tok.offset)
-            nxt = self.peek()
-            if nxt.kind == "op" and nxt.text == "(":
-                if tok.text not in FUNCTIONS:
-                    raise ParseError(f"unknown function {tok.text!r}", tok.offset)
-                self.advance()
-                arg = self.or_expr()
-                self.expect_op(")")
-                return Call(tok.text, arg, offset=tok.offset)
-            return ColumnRef(tok.text, offset=tok.offset)
-        if tok.kind == "op" and tok.text == "(":
-            self.advance()
-            expr = self.or_expr()
-            self.expect_op(")")
-            return expr
-        if tok.kind == "eof":
-            raise ParseError("unexpected end of input", tok.offset)
-        raise ParseError(f"unexpected {tok.text!r}", tok.offset)
+            return Literal(value, Kind.I64, offset=tok.offset), 0
+        if tok := self.tokens.accept("ident"):
+            if tok.text in ("true", "false"):
+                return Literal(tok.text == "true", Kind.BOOL, offset=tok.offset), 0
+            if not self.tokens.accept("op", "("):
+                return ColumnRef(tok.text, offset=tok.offset), 0
+            if tok.text not in FUNCTIONS:
+                raise ParseError(f"unknown function {tok.text!r}", tok.offset)
+            arg, height = self.binary(0)
+            self.tokens.expect("op", ")")
+            return Call(tok.text, arg, offset=tok.offset), _nesting(height + 1, tok.offset)
+        if self.tokens.accept("op", "("):
+            inner = self.binary(0)
+            self.tokens.expect("op", ")")
+            return inner
+        raise self.tokens.unexpected()
 
 
 def parse(text: str) -> Expr:
     return _Parser(text).parse()
+
+
+def is_column_name(name: str) -> bool:
+    """Whether an expression can read a column called ``name``: it parses to that column."""
+    try:
+        return _Parser(name).parse() == ColumnRef(name)
+    except ParseError:
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +425,14 @@ def typecheck(expr: Expr, schema: dict[str, tuple[Dtype, Shape]]) -> ExprType:
             return ExprType(Kind.F64, inner.jagged)
         return inner  # abs
     raise ExprTypeError(f"unhandled node {type(expr).__name__}")
+
+
+def scalar_kind(expr: Expr, schema: dict[str, tuple[Dtype, Shape]]) -> Kind:
+    """The kind of ``expr``, which must typecheck to one value per event."""
+    result = typecheck(expr, schema)
+    if result.jagged:
+        raise ExprTypeError(f"expected one value per event, got {result}")
+    return result.kind
 
 
 # ---------------------------------------------------------------------------

@@ -41,13 +41,13 @@ import numpy as np
 
 from .exprlang import (
     Expr,
-    ExprType,
     ExprTypeError,
     Kind,
     ParseError,
+    Tokens,
     evaluate,
     parse,
-    typecheck,
+    scalar_kind,
 )
 from .treefile import ColumnChunk, Dtype, Shape
 
@@ -261,18 +261,12 @@ def combine(a, b):
 def typecheck_aggregator(agg, schema: dict[str, tuple[Dtype, Shape]]) -> None:
     """Verify every quantity resolves to a numeric scalar against the schema."""
     for quantity in agg.quantities():
-        _check_scalar_numeric(quantity, schema)
-
-
-def _check_scalar_numeric(quantity: Expr, schema) -> None:
-    try:
-        result: ExprType = typecheck(quantity, schema)
-    except ExprTypeError as exc:
-        raise HistError(f"quantity does not typecheck: {exc}") from exc
-    if result.jagged:
-        raise HistError(f"quantity is per-event jagged, expected a scalar: {result}")
-    if result.kind is Kind.BOOL:
-        raise HistError("quantity must be numeric, got bool")
+        try:
+            kind = scalar_kind(quantity, schema)
+        except ExprTypeError as exc:
+            raise HistError(f"quantity does not typecheck: {exc}") from exc
+        if kind is Kind.BOOL:
+            raise HistError("quantity must be numeric, got bool")
 
 
 # ---------------------------------------------------------------------------
@@ -316,85 +310,54 @@ _SPEC_TOKEN = re.compile(
 
 class _SpecParser:
     def __init__(self, text: str):
-        self.text = text
-        self.tokens: list[tuple[str, str, int]] = []
-        pos = 0
-        while pos < len(text):
-            match = _SPEC_TOKEN.match(text, pos)
-            if match is None:
-                raise HistError(f"bad histogram spec: unexpected character {text[pos]!r} at offset {pos}")
-            if match.lastgroup != "ws":
-                self.tokens.append((match.lastgroup, match.group(), pos))
-            pos = match.end()
-        self.tokens.append(("eof", "", len(text)))
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str, text: str | None = None):
-        tok = self.advance()
-        if tok[0] != kind or (text is not None and tok[1] != text):
-            want = text if text is not None else kind
-            raise HistError(f"bad histogram spec: expected {want!r} at offset {tok[2]}")
-        return tok
+        self.tokens = Tokens(_SPEC_TOKEN, text)
 
     def parse(self):
         agg = self.spec()
-        tok = self.peek()
-        if tok[0] != "eof":
-            raise HistError(f"bad histogram spec: unexpected {tok[1]!r} at offset {tok[2]}")
+        if self.tokens.peek().kind != "eof":
+            raise self.tokens.unexpected()
         return agg
 
     def spec(self):
-        kind, text, offset = self.expect("ident")
-        if text == "count":
+        tok = self.tokens.expect("ident", what="an aggregator")
+        if tok.text == "count":
             return Count()
-        if text == "sum":
-            self.expect("punct", "(")
+        if tok.text == "sum":
+            self.tokens.expect("punct", "(")
             expr = self.quoted_expr()
-            self.expect("punct", ")")
+            self.tokens.expect("punct", ")")
             return Sum(expr)
-        if text == "bin":
-            self.expect("punct", "(")
+        if tok.text == "bin":
+            self.tokens.expect("punct", "(")
+            num_tok = self.tokens.peek()
             num = self.number()
             if not num.is_integer():  # nor are inf and nan
-                raise HistError(f"bad histogram spec: bin count must be a whole number, got {num}")
-            self.expect("punct", ",")
+                raise ParseError(f"bin count must be a whole number, got {num}", num_tok.offset)
+            self.tokens.expect("punct", ",")
             low = self.number()
-            self.expect("punct", ",")
+            self.tokens.expect("punct", ",")
             high = self.number()
-            self.expect("punct", ",")
+            self.tokens.expect("punct", ",")
             expr = self.quoted_expr()
-            value = None
-            if self.peek()[:2] == ("punct", ","):
-                self.advance()
-                value = self.spec()
-            self.expect("punct", ")")
+            value = self.spec() if self.tokens.accept("punct", ",") else None
+            self.tokens.expect("punct", ")")
             return Bin.create(int(num), low, high, expr, value)
-        raise HistError(f"bad histogram spec: unknown aggregator {text!r} at offset {offset}")
+        raise ParseError(f"unknown aggregator {tok.text!r}", tok.offset)
 
     def number(self) -> float:
-        kind, text, offset = self.advance()
-        if kind != "number":
-            raise HistError(f"bad histogram spec: expected a number at offset {offset}")
-        return float(text)
+        return float(self.tokens.expect("number", what="a number").text)
 
     def quoted_expr(self) -> Expr:
-        kind, text, offset = self.advance()
-        if kind != "string":
-            raise HistError(f"bad histogram spec: expected a quoted expression at offset {offset}")
+        tok = self.tokens.expect("string", what="a quoted expression")
         try:
-            return parse(text[1:-1])
-        except ParseError as exc:
-            raise HistError(f"bad histogram spec: {exc}") from exc
+            return parse(tok.text[1:-1])
+        except ParseError as exc:  # offsets count from the start of the spec
+            raise ParseError(exc.message, tok.offset + 1 + exc.offset) from exc
 
 
 def parse_hist_spec(text: str):
     """Build an aggregator from the CLI mini-grammar."""
-    return _SpecParser(text).parse()
+    try:
+        return _SpecParser(text).parse()
+    except ParseError as exc:
+        raise HistError(f"bad histogram spec: {exc}") from exc

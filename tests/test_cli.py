@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 import signal
 import time
 from dataclasses import fields
@@ -23,7 +24,7 @@ from treeduce.bench.experiments import ExperimentSpec
 from treeduce.bench.generate import DEMO_TREE, DatasetManifest, GenSpec, generate
 from treeduce.cli import build_parser, main, parse_bytes
 from treeduce.engine import EngineConfig, EngineError, Manifest, fill, load_job_file, usable_cores
-from treeduce.exprlang import parse
+from treeduce.exprlang import MAX_NESTING, parse
 from treeduce.histagg import HistError, parse_hist_spec
 from treeduce.treefile import Codec, ColumnChunk, open_file, write_tree
 from treeduce.xrdlite import XrdConnection
@@ -435,6 +436,43 @@ def test_concat_reads_a_reduction_manifest(cli_dataset, tmp_path, capsys):
         assert arrays_match(
             reader.read_column(DEMO_TREE, "MET").values, expected["MET"].values
         )
+
+
+def test_concat_reads_a_manifest_from_another_directory(cli_dataset, tmp_path, capsys, monkeypatch):
+    data_dir, manifest = cli_dataset
+    run_dir, elsewhere = tmp_path / "run", tmp_path / "elsewhere"
+    run_dir.mkdir()
+    elsewhere.mkdir()
+    (run_dir / "job.cfg").write_text(_job_text(manifest.file_paths(str(data_dir)), "out"))
+    monkeypatch.chdir(run_dir)
+    assert main(["reduce", "--job", "job.cfg"]) == 0
+    monkeypatch.chdir(elsewhere)
+    assert main(["concat", "--out", "merged.trf", "--manifest", "../run/out/manifest.jsonl"]) == 0
+    assert "wrote merged.trf: 400 entries" in capsys.readouterr().out
+    paths = Manifest.read_jsonl(run_dir / "out" / "manifest.jsonl").paths()
+    assert paths and all(os.path.isabs(path) for path in paths)
+
+
+@pytest.mark.parametrize(
+    "command,skim,spec",
+    [
+        ("reduce", "(" * 2000 + "MET" + ")" * 2000, None),
+        ("reduce", " + ".join(["MET"] * 3000), None),
+        ("hist", None, "bin(1, 0, 1, 'MET', " * 1000 + "count" + ")" * 1000),
+    ],
+    ids=["parentheses", "operator-chain", "nested-bins"],
+)
+def test_deep_nesting_fails_in_one_line(cli_dataset, tmp_path, capsys, command, skim, spec):
+    data_dir, manifest = cli_dataset
+    job_path = tmp_path / "job.cfg"
+    job_path.write_text(_job_text(manifest.file_paths(str(data_dir)), tmp_path / "o", skim=skim))
+    argv = [command, "--job", str(job_path)]
+    if spec is not None:
+        argv += ["--spec", spec, "--out", str(tmp_path / "h.csv")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{command}: ") and f"nested more than {MAX_NESTING} levels deep" in err
+    assert err.count("\n") == 1
 
 
 def test_concat_refuses_a_manifest_whose_part_was_swapped(cli_dataset, tmp_path, capsys):

@@ -171,6 +171,18 @@ def test_job_spec_validation():
     assert EngineConfig(executors=2, cores_per_executor=4).worker_count == 8
 
 
+@pytest.mark.parametrize("name", ["", "1abc", "a b", "true", " x", "x-1"])
+def test_a_derived_name_must_be_a_column_an_expression_can_read(name, tmp_path):
+    with pytest.raises(EngineError, match="no expression can read") as exc:
+        JobSpec(inputs=["a"], tree="t", keep_columns=["x"], derived=[(name, "x * 2")])
+    assert repr(name) in str(exc.value)
+    path = tmp_path / "job.cfg"
+    path.write_text(f"input = a\ntree = t\nkeep = x\nderive.{name} = 'x * 2'\n")
+    with pytest.raises(EngineError, match="no expression can read"):
+        load_job_file(path)
+    JobSpec(inputs=["a"], tree="t", keep_columns=["x"], derived=[("_x2", "x * 2"), ("count", "x")])
+
+
 # --- planning --------------------------------------------------------------------
 
 

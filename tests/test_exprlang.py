@@ -17,6 +17,7 @@ from reference_interp import (
     float_columns,
 )
 from treeduce.exprlang import (
+    MAX_NESTING,
     Binary,
     Call,
     ColumnRef,
@@ -98,6 +99,36 @@ def test_literal_forms():
 )
 def test_parse_error_offsets(text, offset):
     with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert exc.value.offset == offset
+
+
+def test_nesting_up_to_the_bound_parses_typechecks_and_evaluates():
+    for text in [
+        "(" * MAX_NESTING + "d" + ")" * MAX_NESTING,
+        " + ".join(["d"] * (MAX_NESTING + 1)),  # one level per operator
+        "-" * MAX_NESTING + "d",
+        "abs(" * MAX_NESTING + "d" + ")" * MAX_NESTING,
+    ]:
+        expr = parse(text)
+        assert parse(text) == expr and hash(parse(text)) == hash(expr)
+        assert typecheck(expr, SCHEMA).kind is Kind.F64
+        assert len(evaluate(expr, {"d": ColumnChunk(np.ones(3))}).values) == 3
+
+
+@pytest.mark.parametrize(
+    ("text", "offset"),
+    [
+        ("(" * 2000 + "d" + ")" * 2000, MAX_NESTING),  # the first '(' past the bound
+        (" + ".join(["d"] * 3000), 4 * MAX_NESTING + 2),  # the first '+' past it
+        ("d * " * 3000 + "d", 4 * MAX_NESTING + 2),
+        ("-" * (MAX_NESTING + 1) + "d", 0),  # the outermost '-'
+        ("abs(" * 2000 + "d" + ")" * 2000, 4 * MAX_NESTING + 3),
+        ("!(" * 2000 + "p" + ")" * 2000, 2 * MAX_NESTING + 1),
+    ],
+)
+def test_nesting_past_the_bound_is_a_parse_error(text, offset):
+    with pytest.raises(ParseError, match=f"nested more than {MAX_NESTING} levels deep") as exc:
         parse(text)
     assert exc.value.offset == offset
 

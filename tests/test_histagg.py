@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import warnings
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_interp import arrays_match, fill_histogram, route_value
-from treeduce.exprlang import parse
+from treeduce.exprlang import MAX_NESTING, parse
 from treeduce.histagg import (
     MAX_CELLS,
     Bin,
@@ -450,3 +451,19 @@ def test_parse_hist_spec_forms():
 def test_parse_hist_spec_rejections(text):
     with pytest.raises(HistError):
         parse_hist_spec(text)
+
+
+@pytest.mark.parametrize(
+    ("text", "offset"),
+    [
+        ("bin(2, 0, 1, 'x') $", 18),  # no token starts at '$'
+        ("sum('x' extra", 8),  # expected ')'
+        ("bin(2, 0, 1,  'x +')", 18),  # in the quoted expression: 14 + 1 + 3
+        ("bin(1, 0, 1, 'x', " * 100 + "count" + ")" * 100, 18 * MAX_NESTING + 3),  # too deep
+    ],
+    ids=["lexer", "grammar", "quoted-expression", "nesting"],
+)
+def test_hist_spec_errors_name_their_offset_in_the_spec(text, offset):
+    with pytest.raises(HistError) as exc:
+        parse_hist_spec(text)
+    assert re.search(r"offset (\d+)", str(exc.value)).group(1) == str(offset)
