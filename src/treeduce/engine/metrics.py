@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from .job import EngineError
 
@@ -26,13 +29,41 @@ class TaskMetrics:
     minor_faults: int  # page faults the worker thread took in the task; 0 off Linux
 
 
+class Timeline(Sequence):
+    """Samples ``(k * interval, values[k])``, handed out as tuples of Python numbers.
+
+    A run's result holds one array rather than a list of tuples: a few
+    hundred bytes instead of some 10 KiB of Python objects, which the next
+    run would otherwise allocate beside it from pages it has not yet used.
+    """
+
+    def __init__(self, interval: float, values: np.ndarray):
+        self.interval = interval
+        self.values = values
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[k] for k in range(*index.indices(len(self)))]
+        k = range(len(self))[index]
+        return k * self.interval, self.values[k].item()
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return f"Timeline({list(self)!r})"
+
+
 @dataclass
 class WorkloadMetrics:
     total_wall_s: float
     worker_count: int
     tasks: list[TaskMetrics] = field(default_factory=list)
-    concurrency: list[tuple[float, int]] = field(default_factory=list)  # (t, active)
-    throughput: list[tuple[float, float]] = field(default_factory=list)  # (t, bytes/s)
+    concurrency: Sequence[tuple[float, int]] = field(default_factory=list)  # (t, active)
+    throughput: Sequence[tuple[float, float]] = field(default_factory=list)  # (t, bytes/s)
 
     @property
     def sum_wall_s(self) -> float:

@@ -93,6 +93,7 @@ from .metrics import (
     Manifest,
     ManifestEntry,
     TaskMetrics,
+    Timeline,
     WorkloadMetrics,
     write_metrics_jsonl,
 )
@@ -390,10 +391,7 @@ def _timeline(spans, fetches, total_wall: float):
     done = np.concatenate([[0], np.cumsum([nbytes for _, nbytes in fetches])])
     bytes_by_grid = done[np.searchsorted(done_at, grid, "right")]
     rates = np.diff(bytes_by_grid, prepend=0) / interval
-    return (
-        [(float(t), int(a)) for t, a in zip(grid, active)],
-        [(float(t), float(r)) for t, r in zip(grid, rates)],
-    )
+    return Timeline(interval, active), Timeline(interval, rates)
 
 
 def run(job: JobSpec, engine: EngineConfig, *, fault_hook=None) -> RunResult:

@@ -38,7 +38,7 @@ from treeduce.engine import (
     run,
 )
 from treeduce.engine import memory, runner
-from treeduce.engine.metrics import SPANS
+from treeduce.engine.metrics import SPANS, Timeline
 from treeduce.engine.planner import parse_job_exprs, tasks_from_counts
 from treeduce.exprlang import parse
 from treeduce.treefile import (
@@ -1113,6 +1113,18 @@ def test_timeline_counts_task_spans_and_fetch_completions():
     concurrency, throughput = runner._timeline([], [], 0.0)
     assert len(concurrency) == runner.TIMELINE_STEPS + 2
     assert all(math.isfinite(t) and rate == 0.0 for t, rate in throughput)
+
+
+def test_a_timeline_hands_out_python_numbers():
+    timeline = Timeline(0.5, np.array([0, 2, 1]))
+    assert list(timeline) == [(0.0, 0), (0.5, 2), (1.0, 1)]
+    assert [type(v) for pair in timeline for v in pair] == [float, int] * 3
+    assert timeline[-1] == (1.0, 1) and timeline[1:] == [(0.5, 2), (1.0, 1)]
+    assert timeline == [(0.0, 0), (0.5, 2), (1.0, 1)] != Timeline(0.5, np.array([0, 2]))
+    with pytest.raises(IndexError):
+        timeline[3]
+    rates = Timeline(0.25, np.array([0.0, 8.0]))
+    assert [type(rate) for _, rate in rates] == [float, float]
 
 
 def test_cpu_spans_count_on_cpu_time_only(demo_dataset, tmp_path):
